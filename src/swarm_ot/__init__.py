@@ -36,6 +36,7 @@ from .transport import (
 from .grid import (
     GridState,
     KKTResidual,
+    PositivityError,
     LyapunovReport,
     grid_edges,
     pd_flow_step,

@@ -3,9 +3,9 @@
 Subcommands: `agents` (transport rounds), `pde` (grid solver),
 `oracle-check` (primal-dual vs. min-cost-flow agreement), and `fig N`
 (N in 2..6, emits the data behind the standard figures). All output is
-CSV; re-running a config with the same seed is byte-identical, and
---threads never changes results (the reference implementation computes
-sequentially, the flag only caps workers).
+CSV; re-running a config with the same seed is byte-identical. Every
+command computes sequentially: --threads is validated (at least 1) and
+otherwise unused, so it never changes results.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from .flow import FlowProblem, min_cost_flow
 from .geometry import Domain, MetricCost
 from .grid import (
     GridState,
+    PositivityError,
     density_error,
     density_on_grid,
     random_density,
@@ -279,7 +280,7 @@ def run_fig(cfg, number, out_dir):
                     inner_tol=cfg.grid_inner_tol,
                     record_every=max(count, 1),
                 )
-            except ValueError as exc:
+            except PositivityError as exc:
                 print(f"fig {number}: n={n} stopped between t={state.t:.4f} "
                       f"and the next record: {exc}")
                 halted = True
@@ -305,7 +306,7 @@ def _add_common(parser):
         "--threads",
         type=int,
         default=1,
-        help="worker cap; results are identical for every value",
+        help="accepted for compatibility (at least 1); computation is sequential",
     )
 
 

@@ -16,6 +16,10 @@ import scipy.sparse.linalg as spla
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
 
+class PositivityError(ValueError):
+    """An explicit transport step would make the density nonpositive."""
+
+
 def grid_edges(nx, ny):
     """4-neighbor edges of an nx-by-ny node grid, node index j*nx + i."""
     idx = np.arange(nx * ny).reshape(ny, nx)
@@ -128,14 +132,14 @@ def transport_step(s):
 
     Antisymmetric per-edge fluxes keep the total mass exactly conserved.
     A step that would make any node nonpositive is an error naming the
-    node: reduce dt rather than clamping.
+    node (a PositivityError): reduce dt rather than clamping.
     """
     out = s.copy()
     out.rho = s.rho + s.dt * _div_flux(s)
     if np.any(out.rho <= 0):
         node = int(np.argmin(out.rho))
         x, y = s.node_xy(node)
-        raise ValueError(
+        raise PositivityError(
             f"transport step made the density nonpositive at node ({x},{y}); reduce dt"
         )
     out.t = s.t + s.dt

@@ -36,9 +36,9 @@ class QuadratureGrid:
         self.ny = ny
         ext = domain.extent
         self.cell_area = float(ext[0] * ext[1] / (nx * ny))
-        xs = domain.lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
-        ys = domain.lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
-        X, Y = np.meshgrid(xs, ys)  # row-major: cell j*nx + i sits at (xs[i], ys[j])
+        self.xs = domain.lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
+        self.ys = domain.lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
+        X, Y = np.meshgrid(self.xs, self.ys)  # row-major: cell j*nx + i sits at (xs[i], ys[j])
         self.centers = np.column_stack([X.ravel(), Y.ravel()])
 
     @property

@@ -56,18 +56,34 @@ def build_partition(sites, metric, domain, q):
     """Assign every quadrature cell to its nearest site.
 
     Ties break to the lowest site index, so the scan order cannot change
-    the result. Sites are clamped into the domain first. The conformal
-    factor scales all distances alike and is irrelevant to the argmin.
+    the result. Sites must be finite and are clamped into the domain
+    first. The conformal factor scales all distances alike and is
+    irrelevant to the argmin.
+
+    The sites are scanned one at a time against a running minimum over
+    the quadrature's tensor grid: O(N*M) time and O(M) memory for N
+    sites and M cells. A site takes a cell only when strictly closer
+    than every earlier site, which keeps ties at the lowest index.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (N, 2) array")
     if len(sites) < 1:
         raise ValueError("need at least one site")
+    if not np.all(np.isfinite(sites)):
+        raise ValueError("sites must be finite")
     sites = domain.clamp(sites)
-    d2 = ((q.centers[None, :, :] - sites[:, None, :]) ** 2).sum(axis=2)
-    owner = np.argmin(d2, axis=0).astype(np.int64)
-    return Partition(sites, owner, q)
+    shape = (q.ny, q.nx)
+    best = np.full(shape, np.inf)
+    owner = np.zeros(shape, dtype=np.int64)
+    d2 = np.empty(shape)
+    closer = np.empty(shape, dtype=bool)
+    for i, (sx, sy) in enumerate(sites):
+        np.add(((q.ys - sy) ** 2)[:, None], ((q.xs - sx) ** 2)[None, :], out=d2)
+        np.less(d2, best, out=closer)
+        np.copyto(owner, i, where=closer)
+        np.minimum(best, d2, out=best)
+    return Partition(sites, owner.ravel(), q)
 
 
 def neighbor_graph(p, metric, radius=None):
@@ -79,20 +95,14 @@ def neighbor_graph(p, metric, radius=None):
     """
     q = p.q
     own = p.owner.reshape(q.ny, q.nx)
-    pairs = np.concatenate(
-        [
-            np.column_stack([own[:, :-1].ravel(), own[:, 1:].ravel()]),
-            np.column_stack([own[:-1, :].ravel(), own[1:, :].ravel()]),
-        ]
-    )
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if len(pairs):
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        edges = np.unique(np.column_stack([lo, hi]), axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    diffs = p.sites[edges[:, 0]] - p.sites[edges[:, 1]] if len(edges) else np.empty((0, 2))
+    a = np.concatenate([own[:, :-1].ravel(), own[:-1, :].ravel()])
+    b = np.concatenate([own[:, 1:].ravel(), own[1:, :].ravel()])
+    cut = a != b
+    a, b = a[cut], b[cut]
+    # one int64 key per unordered pair; sorted keys are lexicographic (lo, hi)
+    keys = np.unique(np.minimum(a, b) * p.n + np.maximum(a, b))
+    edges = np.column_stack([keys // p.n, keys % p.n])
+    diffs = p.sites[edges[:, 0]] - p.sites[edges[:, 1]]
     costs = metric.xi * np.sqrt((diffs**2).sum(axis=1))
     if np.any(costs <= 0):
         raise ValueError("coincident sites share a cell boundary; perturb duplicates first")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarm_ot import ConfigError, load_config
+from swarm_ot import ConfigError, PositivityError, cli, load_config
 
 AGENTS_CFG = """\
 # agent quantization run
@@ -292,3 +292,34 @@ def test_uniform_pde_target_reaches_tiny_error(tmp_path):
     vs = [float(line.split(",")[1]) for line in lines]
     assert vs[-1] < vs[0] * 0.2
     assert all(b <= a + 1e-15 for a, b in zip(vs, vs[1:]))
+
+
+@pytest.mark.parametrize("positivity", [True, False])
+def test_fig5_marks_partial_only_on_positivity_stops(tmp_path, monkeypatch, capsys, positivity):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mode = pde\nseed = 2\ntarget.kind = uniform\noutput.record_every = 1\n"
+        "grid.nx = 5\ngrid.ny = 5\ngrid.dt = 1e-2\ngrid.T = 0.05\n"
+    )
+    real, calls = cli.run_coupled, []
+
+    def fail_second_chunk(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise (PositivityError if positivity else ValueError)("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_coupled", fail_second_chunk)
+    code = cli.main(["fig", "5", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    if positivity:
+        assert code == 0, err
+        assert "fig5_n1.csv (partial)" in out
+        assert len((tmp_path / "out" / "fig5_n1.csv").read_text().splitlines()) == 3
+        assert (tmp_path / "out" / "fig5_n10.csv").exists()
+    else:
+        # any other ValueError is a failure of the command, not a partial figure
+        assert code == 1
+        assert "error: injected failure" in err
+        assert "wrote" not in out
+        assert not list((tmp_path / "out").glob("fig5_*.csv"))

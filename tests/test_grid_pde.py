@@ -70,8 +70,9 @@ def test_transport_step_hand_numbers_and_conservation():
 def test_transport_step_positivity_error_names_the_node():
     s = GridState(2, 1, np.array([0.01, 0.99]), phi=np.array([1.0, 0.0]),
                   lam=np.array([1.0]), dt=0.1)
-    with pytest.raises(ValueError, match=r"\(0,0\)"):
+    with pytest.raises(so.PositivityError, match=r"\(0,0\)"):
         so.transport_step(s)
+    assert issubclass(so.PositivityError, ValueError)
 
 
 def test_kkt_residual_at_the_hand_saddle():

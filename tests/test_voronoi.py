@@ -1,8 +1,12 @@
 """Partition and neighbor graph tests.
 
 The brute-force checks re-derive ownership straight from the distance
-definition, independent of the vectorized implementation.
+definition, independent of the vectorized implementation. The dense
+N x M argmin below is the reference the running-minimum partition must
+match bit for bit, ties included.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import Domain, MetricCost, QuadratureGrid
+
+
+def _dense_owner(sites, domain, q):
+    """Reference ownership: argmin over the full N x M distance table."""
+    sites = domain.clamp(np.asarray(sites, dtype=float))
+    d2 = ((q.centers[None, :, :] - sites[:, None, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=0)
 
 
 def setup(sites, n=64, radius=None):
@@ -116,3 +127,83 @@ def test_relabeling_permutes_ownership(coords):
     perm = np.roll(np.arange(len(sites)), 1)
     part_p, _ = setup(sites[perm], n=24)
     np.testing.assert_array_equal(perm[part_p.owner], part.owner)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sites_are_rejected(bad):
+    dom = Domain()
+    q = QuadratureGrid(dom, 8)
+    sites = np.array([[0.2, 0.5], [0.8, 0.5]])
+    sites[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        so.build_partition(sites, MetricCost(), dom, q)
+
+
+@st.composite
+def partition_cases(draw):
+    if draw(st.booleans()):
+        # dyadic corners, extents and resolutions make every cell center,
+        # and every site mirrored about one, exact in floating point
+        lo = np.array([draw(st.integers(-8, 8)), draw(st.integers(-8, 8))]) / 4.0
+        ext = 2.0 ** np.array([draw(st.integers(-2, 2)), draw(st.integers(-2, 2))])
+        nx, ny = 2 ** draw(st.integers(1, 5)), 2 ** draw(st.integers(1, 5))
+        offset = st.integers(-16, 16).map(lambda k: k / 64.0)
+    else:
+        lo = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+        ext = np.array([draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))])
+        nx, ny = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+        offset = st.floats(-0.3, 0.3)
+    dom = Domain(lo, lo + ext)
+    q = QuadratureGrid(dom, nx, ny)
+    unit = st.floats(-0.1, 1.1)  # a little outside the domain exercises the clamp
+    sites = [
+        lo + ext * np.array([draw(unit), draw(unit)])
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    # pairs mirrored about a cell center are equidistant from it
+    for _ in range(draw(st.integers(0, 3))):
+        c = q.centers[draw(st.integers(0, q.n_cells - 1))]
+        off = np.array([draw(offset), draw(offset)]) * ext
+        sites += [c + off, c - off]
+    sites = np.array(sites)
+    dups = draw(st.lists(st.integers(0, len(sites) - 1), max_size=3))
+    sites = np.concatenate([sites, sites[dups]])
+    perm = draw(st.permutations(range(len(sites))))
+    return dom, q, sites[list(perm)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(partition_cases())
+def test_running_minimum_matches_the_dense_argmin(case):
+    dom, q, sites = case
+    part = so.build_partition(sites, MetricCost(), dom, q)
+    assert part.owner.dtype == np.int64
+    assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
+
+
+def test_mirrored_sites_tie_to_the_lowest_index():
+    # dyadic geometry: cell 27 sits at (0.75, 2.875), exactly equidistant
+    # from the mirrored pair c + off and c - off
+    dom = Domain((-1.0, 2.0), (3.0, 3.0))
+    q = QuadratureGrid(dom, 8, 4)
+    c, off = q.centers[27], np.array([0.25, 0.125])
+    sites = np.array([c + off, c - off, c + 0.5])
+    part = so.build_partition(sites, MetricCost(), dom, q)
+    assert part.owner[27] == 0
+    assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
+    part = so.build_partition(sites[::-1], MetricCost(), dom, q)
+    assert part.owner[27] == 1  # the pair now holds indices 1 and 2
+
+
+def test_partition_memory_does_not_scale_with_sites_times_cells():
+    dom = Domain()
+    q = QuadratureGrid(dom, 128)
+    sites = so.SplitMix64(5).uniforms(2000).reshape(1000, 2)
+    tracemalloc.start()
+    try:
+        so.build_partition(sites, MetricCost(), dom, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense table would need 1000 * 128**2 * 2 * 8 bytes, about 262 MB
+    assert peak < 16 * 2**20
