@@ -5,14 +5,20 @@ edges, and every spatial operator is the weighted graph Laplacian, so
 transport fluxes are antisymmetric per edge and total mass is conserved
 to machine precision. Time stepping is explicit Euler with a hard
 positivity check (an error, never a clamp).
+
+The potential flow is the agents' primal-dual kernel `iterate` on the
+grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
+transport and stationarity use its operator `laplacian`.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .primal_dual import iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
 
@@ -36,6 +42,7 @@ class GridState:
         self.ny = int(ny)
         n = self.nx * self.ny
         self.edges = grid_edges(self.nx, self.ny)
+        self.edges.flags.writeable = False
         self.rho = np.asarray(rho, dtype=float).copy()
         if self.rho.shape != (n,):
             raise ValueError(f"rho must have {n} entries")
@@ -60,9 +67,10 @@ class GridState:
         self.t = float(t)
 
     def copy(self):
-        return GridState(
-            self.nx, self.ny, self.rho, self.phi, self.lam, self.cost, self.dt, self.t
-        )
+        """Own copies of rho, phi and lam; the read-only edges are shared."""
+        out = copy.copy(self)
+        out.rho, out.phi, out.lam = self.rho.copy(), self.phi.copy(), self.lam.copy()
+        return out
 
     def node_xy(self, i):
         return int(i) % self.nx, int(i) // self.nx
@@ -89,16 +97,6 @@ class LyapunovReport:
     mass_error: float
 
 
-def _div_flux(s, lam=None):
-    """Per-node divergence sum_j lam_ij (phi_j - phi_i)."""
-    i, j = s.edges[:, 0], s.edges[:, 1]
-    lam = s.lam if lam is None else lam
-    flux = lam * (s.phi[j] - s.phi[i])
-    out = np.bincount(i, weights=flux, minlength=len(s.phi))
-    out -= np.bincount(j, weights=flux, minlength=len(s.phi))
-    return out
-
-
 def pd_flow_step(s, rho_star, dt=None):
     """One explicit Euler step of the primal-dual flow (rho untouched).
 
@@ -109,10 +107,7 @@ def pd_flow_step(s, rho_star, dt=None):
     """
     h = s.dt if dt is None else float(dt)
     out = s.copy()
-    i, j = s.edges[:, 0], s.edges[:, 1]
-    dphi = s.phi[i] - s.phi[j]
-    out.phi = s.phi + h * (_div_flux(s) + s.rho - rho_star)
-    out.lam = np.maximum(0.0, s.lam + h * 0.5 * (dphi**2 - s.cost**2))
+    out.phi, out.lam = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1)
     return out
 
 
@@ -123,7 +118,7 @@ def relaxed_primal_step(s, rho_star, lam_fixed, dt=None):
     h = s.dt if dt is None else float(dt)
     out = s.copy()
     lam = np.full(len(s.edges), float(lam_fixed))
-    out.phi = s.phi + h * (_div_flux(s, lam) + s.rho - rho_star)
+    out.phi, _ = iterate(s.phi, lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1, dual=False)
     return out
 
 
@@ -135,7 +130,7 @@ def transport_step(s):
     node (a PositivityError): reduce dt rather than clamping.
     """
     out = s.copy()
-    out.rho = s.rho + s.dt * _div_flux(s)
+    out.rho = s.rho - s.dt * laplacian(s.phi, s.lam, s.edges)
     if np.any(out.rho <= 0):
         node = int(np.argmin(out.rho))
         x, y = s.node_xy(node)
@@ -154,7 +149,7 @@ def kkt_residual(s, rho_star):
     is a position, not a violation magnitude.
     """
     i, j = s.edges[:, 0], s.edges[:, 1]
-    stationarity = float(np.abs(_div_flux(s) + s.rho - rho_star).max())
+    stationarity = float(np.abs(s.rho - laplacian(s.phi, s.lam, s.edges) - rho_star).max())
     gaps = np.abs(s.phi[i] - s.phi[j])
     feasibility = float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0
     slackness = float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0

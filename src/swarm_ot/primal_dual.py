@@ -45,25 +45,33 @@ def _check_edges(s, g):
         raise ValueError("state multipliers are defined on different edges than the graph")
 
 
-def _laplacian_term(phi, lam, i, j, n):
-    """Per-node sum_j lam_ij (phi_i - phi_j)."""
-    flux = lam * (phi[i] - phi[j])
-    return np.bincount(i, weights=flux, minlength=n) - np.bincount(
-        j, weights=flux, minlength=n
-    )
+def _net_outflow(flux, edges, n):
+    """Per-node sum of edge fluxes, counted + at edge[0] and - at edge[1]."""
+    out = np.bincount(edges[:, 0], weights=flux, minlength=n)
+    out -= np.bincount(edges[:, 1], weights=flux, minlength=n)
+    return out
 
 
-def _iterate(phi, lam, b, i, j, half_c2, tau, n_steps):
-    # divergence shows up as overflow and is detected by the callers, so
-    # the warnings it would emit are noise
+def laplacian(phi, lam, edges):
+    """Weighted graph Laplacian: per node, sum_j lam_ij (phi_i - phi_j)."""
+    return _net_outflow(lam * (phi[edges[:, 0]] - phi[edges[:, 1]]), edges, len(phi))
+
+
+def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
+    """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
+
+    The one kernel behind the agents' inner loop and the grid flow.
+    Returns (phi, lam). Divergence shows up as non-finite values that
+    callers check, so its warnings are noise.
+    """
+    i, j = edges[:, 0], edges[:, 1]
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
-            dphi = phi[i] - phi[j]
-            flux = lam * dphi
-            lap = np.bincount(i, weights=flux, minlength=len(phi))
-            lap -= np.bincount(j, weights=flux, minlength=len(phi))
+            dphi = phi[i] - phi[j]  # feeds both updates, so not via laplacian()
+            lap = _net_outflow(lam * dphi, edges, len(phi))
+            if dual:
+                lam = np.maximum(0.0, lam + tau * (0.5 * dphi * dphi - half_c2))
             phi = phi + tau * (b - lap)
-            lam = np.maximum(0.0, lam + tau * (0.5 * dphi * dphi - half_c2))
     return phi, lam
 
 
@@ -72,8 +80,7 @@ def pd_step(s, b, g, tau):
     return run_pd(s, b, g, tau, 1)
 
 
-def run_pd(s, b, g, tau, n):
-    """n primal-dual steps from one state; n = 0 returns the input state."""
+def _run(s, b, g, tau, n, dual):
     if not tau > 0:
         raise ValueError("step size tau must be positive")
     n = int(n)
@@ -83,32 +90,21 @@ def run_pd(s, b, g, tau, n):
     if n == 0:
         return s
     b = np.asarray(b, dtype=float)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    phi, lam = _iterate(s.phi, s.lam, b, i, j, 0.5 * g.costs**2, tau, n)
+    phi, lam = iterate(s.phi, s.lam, b, g.edges, 0.5 * g.costs**2, tau, n, dual)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
-        raise FloatingPointError("primal-dual iteration diverged; reduce tau")
+        kind = "primal-dual" if dual else "primal"
+        raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
     return PotentialState(phi, lam, g.edges, s.l + n)
+
+
+def run_pd(s, b, g, tau, n):
+    """n primal-dual steps from one state; n = 0 returns the input state."""
+    return _run(s, b, g, tau, n, dual=True)
 
 
 def run_primal(s, b, g, tau, n):
     """n primal-only steps with the multipliers held fixed at s.lam."""
-    if not tau > 0:
-        raise ValueError("step size tau must be positive")
-    n = int(n)
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    _check_edges(s, g)
-    if n == 0:
-        return s
-    b = np.asarray(b, dtype=float)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    phi = s.phi
-    for _ in range(n):
-        lap = _laplacian_term(phi, s.lam, i, j, len(phi))
-        phi = phi + tau * (b - lap)
-    if not np.all(np.isfinite(phi)):
-        raise FloatingPointError("primal iteration diverged; reduce tau")
-    return PotentialState(phi, s.lam, g.edges, s.l + n)
+    return _run(s, b, g, tau, n, dual=False)
 
 
 def dual_objective(phi, b):
@@ -134,10 +130,10 @@ def pd_residual(s, b, g):
     """
     _check_edges(s, g)
     b = np.asarray(b, dtype=float)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    primal = np.abs(b - _laplacian_term(s.phi, s.lam, i, j, len(s.phi)))
+    primal = np.abs(b - laplacian(s.phi, s.lam, g.edges))
     res = float(primal.max()) if len(primal) else 0.0
     if len(g.edges):
+        i, j = g.edges[:, 0], g.edges[:, 1]
         grad = 0.5 * (s.phi[i] - s.phi[j]) ** 2 - 0.5 * g.costs**2
         projected = np.where(s.lam > 0, grad, np.maximum(grad, 0.0))
         res = max(res, float(np.abs(projected).max()))
@@ -159,7 +155,6 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000, check_every=200)
         raise ValueError("step size tau must be positive")
     _check_edges(s, g)
     b = np.asarray(b, dtype=float)
-    i, j = g.edges[:, 0], g.edges[:, 1]
     half_c2 = 0.5 * g.costs**2
     phi, lam = s.phi.copy(), s.lam.copy()
     tau_cur = float(tau)
@@ -168,7 +163,7 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000, check_every=200)
     used = 0
     while used < max_iter and tau_cur > 1e-10:
         chunk = min(check_every, max_iter - used)
-        phi_new, lam_new = _iterate(phi, lam, b, i, j, half_c2, tau_cur, chunk)
+        phi_new, lam_new = iterate(phi, lam, b, g.edges, half_c2, tau_cur, chunk)
         used += chunk
         finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))
         if finite:

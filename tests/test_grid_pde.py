@@ -8,9 +8,11 @@ every operator can be checked against explicit numbers.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
-from swarm_ot import DensityField, Domain, GridState
+from swarm_ot import DensityField, Domain, GridState, NeighborGraph, PotentialState
+from swarm_ot.primal_dual import laplacian
 
 
 def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
@@ -37,6 +39,84 @@ def test_state_validation():
         GridState(2, 1, np.array([0.5, 0.5]), lam=np.array([-0.1]))
     with pytest.raises(ValueError):
         GridState(2, 1, np.array([0.5, 0.5]), dt=0.0)
+
+
+def test_copy_shares_read_only_edges_and_owns_the_arrays():
+    s = GridState(3, 2, so.random_density(3, 2, seed=4), phi=np.arange(6.0),
+                  lam=np.full(7, 0.5), dt=0.1)
+    out = s.copy()
+    assert out.edges is s.edges
+    with pytest.raises(ValueError):
+        s.edges[0, 0] = 5
+    rho, phi = s.rho.copy(), s.phi.copy()
+    out.lam *= 1.0 - out.dt  # as run_coupled rescales after transport
+    out.rho[0] = 0.5
+    out.phi[0] = 9.0
+    np.testing.assert_array_equal(s.lam, 0.5)
+    np.testing.assert_array_equal(s.rho, rho)
+    np.testing.assert_array_equal(s.phi, phi)
+
+
+@st.composite
+def grid_cases(draw):
+    """A random grid state (1x1 has no edges) and a positive target."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = nx * ny
+    n_edges = 2 * n - nx - ny
+
+    def vector(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+
+    positive = st.floats(1e-3, 1.0)
+    rho = vector(positive, n)
+    rho_star = vector(positive, n)
+    s = GridState(
+        nx,
+        ny,
+        rho / rho.sum(),
+        phi=vector(st.floats(-10.0, 10.0), n),
+        lam=vector(st.floats(0.0, 10.0), n_edges),
+        cost=draw(st.floats(0.1, 2.0)),
+        dt=draw(st.floats(1e-4, 0.5)),
+    )
+    return s, rho_star / rho_star.sum()
+
+
+def as_graph(s):
+    return NeighborGraph(len(s.rho), s.edges, np.full(len(s.edges), s.cost))
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_cases(), st.floats(0.1, 5.0))
+def test_grid_steps_are_the_swarm_kernel(case, lam_fixed):
+    s, rho_star = case
+    b = s.rho - rho_star
+    out = so.pd_flow_step(s, rho_star)
+    ref = so.run_pd(PotentialState(s.phi, s.lam, s.edges), b, as_graph(s), s.dt, 1)
+    assert same_bytes(out.phi, ref.phi) and same_bytes(out.lam, ref.lam)
+    assert same_bytes(out.rho, s.rho)
+
+    lam = np.full(len(s.edges), lam_fixed)
+    out = so.relaxed_primal_step(s, rho_star, lam_fixed)
+    ref = so.run_primal(PotentialState(s.phi, lam, s.edges), b, as_graph(s), s.dt, 1)
+    assert same_bytes(out.phi, ref.phi)
+    assert same_bytes(out.lam, s.lam)
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_cases(), st.floats(0.01, 0.999))
+def test_transport_step_conserves_mass(case, fraction):
+    s, _ = case
+    # a dt below the positivity limit, so every drawn case takes the step
+    rate = float(np.abs(laplacian(s.phi, s.lam, s.edges)).max(initial=0.0))
+    s.dt = fraction * s.rho.min() / rate if rate > 0 else s.dt
+    out = so.transport_step(s)
+    assert abs(out.rho.sum() - s.rho.sum()) <= 1e-13
+    assert np.all(out.rho > 0)
 
 
 def test_pd_flow_step_hand_numbers():

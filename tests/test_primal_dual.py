@@ -6,6 +6,8 @@ lam * (phi_0 - phi_1) = b with |phi_0 - phi_1| = c whenever b != 0, so
 the potential gap saturates the constraint and lam = |b| / c.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,11 +128,16 @@ def test_run_primal_keeps_multipliers_fixed():
     assert out.phi[0] - out.phi[1] == pytest.approx(0.4, abs=1e-8)
 
 
-def test_divergence_raises_floating_point_error():
+@pytest.mark.parametrize("run", [so.run_pd, so.run_primal], ids=["run_pd", "run_primal"])
+def test_divergence_raises_floating_point_error(run):
+    # the overflow on the way to divergence is reported by the typed
+    # error alone, never by a RuntimeWarning before it
     g = two_node_graph(cost=1.0)
     s = PotentialState([0.0, 0.0], [1.0], g.edges)
-    with pytest.raises(FloatingPointError):
-        so.run_pd(s, np.array([1.0, -1.0]), g, tau=5.0, n=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            run(s, np.array([1.0, -1.0]), g, tau=5.0, n=2000)
 
 
 def test_converge_pd_recovers_from_oversized_tau():
