@@ -247,6 +247,12 @@ def saturated_potentials(s, rho_star):
     return phi / scale, lam * scale
 
 
+# inner_steady_state: relaxation step and per-transport-step budget of
+# the inner primal-dual flow
+INNER_DT = 0.2
+INNER_CAP = 500_000
+
+
 def run_coupled(
     s,
     rho_star,
@@ -255,9 +261,6 @@ def run_coupled(
     horizon=1.0,
     lam_fixed=1.0,
     inner_tol=1e-8,
-    inner_cap=500_000,
-    inner_dt=None,
-    steady_init=True,
     record_every=1,
 ):
     """Alternate potential estimation with transport until t >= horizon.
@@ -268,11 +271,12 @@ def run_coupled(
       inner_steady_state- converge the primal-dual flow to stationarity
                           <= inner_tol before every transport step
 
-    inner_steady_state uses inner_dt (default 0.2) as the relaxation step
-    of the inner solver, a solver knob independent of the transport dt,
-    and with steady_init starts from a directly computed stationary pair.
-    After each transport step the multipliers are rescaled by (1 - dt),
-    which restores stationarity exactly and keeps the inner loop cheap.
+    inner_steady_state starts from a directly computed stationary pair
+    and relaxes with its own inner step INNER_DT, independent of the
+    transport dt, for at most INNER_CAP steps per transport step (a
+    RuntimeError past that). After each transport step the multipliers
+    are rescaled by (1 - dt), which restores stationarity exactly and
+    keeps the inner loop cheap.
 
     Returns (reports, final_state) with one LyapunovReport at t = 0 and
     one per recorded outer step.
@@ -288,9 +292,8 @@ def run_coupled(
         if not lam_fixed > 0:
             raise ValueError("fixed dual weight must be positive")
         s.lam[:] = float(lam_fixed)
-    if mode == "inner_steady_state" and steady_init:
+    if mode == "inner_steady_state":
         s.phi, s.lam = steady_potentials(s, rho_star)
-    h_inner = 0.2 if inner_dt is None else float(inner_dt)
 
     reports = [lyapunov(s, rho_star)]
     steps = int(round(horizon / s.dt))
@@ -304,11 +307,11 @@ def run_coupled(
         else:
             used = 0
             while kkt_residual(s, rho_star).stationarity > inner_tol:
-                if used >= inner_cap:
+                if used >= INNER_CAP:
                     raise RuntimeError(
                         f"inner solver hit the iteration cap at t={s.t:.6f}"
                     )
-                s = pd_flow_step(s, rho_star, dt=h_inner)
+                s = pd_flow_step(s, rho_star, dt=INNER_DT)
                 used += 1
         s = transport_step(s)
         if mode == "inner_steady_state":

@@ -140,7 +140,10 @@ def pd_residual(s, b, g):
     return res
 
 
-def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000, check_every=200):
+CHECK_EVERY = 200  # iterations between converge_pd's residual checks
+
+
+def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
     """Iterate pd_step until the saddle residual drops below tol.
 
     The step size is halved and the run restarted whenever the iteration
@@ -162,7 +165,7 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000, check_every=200)
     stall = 0
     used = 0
     while used < max_iter and tau_cur > 1e-10:
-        chunk = min(check_every, max_iter - used)
+        chunk = min(CHECK_EVERY, max_iter - used)
         phi_new, lam_new = iterate(phi, lam, b, g.edges, half_c2, tau_cur, chunk)
         used += chunk
         finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))

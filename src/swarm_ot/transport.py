@@ -128,17 +128,24 @@ def proximal_step(x, g, eps, metric, domain):
     return domain.clamp(x - (eps / metric.xi) * g / norm)
 
 
-def _dedupe(positions, seed, k):
-    """Nudge exact duplicate positions apart so edge costs stay positive."""
+def _dedupe(state, domain):
+    """Clamp positions into the domain and nudge exact duplicates apart.
+
+    Distinct sites keep edge costs positive. A nudge coordinate that
+    would leave the domain is mirrored back in, so a duplicate on the
+    boundary or at a corner still moves off the original.
+    """
     seen = {}
     perturbed = []
-    positions = positions.copy()
+    positions = domain.clamp(state.positions)
     for i, pos in enumerate(positions):
         key = (float(pos[0]), float(pos[1]))
         if key in seen:
-            gen = SplitMix64(derive(seed, STREAM_PERTURB, k, i))
+            gen = SplitMix64(derive(state.seed, STREAM_PERTURB, state.k, i))
             angle = 2.0 * np.pi * gen.next_float()
-            positions[i] = pos + 1e-9 * np.array([np.cos(angle), np.sin(angle)])
+            step = 1e-9 * np.array([np.cos(angle), np.sin(angle)])
+            outside = (pos + step < domain.lo) | (pos + step > domain.hi)
+            positions[i] = pos + np.where(outside, -step, step)
             perturbed.append(i)
         else:
             seen[key] = i
@@ -151,13 +158,22 @@ def _nearest_site(points, sites):
     return np.argmin(d2, axis=1)
 
 
-def _round_impl(state, cfg, target, metric, domain, q, dens, partition, graph, fixed_dual):
+def transport_round(state, cfg, target, metric, domain, q=None, dens=None, partition=None, graph=None):
+    """One synchronous round of potential estimation and proximal moves.
+
+    Builds the partition and graph at the current positions (or reuses
+    the caller's), estimates potentials with inner_iters primal-dual
+    steps, or primal-only steps with every multiplier at cfg.fixed_dual
+    when that is set, and moves every agent by a proximal step. Returns
+    (new_state, diagnostics); a disconnected graph is reported in the
+    diagnostics rather than raised.
+    """
     n = len(state.positions)
     if n < 2:
         raise ValueError("transport needs at least two agents")
     if q is None:
         q = QuadratureGrid(domain, 256)
-    positions, perturbed = _dedupe(domain.clamp(state.positions), state.seed, state.k)
+    positions, perturbed = _dedupe(state, domain)
     if perturbed or partition is None or not np.array_equal(partition.sites, positions):
         partition = build_partition(positions, metric, domain, q)
         graph = None
@@ -174,14 +190,14 @@ def _round_impl(state, cfg, target, metric, domain, q, dens, partition, graph, f
         phi0 = np.zeros(n)
     else:
         phi0 = state.prev_phi[_nearest_site(positions, state.prev_sites)]
-    if fixed_dual is not None:
-        lam0 = np.full(len(graph.edges), float(fixed_dual))
+    if cfg.fixed_dual is not None:
+        lam0 = np.full(len(graph.edges), float(cfg.fixed_dual))
     else:
         lam0 = np.array(
             [state.prev_lam.get((int(a), int(b)), 0.0) for a, b in graph.edges]
         )
     inner = PotentialState(phi0, lam0, graph.edges)
-    if fixed_dual is not None:
+    if cfg.fixed_dual is not None:
         inner = run_primal(inner, b, graph, cfg.tau, cfg.inner_iters)
     else:
         inner = run_pd(inner, b, graph, cfg.tau, cfg.inner_iters)
@@ -197,7 +213,7 @@ def _round_impl(state, cfg, target, metric, domain, q, dens, partition, graph, f
         new_positions[i] = proximal_step(positions[i], grad, cfg.eps, metric, domain)
         step_lengths[i] = metric.distance(positions[i], new_positions[i])
 
-    carried = {} if fixed_dual is not None else {
+    carried = {} if cfg.fixed_dual is not None else {
         (int(a), int(b)): float(v) for (a, b), v in zip(graph.edges, inner.lam)
     }
     new_state = SwarmState(
@@ -222,25 +238,11 @@ def _round_impl(state, cfg, target, metric, domain, q, dens, partition, graph, f
     return new_state, diagnostics
 
 
-def transport_round(state, cfg, target, metric, domain, q=None, dens=None, partition=None, graph=None):
-    """One synchronous round with primal-dual potential estimation.
-
-    Builds the partition and graph at the current positions (or reuses
-    the caller's), estimates potentials with inner_iters primal-dual
-    steps, and moves every agent by a proximal step. Returns
-    (new_state, diagnostics); a disconnected graph is reported in the
-    diagnostics rather than raised.
-    """
-    return _round_impl(state, cfg, target, metric, domain, q, dens, partition, graph, None)
-
-
 def transport_round_fixed_dual(state, cfg, target, metric, domain, q=None, dens=None, partition=None, graph=None):
-    """One round with fixed dual weights and primal-only inner iterations."""
+    """transport_round for a config that must carry a fixed dual weight."""
     if cfg.fixed_dual is None:
         raise ValueError("fixed-dual round requires cfg.fixed_dual")
-    return _round_impl(
-        state, cfg, target, metric, domain, q, dens, partition, graph, cfg.fixed_dual
-    )
+    return transport_round(state, cfg, target, metric, domain, q, dens, partition, graph)
 
 
 def run_experiment(positions, cfg, target, metric, domain, q=None, seed=0):
@@ -266,9 +268,8 @@ def run_experiment(positions, cfg, target, metric, domain, q=None, seed=0):
     ]
     snapshots = [(0, state.positions.copy(), masses)]
 
-    round_fn = transport_round if cfg.fixed_dual is None else transport_round_fixed_dual
     for k in range(1, cfg.rounds + 1):
-        state, diag = round_fn(
+        state, diag = transport_round(
             state, cfg, target, metric, domain, q, dens, partition, graph
         )
         partition = build_partition(state.positions, metric, domain, q)

@@ -7,6 +7,8 @@ cell masses, adjacency, and the communication graph.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class Partition:
@@ -114,19 +116,12 @@ def neighbor_graph(p, metric, radius=None):
 
 
 def is_connected(g):
-    """Breadth-first reachability over the agents that own cells."""
+    """Whether the agents that own cells lie in one connected component."""
     nodes = np.nonzero(g.active)[0]
     if len(nodes) <= 1:
         return True
-    lists = g.neighbor_lists()
-    seen = {int(nodes[0])}
-    frontier = [int(nodes[0])]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in lists[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return all(int(v) in seen for v in nodes)
+    adjacency = sp.coo_matrix(
+        (np.ones(len(g.edges)), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n)
+    )
+    _, labels = connected_components(adjacency, directed=False)
+    return bool(np.all(labels[nodes] == labels[nodes[0]]))

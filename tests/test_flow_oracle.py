@@ -1,12 +1,13 @@
 """Min-cost-flow oracle tests and its duality with the potential iteration.
 
 The strong-duality checks are the heart of the validation story: the
-iterative dual solver and the combinatorial flow solver take completely
-different routes to the same LP value.
+iterative dual solver and the exact LP solver (HiGHS) on the flow side
+take completely different routes to the same LP value.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import FlowProblem, MetricCost, NeighborGraph
@@ -68,6 +69,38 @@ def test_disconnected_imbalance_is_infeasible():
     # balance within each component is fine
     value, _ = so.min_cost_flow(FlowProblem(g, np.array([0.5, -0.5, -0.25, 0.25])))
     assert value == pytest.approx(0.75)
+
+
+@st.composite
+def connected_flow_problems(draw):
+    """A random spanning tree plus extra edges, with supplies summing to zero."""
+    n = draw(st.integers(2, 12))
+    edges = {tuple(sorted((v, draw(st.integers(0, v - 1))))) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {tuple(sorted(p)) for p in draw(st.lists(pairs, max_size=2 * n)) if p[0] != p[1]}
+    edges = sorted(edges)
+    costs = draw(st.lists(st.floats(0.01, 5.0), min_size=len(edges), max_size=len(edges)))
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return FlowProblem(NeighborGraph(n, edges, costs), raw - raw.mean())
+
+
+@settings(deadline=None, max_examples=100)
+@given(connected_flow_problems())
+def test_flows_conserve_supplies_on_graph_arcs(p):
+    value, flows = so.min_cost_flow(p)
+    g = p.graph
+    cost_of = {}
+    for (a, b), c in zip(g.edges.tolist(), g.costs):
+        cost_of[(a, b)] = cost_of[(b, a)] = c
+    assert set(flows) <= set(cost_of)
+    assert all(f > 0 for f in flows.values())
+    net = np.zeros(g.n)
+    for (u, v), f in flows.items():
+        net[u] += f
+        net[v] -= f
+    np.testing.assert_allclose(net, p.supplies, rtol=0, atol=1e-12)
+    total = sum(cost_of[e] * f for e, f in flows.items())
+    assert value == pytest.approx(total, rel=1e-12, abs=1e-15)
 
 
 def test_strong_duality_on_random_graphs():

@@ -1,10 +1,11 @@
 """Golden sha256 digests of seeded CSV output.
 
 Each case runs one command of the in-process CLI on a tiny seed-0
-configuration and compares the sha256 of every CSV it writes with a
-digest recorded here. Determinism tests elsewhere only compare a run
-with itself; these digests also catch a refactor that changes output
-bytes without meaning to.
+configuration and compares the sha256 of every CSV it writes (for
+`oracle-check`, of its stdout) with a digest recorded here.
+Determinism tests elsewhere only compare a run with itself; these
+digests also catch a refactor that changes output bytes without
+meaning to.
 
 The digests pin the numpy they were recorded with (numpy 2.4 on
 x86-64): a numpy whose reductions round differently changes them. An
@@ -17,6 +18,7 @@ import hashlib
 import pytest
 
 from swarm_ot import cli
+from swarm_ot.config import ExperimentConfig
 
 AGENTS = """\
 mode = agents
@@ -105,3 +107,12 @@ def run_case(args, config, tmp_path):
 def test_seeded_output_matches_recorded_digest(name, tmp_path):
     args, config, expected = CASES[name]
     assert run_case(args, config, tmp_path) == expected
+
+
+# stdout of `oracle-check` on the first 3 seed-0 instances
+ORACLE_STDOUT = "047bfde714b93b5a687152a169bfb70c78946083779dfdf4a39426eb7d74593e"
+
+
+def test_oracle_check_stdout_matches_recorded_digest(capsys):
+    assert cli.oracle_check(ExperimentConfig(seed=0), n_instances=3) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ORACLE_STDOUT

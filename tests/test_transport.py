@@ -150,6 +150,21 @@ def test_duplicate_positions_are_nudged_apart():
     assert len(state.positions) == 3
 
 
+def test_corner_duplicates_stay_in_the_domain():
+    # most nudge directions from a corner point out of the domain
+    dom, metric, q, target = uniform_setup()
+    cfg = TransportConfig(eps=0.02, tau=0.3, inner_iters=5)
+    for seed in range(6):
+        state = SwarmState(np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.4]]), seed=seed)
+        for k in range(5):
+            state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+            if k == 0:
+                assert diag["perturbed"] == [1]
+                assert not np.array_equal(state.prev_sites[0], state.prev_sites[1])
+            assert all(dom.contains(p) for p in state.prev_sites)
+            assert all(dom.contains(p) for p in state.positions)
+
+
 def test_single_agent_is_rejected():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig()
@@ -171,6 +186,17 @@ def test_fixed_dual_round_keeps_multipliers_out_of_carryover():
     state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
     state, _ = so.transport_round_fixed_dual(state, cfg, target, metric, dom, q)
     assert state.prev_lam == {}
+
+
+def test_transport_round_follows_cfg_fixed_dual():
+    dom, metric, q, target = uniform_setup()
+    cfg = TransportConfig(fixed_dual=1.0, tau=0.5, inner_iters=5)
+    state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
+    plain, _ = so.transport_round(state, cfg, target, metric, dom, q)
+    fixed, _ = so.transport_round_fixed_dual(state, cfg, target, metric, dom, q)
+    assert plain.prev_lam == {}
+    np.testing.assert_array_equal(plain.prev_phi, fixed.prev_phi)
+    np.testing.assert_array_equal(plain.positions, fixed.positions)
 
 
 def test_potentials_warm_start_from_previous_round():
