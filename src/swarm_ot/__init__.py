@@ -42,11 +42,13 @@ from .grid import (
     pd_flow_step,
     relaxed_primal_step,
     transport_step,
+    stationarity,
     kkt_residual,
     lyapunov,
     density_error,
     steady_potentials,
     saturated_potentials,
+    coupled_states,
     run_coupled,
     random_density,
     density_on_grid,

@@ -20,8 +20,10 @@ from .geometry import Domain, MetricCost
 from .grid import (
     GridState,
     PositivityError,
+    coupled_states,
     density_error,
     density_on_grid,
+    lyapunov,
     random_density,
     run_coupled,
     saturated_potentials,
@@ -227,73 +229,54 @@ def run_fig(cfg, number, out_dir):
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], rows)
             print("fig 3: wrote fig3.csv")
         return 0
+    # figures 4-6 take one pass per curve over the coupled states and
+    # record the reports that `pde` records for the same config
+    steps = int(round(cfg.grid_horizon / cfg.grid_dt))
+
+    def recorded(step):
+        return step % cfg.record_every == 0 or step == steps
+
     if number == 4:
         state, rho_star = _pde_state(cfg)
-        quarters = 4
-        snap_rows = [
-            [state.t, *xy, state.rho[i], rho_star[i]]
-            for i, xy in enumerate(map(state.node_xy, range(len(state.rho))))
-        ]
-        reports_all = []
-        for part in range(quarters):
-            reports, state = run_coupled(
-                state,
-                rho_star,
-                cfg.grid_mode,
-                inner_n=cfg.grid_inner,
-                horizon=cfg.grid_horizon / quarters,
-                lam_fixed=cfg.grid_lam_fixed,
-                inner_tol=cfg.grid_inner_tol,
-                record_every=cfg.record_every,
-            )
-            reports_all += reports if part == 0 else reports[1:]
-            snap_rows += [
-                [state.t, *state.node_xy(i), state.rho[i], rho_star[i]]
-                for i in range(len(state.rho))
-            ]
+        snap_steps = {round(k * steps / 4) for k in range(5)}
+        states = coupled_states(
+            state, rho_star, cfg.grid_mode, cfg.grid_inner, cfg.grid_lam_fixed, cfg.grid_inner_tol
+        )
+        reports, snap_rows = [], []
+        for step, s in zip(range(steps + 1), states):
+            if recorded(step):
+                reports.append(lyapunov(s, rho_star))
+            if step in snap_steps:
+                snap_rows += [
+                    [s.t, *s.node_xy(i), s.rho[i], rho_star[i]] for i in range(len(s.rho))
+                ]
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
-        write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports_all))
+        write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports))
         print("fig 4: wrote fig4_density.csv fig4_metrics.csv")
         return 0
     # figures 5 and 6: density error vs time for several inner step counts.
     # fig 5 warm-starts the potentials at the saturated stationary pair;
     # from the cold default the multiplier threshold keeps the density
-    # frozen on any usable horizon. The runs are driven in recorded
-    # chunks so a positivity stop still yields the rows up to the stop.
+    # frozen on any usable horizon. A positivity stop still yields the
+    # rows recorded up to the stop.
     mode = "on_the_fly_pd" if number == 5 else "on_the_fly_fixed"
+    state, rho_star = _pde_state(cfg, warm_start=(number == 5))
     written = []
     for n in (1, 2, 5, 10):
-        state, rho_star = _pde_state(cfg, warm_start=(number == 5))
-        steps_left = int(round(cfg.grid_horizon / state.dt))
-        rows = []
+        states = coupled_states(state, rho_star, mode, n, cfg.grid_lam_fixed, cfg.grid_inner_tol)
+        reports = []
         halted = False
-        while True:
-            count = min(cfg.record_every, steps_left)
-            try:
-                reports, state = run_coupled(
-                    state,
-                    rho_star,
-                    mode,
-                    inner_n=n,
-                    horizon=count * state.dt,
-                    lam_fixed=cfg.grid_lam_fixed,
-                    inner_tol=cfg.grid_inner_tol,
-                    record_every=max(count, 1),
-                )
-            except PositivityError as exc:
-                print(f"fig {number}: n={n} stopped between t={state.t:.4f} "
-                      f"and the next record: {exc}")
-                halted = True
-                break
-            keep = reports if not rows else reports[1:]
-            rows += [[r.t, float(np.sqrt(2.0 * r.V))] + _pde_rows([r])[0][1:] for r in keep]
-            steps_left -= count
-            if steps_left <= 0:
-                break
-        if rows:
-            name = f"fig{number}_n{n}.csv"
-            write_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:], rows)
-            written.append(name + (" (partial)" if halted else ""))
+        try:
+            for step, s in zip(range(steps + 1), states):
+                if recorded(step):
+                    reports.append(lyapunov(s, rho_star))
+        except PositivityError as exc:
+            print(f"fig {number}: n={n} stopped after t={s.t:.4f}: {exc}")
+            halted = True
+        name = f"fig{number}_n{n}.csv"
+        rows = [[r.t, float(np.sqrt(2.0 * r.V))] + _pde_rows([r])[0][1:] for r in reports]
+        write_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:], rows)
+        written.append(name + (" (partial)" if halted else ""))
     print(f"fig {number}: wrote " + " ".join(written))
     return 0
 

@@ -35,7 +35,12 @@ def grid_edges(nx, ny):
 
 
 class GridState:
-    """Densities, potentials, and edge multipliers on a rectangular grid."""
+    """Densities, potentials, and edge multipliers on a rectangular grid.
+
+    States are values: a step returns a shallow copy that rebinds only
+    the arrays it computes and shares the rest, so arrays are shared
+    and never written in place. The edge list is read-only.
+    """
 
     def __init__(self, nx, ny, rho, phi=None, lam=None, cost=1.0, dt=1e-3, t=0.0):
         self.nx = int(nx)
@@ -65,12 +70,6 @@ class GridState:
         self.cost = float(cost)
         self.dt = float(dt)
         self.t = float(t)
-
-    def copy(self):
-        """Own copies of rho, phi and lam; the read-only edges are shared."""
-        out = copy.copy(self)
-        out.rho, out.phi, out.lam = self.rho.copy(), self.phi.copy(), self.lam.copy()
-        return out
 
     def node_xy(self, i):
         return int(i) % self.nx, int(i) // self.nx
@@ -106,19 +105,16 @@ def pd_flow_step(s, rho_star, dt=None):
     state's dt; inner solvers may pass a larger relaxation step.
     """
     h = s.dt if dt is None else float(dt)
-    out = s.copy()
+    out = copy.copy(s)
     out.phi, out.lam = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1)
     return out
 
 
-def relaxed_primal_step(s, rho_star, lam_fixed, dt=None):
-    """Primal flow step with a fixed positive dual weight; lam untouched."""
-    if not lam_fixed > 0:
-        raise ValueError("fixed dual weight must be positive")
+def relaxed_primal_step(s, rho_star, dt=None):
+    """Primal flow step with the multipliers held at s.lam."""
     h = s.dt if dt is None else float(dt)
-    out = s.copy()
-    lam = np.full(len(s.edges), float(lam_fixed))
-    out.phi, _ = iterate(s.phi, lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1, dual=False)
+    out = copy.copy(s)
+    out.phi, _ = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1, dual=False)
     return out
 
 
@@ -129,7 +125,7 @@ def transport_step(s):
     A step that would make any node nonpositive is an error naming the
     node (a PositivityError): reduce dt rather than clamping.
     """
-    out = s.copy()
+    out = copy.copy(s)
     out.rho = s.rho - s.dt * laplacian(s.phi, s.lam, s.edges)
     if np.any(out.rho <= 0):
         node = int(np.argmin(out.rho))
@@ -141,6 +137,11 @@ def transport_step(s):
     return out
 
 
+def stationarity(s, rho_star):
+    """Largest node residual of rho - div(lam grad phi) = rho_star."""
+    return float(np.abs(s.rho - laplacian(s.phi, s.lam, s.edges) - rho_star).max())
+
+
 def kkt_residual(s, rho_star):
     """Residuals of stationarity, feasibility, and slackness.
 
@@ -149,12 +150,11 @@ def kkt_residual(s, rho_star):
     is a position, not a violation magnitude.
     """
     i, j = s.edges[:, 0], s.edges[:, 1]
-    stationarity = float(np.abs(s.rho - laplacian(s.phi, s.lam, s.edges) - rho_star).max())
     gaps = np.abs(s.phi[i] - s.phi[j])
     feasibility = float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0
     slackness = float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0
     dual_feasibility = float(s.lam.min()) if len(s.lam) else 0.0
-    return KKTResidual(stationarity, feasibility, slackness, dual_feasibility)
+    return KKTResidual(stationarity(s, rho_star), feasibility, slackness, dual_feasibility)
 
 
 def lyapunov(s, rho_star):
@@ -253,17 +253,8 @@ INNER_DT = 0.2
 INNER_CAP = 500_000
 
 
-def run_coupled(
-    s,
-    rho_star,
-    mode,
-    inner_n=1,
-    horizon=1.0,
-    lam_fixed=1.0,
-    inner_tol=1e-8,
-    record_every=1,
-):
-    """Alternate potential estimation with transport until t >= horizon.
+def coupled_states(s, rho_star, mode, inner_n=1, lam_fixed=1.0, inner_tol=1e-8):
+    """The initialized state, then the state after each outer step, forever.
 
     Modes:
       on_the_fly_pd     - inner_n primal-dual flow steps per transport step
@@ -277,9 +268,6 @@ def run_coupled(
     RuntimeError past that). After each transport step the multipliers
     are rescaled by (1 - dt), which restores stationarity exactly and
     keeps the inner loop cheap.
-
-    Returns (reports, final_state) with one LyapunovReport at t = 0 and
-    one per recorded outer step.
     """
     modes = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")
     if mode not in modes:
@@ -287,26 +275,25 @@ def run_coupled(
     if mode != "inner_steady_state" and inner_n < 1:
         raise ValueError("on-the-fly modes need at least one inner step")
     rho_star = np.asarray(rho_star, dtype=float)
-    s = s.copy()
+    s = copy.copy(s)
     if mode == "on_the_fly_fixed":
         if not lam_fixed > 0:
             raise ValueError("fixed dual weight must be positive")
-        s.lam[:] = float(lam_fixed)
+        s.lam = np.full(len(s.edges), float(lam_fixed))
     if mode == "inner_steady_state":
         s.phi, s.lam = steady_potentials(s, rho_star)
 
-    reports = [lyapunov(s, rho_star)]
-    steps = int(round(horizon / s.dt))
-    for step in range(1, steps + 1):
+    while True:
+        yield s
         if mode == "on_the_fly_pd":
             for _ in range(inner_n):
                 s = pd_flow_step(s, rho_star)
         elif mode == "on_the_fly_fixed":
             for _ in range(inner_n):
-                s = relaxed_primal_step(s, rho_star, lam_fixed)
+                s = relaxed_primal_step(s, rho_star)
         else:
             used = 0
-            while kkt_residual(s, rho_star).stationarity > inner_tol:
+            while stationarity(s, rho_star) > inner_tol:
                 if used >= INNER_CAP:
                     raise RuntimeError(
                         f"inner solver hit the iteration cap at t={s.t:.6f}"
@@ -317,7 +304,31 @@ def run_coupled(
         if mode == "inner_steady_state":
             # transport scaled the imbalance by (1 - dt); scaling the
             # multipliers the same way preserves stationarity exactly
-            s.lam *= 1.0 - s.dt
+            s.lam = s.lam * (1.0 - s.dt)
+
+
+def run_coupled(
+    s,
+    rho_star,
+    mode,
+    inner_n=1,
+    horizon=1.0,
+    lam_fixed=1.0,
+    inner_tol=1e-8,
+    record_every=1,
+):
+    """Alternate potential estimation with transport until t >= horizon.
+
+    Takes round(horizon / dt) outer steps of `coupled_states` (see
+    there for the modes). Returns (reports, final_state) with one
+    LyapunovReport at t = 0, at every record_every-th step and at the last.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    steps = int(round(horizon / s.dt))
+    states = coupled_states(s, rho_star, mode, inner_n, lam_fixed, inner_tol)
+    reports = []
+    for step, s in zip(range(steps + 1), states):  # range first: no step past the horizon
         if step % record_every == 0 or step == steps:
             reports.append(lyapunov(s, rho_star))
     return reports, s

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarm_ot import ConfigError, PositivityError, cli, load_config
+from swarm_ot import ConfigError, PositivityError, cli, grid, load_config
 
 AGENTS_CFG = """\
 # agent quantization run
@@ -301,15 +301,15 @@ def test_fig5_marks_partial_only_on_positivity_stops(tmp_path, monkeypatch, caps
         "mode = pde\nseed = 2\ntarget.kind = uniform\noutput.record_every = 1\n"
         "grid.nx = 5\ngrid.ny = 5\ngrid.dt = 1e-2\ngrid.T = 0.05\n"
     )
-    real, calls = cli.run_coupled, []
+    real, calls = grid.transport_step, []
 
-    def fail_second_chunk(*args, **kwargs):
+    def fail_second_step(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
             raise (PositivityError if positivity else ValueError)("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_coupled", fail_second_chunk)
+    monkeypatch.setattr(grid, "transport_step", fail_second_step)
     code = cli.main(["fig", "5", "--config", str(cfg), "--out", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     if positivity:
@@ -323,3 +323,21 @@ def test_fig5_marks_partial_only_on_positivity_stops(tmp_path, monkeypatch, caps
         assert "error: injected failure" in err
         assert "wrote" not in out
         assert not list((tmp_path / "out").glob("fig5_*.csv"))
+
+
+@pytest.mark.parametrize("horizon", ["0.01", "0.014"])
+@pytest.mark.parametrize("mode", ["inner_steady_state", "on_the_fly_fixed"])
+def test_fig4_is_one_pde_run_with_its_last_snapshot_at_the_horizon(tmp_path, mode, horizon):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"mode = pde\ngrid.nx = 8\ngrid.ny = 8\ngrid.dt = 1e-3\ngrid.T = {horizon}\n"
+        f"grid.mode = {mode}\noutput.record_every = 3\n"
+    )
+    assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "pde")]) == 0
+    assert cli.main(["fig", "4", "--config", str(cfg), "--out", str(tmp_path / "fig")]) == 0
+    metrics = (tmp_path / "fig" / "fig4_metrics.csv").read_bytes()
+    assert metrics == (tmp_path / "pde" / "metrics.csv").read_bytes()
+    density = np.loadtxt(tmp_path / "fig" / "fig4_density.csv", delimiter=",", skiprows=1)
+    times = sorted(set(density[:, 0]))
+    assert len(times) == 5 and times[0] == 0.0
+    assert times[-1] == pytest.approx(float(horizon), abs=1e-12)

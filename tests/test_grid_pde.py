@@ -41,20 +41,26 @@ def test_state_validation():
         GridState(2, 1, np.array([0.5, 0.5]), dt=0.0)
 
 
-def test_copy_shares_read_only_edges_and_owns_the_arrays():
-    s = GridState(3, 2, so.random_density(3, 2, seed=4), phi=np.arange(6.0),
-                  lam=np.full(7, 0.5), dt=0.1)
-    out = s.copy()
-    assert out.edges is s.edges
+def test_states_are_values_and_steps_share_what_they_do_not_compute():
+    rho_star = np.full(6, 1.0 / 6)
+    s = GridState(3, 2, so.random_density(3, 2, seed=4), phi=0.01 * np.arange(6.0),
+                  lam=np.full(7, 0.5), dt=0.01)
     with pytest.raises(ValueError):
         s.edges[0, 0] = 5
-    rho, phi = s.rho.copy(), s.phi.copy()
-    out.lam *= 1.0 - out.dt  # as run_coupled rescales after transport
-    out.rho[0] = 0.5
-    out.phi[0] = 9.0
-    np.testing.assert_array_equal(s.lam, 0.5)
-    np.testing.assert_array_equal(s.rho, rho)
-    np.testing.assert_array_equal(s.phi, phi)
+    before = [a.tobytes() for a in (s.rho, s.phi, s.lam)]
+    # each step rebinds only what it computes: (phi, lam), phi, rho
+    for step, computed in (
+        (so.pd_flow_step, {"phi", "lam"}),
+        (so.relaxed_primal_step, {"phi"}),
+        (lambda s, _: so.transport_step(s), {"rho"}),
+    ):
+        out = step(s, rho_star)
+        assert out.edges is s.edges
+        for name in ("rho", "phi", "lam"):
+            assert (getattr(out, name) is getattr(s, name)) == (name not in computed)
+    for mode in ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state"):
+        so.run_coupled(s, rho_star, mode, inner_n=2, horizon=0.05)
+    assert [a.tobytes() for a in (s.rho, s.phi, s.lam)] == before
 
 
 @st.composite
@@ -100,9 +106,9 @@ def test_grid_steps_are_the_swarm_kernel(case, lam_fixed):
     assert same_bytes(out.phi, ref.phi) and same_bytes(out.lam, ref.lam)
     assert same_bytes(out.rho, s.rho)
 
-    lam = np.full(len(s.edges), lam_fixed)
-    out = so.relaxed_primal_step(s, rho_star, lam_fixed)
-    ref = so.run_primal(PotentialState(s.phi, lam, s.edges), b, as_graph(s), s.dt, 1)
+    s.lam = np.full(len(s.edges), lam_fixed)
+    out = so.relaxed_primal_step(s, rho_star)
+    ref = so.run_primal(PotentialState(s.phi, s.lam, s.edges), b, as_graph(s), s.dt, 1)
     assert same_bytes(out.phi, ref.phi)
     assert same_bytes(out.lam, s.lam)
 
@@ -159,6 +165,7 @@ def test_kkt_residual_at_the_hand_saddle():
     s = two_node_state(phi=np.array([0.0, 1.0]), lam=np.array([0.2]))
     kkt = so.kkt_residual(s, RHO_STAR_2)
     assert kkt.stationarity == pytest.approx(0.0, abs=1e-15)
+    assert so.stationarity(s, RHO_STAR_2) == kkt.stationarity
     assert kkt.feasibility == 0.0
     assert kkt.slackness == pytest.approx(0.0, abs=1e-15)
     assert kkt.dual_feasibility == pytest.approx(0.2)
@@ -196,16 +203,15 @@ def test_pd_flow_distance_to_saddle_is_nonincreasing():
 
 def test_relaxed_primal_step_is_affine_in_phi():
     rho_star = RHO_STAR_2
-    a = two_node_state(phi=np.array([0.3, -0.1]))
-    b = two_node_state(phi=np.array([-0.7, 0.4]))
-    mix = two_node_state(phi=0.25 * a.phi + 0.75 * b.phi)
-    out_a = so.relaxed_primal_step(a, rho_star, 2.0)
-    out_b = so.relaxed_primal_step(b, rho_star, 2.0)
-    out_mix = so.relaxed_primal_step(mix, rho_star, 2.0)
+    lam = np.array([2.0])
+    a = two_node_state(phi=np.array([0.3, -0.1]), lam=lam)
+    b = two_node_state(phi=np.array([-0.7, 0.4]), lam=lam)
+    mix = two_node_state(phi=0.25 * a.phi + 0.75 * b.phi, lam=lam)
+    out_a = so.relaxed_primal_step(a, rho_star)
+    out_b = so.relaxed_primal_step(b, rho_star)
+    out_mix = so.relaxed_primal_step(mix, rho_star)
     np.testing.assert_allclose(out_mix.phi, 0.25 * out_a.phi + 0.75 * out_b.phi, atol=1e-15)
     np.testing.assert_array_equal(out_mix.lam, mix.lam)  # multipliers untouched
-    with pytest.raises(ValueError):
-        so.relaxed_primal_step(a, rho_star, 0.0)
 
 
 def test_steady_potentials_solve_stationarity_exactly():
@@ -294,6 +300,14 @@ def test_run_coupled_reports_and_mode_validation():
         so.run_coupled(s, rho_star, "on_the_fly_pd", inner_n=0)
     with pytest.raises(ValueError):
         so.run_coupled(s, rho_star, "on_the_fly_fixed", lam_fixed=0.0)
+
+
+@pytest.mark.parametrize("record_every", [0, -1, -3])
+def test_run_coupled_rejects_record_every_below_one(record_every):
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    with pytest.raises(ValueError, match="record_every"):
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1,
+                       record_every=record_every)
 
 
 def test_inner_steady_state_keeps_stationarity_machine_small():

@@ -75,8 +75,8 @@ CASES = {
         "fig3.csv": "8bc3cd07f45e78312ab7d457612afb5db35a20eb1d5605889f8ae985d24d8d9f",
     }),
     "fig4": (["fig", "4"], PDE, {
-        "fig4_density.csv": "96fc0300588fb2abc3de4da81bba76b0e79d99385f2200b32c0ac6053a6aac1c",
-        "fig4_metrics.csv": "1c8f66320db41b6064d6692afde25a8396729489ab2f82857972192570d8ae89",
+        "fig4_density.csv": "7a0e3a90b7180fab0b4851beb01905d4043f55d7ca826615a2f292cd9e611526",
+        "fig4_metrics.csv": "cf119d61844f287e97ca09ea2e0b5cf397acd0aad633aab28f79233022e91743",
     }),
     "fig5": (["fig", "5"], PDE, {
         "fig5_n1.csv": "9812d02815a4e7001beed9d06e6e512803f7b29d3d8c614b57a2d69abcb28c4f",
