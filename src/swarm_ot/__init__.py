@@ -7,13 +7,12 @@ system with Lyapunov and KKT diagnostics.
 """
 
 from .geometry import Domain, MetricCost
-from .target import DensityField, PgmParseError, QuadratureGrid, load_pgm, cell_mass, cell_masses
+from .target import DensityField, PgmParseError, QuadratureGrid, load_pgm, cell_masses
 from .voronoi import Partition, NeighborGraph, build_partition, neighbor_graph, is_connected
 from .primal_dual import (
     PotentialState,
     zero_state,
     mass_imbalance,
-    pd_step,
     run_pd,
     run_primal,
     dual_objective,
@@ -29,7 +28,6 @@ from .transport import (
     local_gradient,
     proximal_step,
     transport_round,
-    transport_round_fixed_dual,
     run_experiment,
     initial_positions,
 )

@@ -11,6 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
+from .primal_dual import incidence
+
 
 class FlowProblem:
     """Balanced supplies on the nodes of a neighbor graph."""
@@ -34,20 +36,17 @@ def min_cost_flow(p):
     positive flows keyed by directed edge and value their total cost.
     """
     g = p.graph
-    m = len(g.edges)
-    if m == 0:  # linprog needs at least one variable
+    if len(g.edges) == 0:  # linprog needs at least one variable
         if np.any(p.supplies != 0):
             raise ValueError("infeasible: imbalance across disconnected components")
         return 0.0, {}
     arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
     costs = np.concatenate([g.costs, g.costs])
-    # node-arc incidence, [B, -B] for the node-edge incidence B: +1 where
-    # an arc leaves a node, -1 where it enters
-    incidence = sp.coo_matrix(
-        (np.repeat([1.0, -1.0], 2 * m), (arcs.T.ravel(), np.tile(np.arange(2 * m), 2))),
-        shape=(g.n, 2 * m),
-    )
-    res = linprog(costs, A_eq=incidence, b_eq=p.supplies, bounds=(0, None), method="highs")
+    # node-arc incidence: an arc along an edge leaves its first node, the
+    # reversed arc leaves its second
+    B = incidence(g.edges, g.n)
+    a_eq = sp.hstack([B.T, -B.T])
+    res = linprog(costs, A_eq=a_eq, b_eq=p.supplies, bounds=(0, None), method="highs")
     if res.status == 2:
         raise ValueError("infeasible: imbalance across disconnected components")
     if res.status != 0:

@@ -31,10 +31,6 @@ class Domain:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def diameter(self):
-        """Euclidean length of the diagonal."""
-        return float(np.linalg.norm(self.extent))
-
 
 class MetricCost:
     """Transport ground cost c(x, y) = xi * ||x - y|| with xi > 0."""
@@ -47,21 +43,3 @@ class MetricCost:
     def distance(self, x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         return self.xi * float(np.sqrt(np.dot(d, d)))
-
-    def geodesic_point(self, x, y, s):
-        """Point at parameter s in [0, 1] along the segment from x to y.
-
-        Splits the distance additively: d(x, r) + d(r, y) = d(x, y).
-        """
-        s = float(s)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("geodesic parameter s must lie in [0, 1]")
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (1.0 - s) * x + s * y
-
-    def ball_contains(self, center, eps, z):
-        """Whether z lies in the closed eps-ball around center."""
-        if eps < 0:
-            raise ValueError("ball radius eps must be nonnegative")
-        return self.distance(center, z) <= eps

@@ -8,17 +8,17 @@ positivity check (an error, never a clamp).
 
 The potential flow is the agents' primal-dual kernel `iterate` on the
 grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
-transport and stationarity use its operator `laplacian`.
+transport and stationarity use its operator `laplacian`, and the direct
+stationary solve its sparse form built from `incidence`.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .primal_dual import iterate, laplacian
+from .primal_dual import incidence, iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
 
@@ -110,11 +110,10 @@ def pd_flow_step(s, rho_star, dt=None):
     return out
 
 
-def relaxed_primal_step(s, rho_star, dt=None):
+def relaxed_primal_step(s, rho_star):
     """Primal flow step with the multipliers held at s.lam."""
-    h = s.dt if dt is None else float(dt)
     out = copy.copy(s)
-    out.phi, _ = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1, dual=False)
+    out.phi, _ = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, 1, dual=False)
     return out
 
 
@@ -200,32 +199,21 @@ def density_on_grid(field, nx, ny, domain, floor=1e-6):
     return vals / total
 
 
-def steady_potentials(s, rho_star, lam_value=1.0):
-    """Stationary (phi, lam) pair with uniform multipliers.
+def steady_potentials(s, rho_star):
+    """Stationary (phi, lam) pair with unit multipliers.
 
-    Solves the weighted graph-Laplacian system div(lam grad phi) =
-    rho_star - rho directly (node 0 pinned; potentials are defined up to
-    a constant). Used to start inner_steady_state runs at stationarity
-    instead of integrating the slow primal-dual ramp-up.
+    Solves the graph-Laplacian system div(grad phi) = rho_star - rho
+    directly (node 0 pinned; potentials are defined up to a constant).
+    Used to start inner_steady_state runs at stationarity instead of
+    integrating the slow primal-dual ramp-up.
     """
     n = len(s.rho)
-    i, j = s.edges[:, 0], s.edges[:, 1]
-    w = np.full(len(s.edges), float(lam_value))
-    lap = sp.coo_matrix(
-        (
-            np.concatenate([w, w, -w, -w]),
-            (
-                np.concatenate([i, j, i, j]),
-                np.concatenate([i, j, j, i]),
-            ),
-        ),
-        shape=(n, n),
-    ).tocsr()
+    B = incidence(s.edges, n)
+    lap = B.T @ B
     rhs = s.rho - rho_star
-    reduced = lap[1:, 1:].tocsc()
     phi = np.zeros(n)
-    phi[1:] = spla.spsolve(reduced, rhs[1:])
-    return phi, np.full(len(s.edges), float(lam_value))
+    phi[1:] = spla.spsolve(lap[1:, 1:].tocsc(), rhs[1:])
+    return phi, np.ones(len(s.edges))
 
 
 def saturated_potentials(s, rho_star):

@@ -13,12 +13,13 @@ synchronous neighbor-message round computes.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class PotentialState:
     """Per-agent potentials and per-edge multipliers tied to one edge list."""
 
-    def __init__(self, phi, lam, edges, l=0):
+    def __init__(self, phi, lam, edges):
         self.phi = np.asarray(phi, dtype=float).copy()
         self.lam = np.asarray(lam, dtype=float).copy()
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -26,7 +27,6 @@ class PotentialState:
             raise ValueError("one multiplier per edge required")
         if np.any(self.lam < 0):
             raise ValueError("multipliers must be nonnegative")
-        self.l = int(l)
 
 
 def zero_state(g):
@@ -57,6 +57,17 @@ def laplacian(phi, lam, edges):
     return _net_outflow(lam * (phi[edges[:, 0]] - phi[edges[:, 1]]), edges, len(phi))
 
 
+def incidence(edges, n):
+    """Sparse (E, n) edge-node incidence B in `_net_outflow`'s orientation.
+
+    Row k holds +1 at edges[k, 0] and -1 at edges[k, 1], so B.T @ flux is
+    the net outflow and B.T @ diag(lam) @ B is the operator `laplacian`.
+    """
+    m = len(edges)
+    rows = np.tile(np.arange(m), 2)
+    return sp.csr_matrix((np.repeat([1.0, -1.0], m), (rows, edges.T.ravel())), shape=(m, n))
+
+
 def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
 
@@ -75,11 +86,6 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     return phi, lam
 
 
-def pd_step(s, b, g, tau):
-    """One synchronous primal-ascent / dual-descent step of size tau."""
-    return run_pd(s, b, g, tau, 1)
-
-
 def _run(s, b, g, tau, n, dual):
     if not tau > 0:
         raise ValueError("step size tau must be positive")
@@ -94,7 +100,7 @@ def _run(s, b, g, tau, n, dual):
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
         kind = "primal-dual" if dual else "primal"
         raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
-    return PotentialState(phi, lam, g.edges, s.l + n)
+    return PotentialState(phi, lam, g.edges)
 
 
 def run_pd(s, b, g, tau, n):
@@ -126,7 +132,7 @@ def pd_residual(s, b, g):
 
     Maximum of the primal gradient |b_i - sum_j lam_ij (phi_i - phi_j)|
     and the projected dual gradient, which vanishes exactly at a
-    fixed point of pd_step.
+    fixed point of the primal-dual step.
     """
     _check_edges(s, g)
     b = np.asarray(b, dtype=float)
@@ -144,7 +150,7 @@ CHECK_EVERY = 200  # iterations between converge_pd's residual checks
 
 
 def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
-    """Iterate pd_step until the saddle residual drops below tol.
+    """Iterate the primal-dual step until the saddle residual drops below tol.
 
     The step size is halved and the run restarted whenever the iteration
     diverges, and halved in place when the residual flatlines, so the
@@ -170,7 +176,7 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
         used += chunk
         finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))
         if finite:
-            state = PotentialState(phi_new, lam_new, g.edges, s.l + used)
+            state = PotentialState(phi_new, lam_new, g.edges)
             res = pd_residual(state, b, g)
         else:
             res = np.inf
@@ -194,7 +200,7 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
                 # the saddle rather than approaching it, so damp the step
                 tau_cur *= 0.5
                 stall = 0
-    state = PotentialState(phi, lam, g.edges, s.l + used)
+    state = PotentialState(phi, lam, g.edges)
     res = pd_residual(state, b, g)
     return state, {
         "converged": bool(res <= tol),

@@ -8,8 +8,6 @@ from one base seed with `derive`, so adding a consumer never shifts
 the values another consumer sees.
 """
 
-import math
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -45,16 +43,6 @@ class SplitMix64:
     def next_float(self):
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def next_gaussian_pair(self):
-        """Two independent standard normals (Box-Muller)."""
-        u1 = self.next_float()
-        u2 = self.next_float()
-        if u1 <= 0.0:
-            u1 = 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        a = 2.0 * math.pi * u2
-        return r * math.cos(a), r * math.sin(a)
 
     def uniforms(self, n):
         """Array of n uniform doubles in [0, 1)."""

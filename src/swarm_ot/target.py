@@ -82,7 +82,9 @@ class DensityField:
         invs, norms = [], []
         for cov in covariances:
             det = float(np.linalg.det(cov))
-            if det <= 0 or not np.allclose(cov, cov.T):
+            # a positive determinant alone also admits negative definite
+            # matrices, whose "pdf" grows away from the mean
+            if det <= 0 or not np.allclose(cov, cov.T) or np.any(np.linalg.eigvalsh(cov) <= 0):
                 raise ValueError("covariances must be symmetric positive definite")
             invs.append(np.linalg.inv(cov))
             norms.append(1.0 / (2.0 * np.pi * np.sqrt(det)))
@@ -193,6 +195,7 @@ def load_pgm(data, domain=None):
     magic, magic_at, pos = read_token(0, "magic number")
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"not a PGM image (magic {magic!r})", magic_at)
+    dims_at = skip_ws(pos)
     width, pos = read_int(pos, "width", 1, 1 << 30)
     height, pos = read_int(pos, "height", 1, 1 << 30)
     maxval, pos = read_int(pos, "maxval", 1, 65535)
@@ -217,6 +220,14 @@ def load_pgm(data, domain=None):
                 pos + int(bad[0]) * stride,
             )
     else:
+        # every ascii pixel takes at least one byte, so a header that
+        # declares more pixels than bytes remain is rejected before the
+        # pixel buffer is allocated
+        if count > len(data) - pos:
+            raise PgmParseError(
+                f"header declares {width}x{height} pixels but only {len(data) - pos} bytes follow",
+                dims_at,
+            )
         pixels = np.empty(count, dtype=int)
         for k in range(count):
             val, pos = read_int(pos, "pixel", 0, maxval)
@@ -245,11 +256,3 @@ def cell_masses(field, q, partition, density_values=None):
         density_values = field.values_on(q)
     weights = density_values * q.cell_area
     return np.bincount(partition.owner, weights=weights, minlength=len(partition.sites))
-
-
-def cell_mass(field, q, partition, i, density_values=None):
-    """Target mass owned by agent i under the partition."""
-    n = len(partition.sites)
-    if not 0 <= int(i) < n:
-        raise IndexError(f"agent index {i} out of range for {n} sites")
-    return float(cell_masses(field, q, partition, density_values)[int(i)])

@@ -20,7 +20,7 @@ from .primal_dual import (
     run_primal,
 )
 from .rng import STREAM_PERTURB, STREAM_POSITIONS, SplitMix64, derive
-from .target import QuadratureGrid, cell_masses
+from .target import cell_masses
 from .voronoi import build_partition, is_connected, neighbor_graph
 
 
@@ -158,7 +158,7 @@ def _nearest_site(points, sites):
     return np.argmin(d2, axis=1)
 
 
-def transport_round(state, cfg, target, metric, domain, q=None, dens=None, partition=None, graph=None):
+def transport_round(state, cfg, target, metric, domain, q, dens=None, partition=None, graph=None):
     """One synchronous round of potential estimation and proximal moves.
 
     Builds the partition and graph at the current positions (or reuses
@@ -171,8 +171,6 @@ def transport_round(state, cfg, target, metric, domain, q=None, dens=None, parti
     n = len(state.positions)
     if n < 2:
         raise ValueError("transport needs at least two agents")
-    if q is None:
-        q = QuadratureGrid(domain, 256)
     positions, perturbed = _dedupe(state, domain)
     if perturbed or partition is None or not np.array_equal(partition.sites, positions):
         partition = build_partition(positions, metric, domain, q)
@@ -238,14 +236,7 @@ def transport_round(state, cfg, target, metric, domain, q=None, dens=None, parti
     return new_state, diagnostics
 
 
-def transport_round_fixed_dual(state, cfg, target, metric, domain, q=None, dens=None, partition=None, graph=None):
-    """transport_round for a config that must carry a fixed dual weight."""
-    if cfg.fixed_dual is None:
-        raise ValueError("fixed-dual round requires cfg.fixed_dual")
-    return transport_round(state, cfg, target, metric, domain, q, dens, partition, graph)
-
-
-def run_experiment(positions, cfg, target, metric, domain, q=None, seed=0):
+def run_experiment(positions, cfg, target, metric, domain, q, seed=0):
     """Run cfg.rounds transport rounds and collect per-round metrics.
 
     Returns (records, snapshots): one MetricsRecord per round index
@@ -254,8 +245,6 @@ def run_experiment(positions, cfg, target, metric, domain, q=None, seed=0):
     feasibility refer to the estimate computed during round k, and its
     connected flag to the communication graph that round used.
     """
-    if q is None:
-        q = QuadratureGrid(domain, 256)
     dens = target.values_on(q)
     state = SwarmState(positions=positions, seed=seed)
     state.positions = domain.clamp(state.positions)

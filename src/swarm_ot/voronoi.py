@@ -49,10 +49,6 @@ class NeighborGraph:
             lists[b].append(int(a))
         return [sorted(l) for l in lists]
 
-    def edge_dict(self):
-        """Map (i, j) with i < j to the edge's position in the edge list."""
-        return {(int(a), int(b)): k for k, (a, b) in enumerate(self.edges)}
-
 
 def build_partition(sites, metric, domain, q):
     """Assign every quadrature cell to its nearest site.

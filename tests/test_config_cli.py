@@ -190,6 +190,15 @@ def test_config_errors_reach_stderr(tmp_path):
     assert "transport.eps" in res.stderr
 
 
+def test_negative_definite_covariance_is_a_config_error(tmp_path):
+    # det(-0.05 I) > 0, but the "density" would peak in the corners
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(AGENTS_CFG.replace("2.0 0.0 0.0 2.0", "-0.05 0 0 -0.05"))
+    res = run_cli("agents", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "positive definite" in res.stderr
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(AGENTS_CFG)

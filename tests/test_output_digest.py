@@ -32,6 +32,20 @@ AGENTS_FIXED_DUAL = AGENTS.replace("mode = agents", "mode = agents_fixed_dual") 
     "transport.fixed_dual = 1.0\n"
 )
 
+# a concentrated target in the corner drives agents onto the same
+# clamped positions, so `_dedupe` nudges duplicates apart (9 times)
+AGENTS_NUDGED = """\
+mode = agents
+transport.N = 10
+transport.K = 20
+transport.n = 5
+quadrature.resolution = 64
+target.means = 0.98 0.98
+target.covariances = 0.001 0 0 0.001
+transport.eps = 0.1
+transport.tau = 0.3
+"""
+
 PDE = """\
 mode = pde
 grid.nx = 8
@@ -53,6 +67,10 @@ CASES = {
     "agents_fixed_dual": (["agents"], AGENTS_FIXED_DUAL, {
         "metrics.csv": "1a5e6d95ed907df0a884b1b2063d5ae490b2344271b11c1bc440649f0ef985ce",
         "positions.csv": "cb978bfc1f5ecaafe2d524d8730e4a3dfc1ac94554abd9b531303190f2a841ba",
+    }),
+    "agents_nudged": (["agents"], AGENTS_NUDGED, {
+        "metrics.csv": "e3fc5bc95a1389a66b96b02a68752ca85845bae419a8bcbca361a75670b2b94c",
+        "positions.csv": "ee73414f38d4a12b7b9df9af55e5e25ec95dd97eed376263cf7d64adbfac5b07",
     }),
     "pde_on_the_fly_pd": (["pde"], pde("on_the_fly_pd"), {
         "metrics.csv": "e7da9852cb8bd2e33e2f1d0bb3e6d6db06967d6d11609e3fc55755f7e800ac8f",

@@ -13,6 +13,7 @@ import pytest
 
 import swarm_ot as so
 from swarm_ot import NeighborGraph, PotentialState
+from swarm_ot.primal_dual import incidence, laplacian
 
 
 def two_node_graph(cost=1.0):
@@ -31,10 +32,21 @@ def test_mass_imbalance_sums_to_zero_when_masses_do():
     assert b.sum() == pytest.approx(0.0, abs=1e-15)
 
 
+def test_incidence_is_the_sparse_form_of_the_laplacian():
+    # B.T diag(lam) B is the kernel's weighted Laplacian on the same edges
+    edges = np.array([[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
+    gen = so.SplitMix64(3)
+    phi, lam = gen.uniforms(5), gen.uniforms(5)
+    B = incidence(edges, 5)
+    assert B.shape == (5, 5)
+    np.testing.assert_array_equal(B @ phi, phi[edges[:, 0]] - phi[edges[:, 1]])
+    np.testing.assert_allclose(B.T @ (lam * (B @ phi)), laplacian(phi, lam, edges), atol=1e-15)
+
+
 def test_balanced_zero_state_is_a_fixed_point():
     g = two_node_graph()
     s = so.zero_state(g)
-    out = so.pd_step(s, np.zeros(2), g, tau=0.5)
+    out = so.run_pd(s, np.zeros(2), g, tau=0.5, n=1)
     np.testing.assert_array_equal(out.phi, 0.0)
     np.testing.assert_array_equal(out.lam, 0.0)
     assert so.pd_residual(out, np.zeros(2), g) == 0.0
@@ -45,10 +57,9 @@ def test_single_step_matches_hand_computation():
     g = two_node_graph(cost=1.0)
     s = so.zero_state(g)
     b = np.array([0.2, -0.2])
-    out = so.pd_step(s, b, g, tau=1.0)
+    out = so.run_pd(s, b, g, tau=1.0, n=1)
     np.testing.assert_allclose(out.phi, [0.2, -0.2])
     np.testing.assert_array_equal(out.lam, 0.0)
-    assert out.l == 1
 
 
 def test_second_step_uses_one_snapshot_for_both_updates():
@@ -79,7 +90,7 @@ def test_converged_state_is_near_fixed_point():
     b = np.array([0.1, 0.05, -0.05, -0.1])
     state, info = so.converge_pd(so.zero_state(g), b, g, tol=1e-9)
     assert info["converged"]
-    after = so.pd_step(state, b, g, tau=info["tau"])
+    after = so.run_pd(state, b, g, tau=info["tau"], n=1)
     assert np.abs(after.phi - state.phi).max() <= 1e-8
     assert np.abs(after.lam - state.lam).max() <= 1e-8
 
@@ -108,13 +119,13 @@ def test_mismatched_edges_are_rejected():
     other = NeighborGraph(3, [[0, 1], [1, 2]], [1.0, 1.0])
     s = so.zero_state(other)
     with pytest.raises(ValueError):
-        so.pd_step(s, np.zeros(3), g, tau=0.5)
+        so.run_pd(s, np.zeros(3), g, tau=0.5, n=1)
 
 
 def test_nonpositive_tau_is_rejected():
     g = two_node_graph()
     with pytest.raises(ValueError):
-        so.pd_step(so.zero_state(g), np.zeros(2), g, tau=0.0)
+        so.run_pd(so.zero_state(g), np.zeros(2), g, tau=0.0, n=1)
 
 
 def test_run_primal_keeps_multipliers_fixed():

@@ -4,8 +4,6 @@ The generator must reproduce the reference splitmix64 output sequence so
 that seeded experiments are portable across machines and languages.
 """
 
-import numpy as np
-
 from swarm_ot.rng import SplitMix64, derive
 
 # First three outputs of splitmix64 seeded with 0, as published with the
@@ -30,13 +28,6 @@ def test_floats_are_uniform_in_unit_interval():
     assert xs.max() < 1.0
     # mean of U[0,1) is 1/2 with standard error ~0.0046 at this sample size
     assert abs(xs.mean() - 0.5) < 0.02
-
-
-def test_gaussian_pairs_have_sane_moments():
-    gen = SplitMix64(7)
-    draws = np.array([v for _ in range(2000) for v in gen.next_gaussian_pair()])
-    assert abs(draws.mean()) < 0.06
-    assert abs(draws.std() - 1.0) < 0.05
 
 
 def test_derive_is_deterministic_and_label_sensitive():

@@ -48,6 +48,9 @@ def test_gaussian_mixture_rejects_bad_covariance():
     with pytest.raises(ValueError):
         DensityField.gaussian_mixture([[0.5, 0.5]], [[[1.0, 2.0], [0.0, 1.0]]])
     with pytest.raises(ValueError):
+        # symmetric with a positive determinant, but negative definite
+        DensityField.gaussian_mixture([[0.5, 0.5]], [-0.05 * np.eye(2)])
+    with pytest.raises(ValueError):
         DensityField.gaussian_mixture([[0.5, 0.5]], [np.eye(2)], weights=[-1.0])
 
 
@@ -144,6 +147,16 @@ def test_pgm_errors_carry_byte_offsets():
         load_pgm(b"P2 2 1 255 0 abc")
 
 
+def test_pgm_header_larger_than_the_data_is_a_parse_error():
+    # 2**40 declared ascii pixels in a 26-byte file: rejected at the
+    # header before any pixel buffer is allocated
+    data = b"P2\n1048576 1048576\n255\n0 0"
+    assert len(data) == 26
+    with pytest.raises(PgmParseError) as err:
+        load_pgm(data)
+    assert err.value.offset == 3
+
+
 def test_pgm_rejects_pixels_above_maxval():
     with pytest.raises(PgmParseError):
         load_pgm(b"P2 2 1 100 0 101")
@@ -191,14 +204,6 @@ def test_cell_masses_stable_under_quadrature_refinement():
     coarse = so.cell_masses(field.normalize(qc), qc, part_c)
     fine = so.cell_masses(field.normalize(qf), qf, part_f)
     assert np.all(np.abs(coarse - fine) < 0.02 * fine)
-
-
-def test_cell_mass_single_agent_and_bad_index():
-    dom, q, part = two_site_setup()
-    field = DensityField.uniform(dom)
-    assert so.cell_mass(field, q, part, 0) == pytest.approx(141.0 / 256.0)
-    with pytest.raises(IndexError):
-        so.cell_mass(field, q, part, 2)
 
 
 def test_cell_masses_accept_precomputed_density_values():

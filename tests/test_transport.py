@@ -172,31 +172,25 @@ def test_single_agent_is_rejected():
         so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, target, metric, dom, q)
 
 
-def test_fixed_dual_round_requires_the_weight():
-    dom, metric, q, target = uniform_setup()
-    cfg = TransportConfig()
-    state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
-    with pytest.raises(ValueError):
-        so.transport_round_fixed_dual(state, cfg, target, metric, dom, q)
-
-
 def test_fixed_dual_round_keeps_multipliers_out_of_carryover():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, inner_iters=5)
     state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
-    state, _ = so.transport_round_fixed_dual(state, cfg, target, metric, dom, q)
+    state, _ = so.transport_round(state, cfg, target, metric, dom, q)
     assert state.prev_lam == {}
 
 
 def test_transport_round_follows_cfg_fixed_dual():
+    # with cfg.fixed_dual set, the round's potentials are run_primal's
+    # with every multiplier at that weight
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, tau=0.5, inner_iters=5)
-    state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
-    plain, _ = so.transport_round(state, cfg, target, metric, dom, q)
-    fixed, _ = so.transport_round_fixed_dual(state, cfg, target, metric, dom, q)
-    assert plain.prev_lam == {}
-    np.testing.assert_array_equal(plain.prev_phi, fixed.prev_phi)
-    np.testing.assert_array_equal(plain.positions, fixed.positions)
+    positions = np.array([[0.2, 0.5], [0.8, 0.5]])
+    fixed, diag = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
+    graph = so.neighbor_graph(so.build_partition(positions, metric, dom, q), metric)
+    start = so.PotentialState(np.zeros(2), np.ones(len(graph.edges)), graph.edges)
+    ref = so.run_primal(start, diag["imbalance"], graph, cfg.tau, cfg.inner_iters)
+    np.testing.assert_array_equal(fixed.prev_phi, ref.phi)
 
 
 def test_potentials_warm_start_from_previous_round():

@@ -102,12 +102,6 @@ def test_duplicate_sites_lose_every_tie_and_go_inactive():
     assert so.is_connected(graph)
 
 
-def test_edge_dict_indexes_the_edge_list():
-    _, graph = setup([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])
-    d = graph.edge_dict()
-    assert d == {(0, 1): 0, (1, 2): 1}
-
-
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=2, max_size=6))
 def test_relabeling_permutes_ownership(coords):
