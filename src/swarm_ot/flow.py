@@ -34,26 +34,37 @@ def min_cost_flow(p):
     each direction of every edge at the edge's cost, with net outflow
     equal to the supply at every node. Returns (value, flows) with the
     positive flows keyed by directed edge and value their total cost.
+
+    The LP is positively homogeneous in the supplies, so it is solved
+    for supplies scaled to max |b| = 1 and the flows scaled back:
+    supplies below HiGHS's feasibility tolerance would otherwise come
+    back as zero flows. The supplies balance only to rounding, which
+    scaling can magnify into an infeasible LP, so the scaled supplies
+    have their mean removed.
     """
     g = p.graph
-    if len(g.edges) == 0:  # linprog needs at least one variable
-        if np.any(p.supplies != 0):
-            raise ValueError("infeasible: imbalance across disconnected components")
+    scale = float(np.abs(p.supplies).max(initial=0.0))
+    if scale == 0.0:
         return 0.0, {}
+    if len(g.edges) == 0:  # linprog needs at least one variable
+        raise ValueError("infeasible: imbalance across disconnected components")
     arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
     costs = np.concatenate([g.costs, g.costs])
     # node-arc incidence: an arc along an edge leaves its first node, the
     # reversed arc leaves its second
     B = incidence(g.edges, g.n)
     a_eq = sp.hstack([B.T, -B.T])
-    res = linprog(costs, A_eq=a_eq, b_eq=p.supplies, bounds=(0, None), method="highs")
+    b_eq = p.supplies / scale
+    b_eq -= b_eq.mean()
+    res = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status == 2:
         raise ValueError("infeasible: imbalance across disconnected components")
     if res.status != 0:
         raise RuntimeError(f"min-cost-flow LP failed: {res.message}")
-    used = res.x > 0
-    flows = {(int(u), int(v)): float(f) for (u, v), f in zip(arcs[used], res.x[used])}
-    return float(costs[used] @ res.x[used]), flows
+    x = res.x * scale
+    used = x > 0
+    flows = {(int(u), int(v)): float(f) for (u, v), f in zip(arcs[used], x[used])}
+    return float(costs[used] @ x[used]), flows
 
 
 def discrete_ot_cost(src, dst, metric):

@@ -9,7 +9,11 @@ positivity check (an error, never a clamp).
 The potential flow is the agents' primal-dual kernel `iterate` on the
 grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
 transport and stationarity use its operator `laplacian`, and the direct
-stationary solve its sparse form built from `incidence`.
+stationary solve its sparse form built from `incidence`. The grid's edge
+list comes from `grid_edges` and knows its shape, so the kernel runs on
+it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
+agent graph. A state computes L phi at most once (`GridState.lap_phi`),
+and the record, the stationarity guard and the transport step share it.
 """
 
 import copy
@@ -18,20 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .primal_dual import incidence, iterate, laplacian
+from .primal_dual import edge_diff, grid_edges, incidence, iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
 
 class PositivityError(ValueError):
     """An explicit transport step would make the density nonpositive."""
-
-
-def grid_edges(nx, ny):
-    """4-neighbor edges of an nx-by-ny node grid, node index j*nx + i."""
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    horiz = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-    vert = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
-    return np.concatenate([horiz, vert]).astype(np.int64)
 
 
 class GridState:
@@ -42,6 +38,8 @@ class GridState:
     and never written in place. The edge list is read-only.
     """
 
+    _lap_memo = None  # (phi, lam, L phi) of the last lap_phi() call
+
     def __init__(self, nx, ny, rho, phi=None, lam=None, cost=1.0, dt=1e-3, t=0.0):
         self.nx = int(nx)
         self.ny = int(ny)
@@ -51,7 +49,7 @@ class GridState:
         self.rho = np.asarray(rho, dtype=float).copy()
         if self.rho.shape != (n,):
             raise ValueError(f"rho must have {n} entries")
-        if np.any(self.rho <= 0):
+        if not np.all(self.rho > 0):
             raise ValueError("density must be strictly positive")
         if abs(float(self.rho.sum()) - 1.0) > 1e-9:
             raise ValueError("density must sum to one")
@@ -73,6 +71,17 @@ class GridState:
 
     def node_xy(self, i):
         return int(i) % self.nx, int(i) // self.nx
+
+    def lap_phi(self):
+        """L phi = laplacian(phi, lam), computed once per (phi, lam) pair.
+
+        Keyed on the identity of the two arrays, which states never
+        write in place: rebinding either one recomputes it.
+        """
+        memo = self._lap_memo
+        if memo is None or memo[0] is not self.phi or memo[1] is not self.lam:
+            memo = self._lap_memo = (self.phi, self.lam, laplacian(self.phi, self.lam, self.edges))
+        return memo[2]
 
 
 @dataclass
@@ -121,16 +130,18 @@ def transport_step(s):
     """Advect the density by the edge fluxes lam (phi_j - phi_i).
 
     Antisymmetric per-edge fluxes keep the total mass exactly conserved.
-    A step that would make any node nonpositive is an error naming the
-    node (a PositivityError): reduce dt rather than clamping.
+    A step that would make any node nonpositive (or NaN) is an error
+    naming the node (a PositivityError): reduce dt rather than clamping.
+    The new state keeps phi and lam, and with them the L phi computed here.
     """
+    lap = s.lap_phi()
     out = copy.copy(s)
-    out.rho = s.rho - s.dt * laplacian(s.phi, s.lam, s.edges)
-    if np.any(out.rho <= 0):
+    out.rho = s.rho - s.dt * lap
+    if not np.all(out.rho > 0):
         node = int(np.argmin(out.rho))
         x, y = s.node_xy(node)
         raise PositivityError(
-            f"transport step made the density nonpositive at node ({x},{y}); reduce dt"
+            f"transport step made the density nonpositive or NaN at node ({x},{y}); reduce dt"
         )
     out.t = s.t + s.dt
     return out
@@ -138,7 +149,7 @@ def transport_step(s):
 
 def stationarity(s, rho_star):
     """Largest node residual of rho - div(lam grad phi) = rho_star."""
-    return float(np.abs(s.rho - laplacian(s.phi, s.lam, s.edges) - rho_star).max())
+    return float(np.abs(s.rho - s.lap_phi() - rho_star).max())
 
 
 def kkt_residual(s, rho_star):
@@ -148,8 +159,7 @@ def kkt_residual(s, rho_star):
     the dual cone constraint holds, so unlike the other three fields it
     is a position, not a violation magnitude.
     """
-    i, j = s.edges[:, 0], s.edges[:, 1]
-    gaps = np.abs(s.phi[i] - s.phi[j])
+    gaps = np.abs(edge_diff(s.phi, s.edges))
     feasibility = float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0
     slackness = float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0
     dual_feasibility = float(s.lam.min()) if len(s.lam) else 0.0
@@ -158,10 +168,9 @@ def kkt_residual(s, rho_star):
 
 def lyapunov(s, rho_star):
     """V, E, KKT residuals, and the mass conservation error of a state."""
-    i, j = s.edges[:, 0], s.edges[:, 1]
     err = s.rho - rho_star
     V = 0.5 * float(np.dot(err, err))
-    dual = 0.5 * float(np.dot(s.lam, (s.phi[i] - s.phi[j]) ** 2))
+    dual = 0.5 * float(np.dot(s.lam, edge_diff(s.phi, s.edges) ** 2))
     mass_error = abs(float(s.rho.sum()) - 1.0)
     return LyapunovReport(s.t, V, dual + V, kkt_residual(s, rho_star), mass_error)
 
@@ -227,8 +236,7 @@ def saturated_potentials(s, rho_star):
     target there is nothing to transport and the zero pair is returned.
     """
     phi, lam = steady_potentials(s, rho_star)
-    i, j = s.edges[:, 0], s.edges[:, 1]
-    gap = float(np.abs(phi[i] - phi[j]).max()) if len(s.edges) else 0.0
+    gap = float(np.abs(edge_diff(phi, s.edges)).max()) if len(s.edges) else 0.0
     if gap == 0.0:
         return phi, np.zeros_like(lam)
     scale = gap / s.cost
@@ -255,13 +263,16 @@ def coupled_states(s, rho_star, mode, inner_n=1, lam_fixed=1.0, inner_tol=1e-8):
     transport dt, for at most INNER_CAP steps per transport step (a
     RuntimeError past that). After each transport step the multipliers
     are rescaled by (1 - dt), which restores stationarity exactly and
-    keeps the inner loop cheap.
+    keeps the inner loop cheap; a dt above 1 would make them negative,
+    so this mode rejects it (a ValueError).
     """
     modes = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}")
     if mode != "inner_steady_state" and inner_n < 1:
         raise ValueError("on-the-fly modes need at least one inner step")
+    if mode == "inner_steady_state" and s.dt > 1:
+        raise ValueError("inner_steady_state needs dt <= 1: it rescales multipliers by 1 - dt")
     rho_star = np.asarray(rho_star, dtype=float)
     s = copy.copy(s)
     if mode == "on_the_fly_fixed":

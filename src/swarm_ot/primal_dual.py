@@ -10,6 +10,12 @@ multipliers lam of
 
 with all updates taken Jacobi-style from one snapshot, which is what a
 synchronous neighbor-message round computes.
+
+The kernel's two edge operations, the edge difference and the net
+outflow, gather and scatter by index on an (E, 2) edge list. On an edge
+list built by `grid_edges` they take 2-D slices of the node grid
+instead, in the same summation order, so both paths give the same bits.
+The path follows from the edge list itself; nothing selects it.
 """
 
 import numpy as np
@@ -45,16 +51,68 @@ def _check_edges(s, g):
         raise ValueError("state multipliers are defined on different edges than the graph")
 
 
+class _GridEdges(np.ndarray):
+    """An edge list in `grid_edges`' layout that knows its (ny, nx) shape.
+
+    Views and slices of it are plain edge lists again (grid_shape None).
+    """
+
+    grid_shape = None
+
+
+def grid_edges(nx, ny):
+    """4-neighbor edges of an nx-by-ny node grid, node index j*nx + i.
+
+    The ny*(nx-1) horizontal edges come first, row by row, then the
+    (ny-1)*nx vertical ones, each pointing to the higher node index.
+    """
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    horiz = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+    vert = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
+    edges = np.concatenate([horiz, vert]).astype(np.int64).view(_GridEdges)
+    edges.grid_shape = (ny, nx)
+    return edges
+
+
+def edge_diff(phi, edges):
+    """phi_i - phi_j for every edge (i, j)."""
+    shape = getattr(edges, "grid_shape", None)
+    if shape is None:
+        return phi[edges[:, 0]] - phi[edges[:, 1]]
+    ny, nx = shape
+    grid = phi.reshape(shape)
+    out = np.empty(len(edges), dtype=phi.dtype)
+    nh = ny * (nx - 1)
+    np.subtract(grid[:, :-1], grid[:, 1:], out=out[:nh].reshape(ny, nx - 1))
+    np.subtract(grid[:-1], grid[1:], out=out[nh:].reshape(ny - 1, nx))
+    return out
+
+
 def _net_outflow(flux, edges, n):
     """Per-node sum of edge fluxes, counted + at edge[0] and - at edge[1]."""
-    out = np.bincount(edges[:, 0], weights=flux, minlength=n)
-    out -= np.bincount(edges[:, 1], weights=flux, minlength=n)
-    return out
+    shape = getattr(edges, "grid_shape", None)
+    if shape is None:
+        out = np.bincount(edges[:, 0], weights=flux, minlength=n)
+        out -= np.bincount(edges[:, 1], weights=flux, minlength=n)
+        return out.astype(float, copy=False)  # bincount of no edges is int
+    # bincount's order: from zero, a node's horizontal edge, then its
+    # vertical one, at the tail and at the head
+    ny, nx = shape
+    nh = ny * (nx - 1)
+    fh, fv = flux[:nh].reshape(ny, nx - 1), flux[nh:].reshape(ny - 1, nx)
+    out = np.zeros(shape)
+    out[:, :-1] += fh
+    out[:-1] += fv
+    head = np.zeros(shape)
+    head[:, 1:] += fh
+    head[1:] += fv
+    out -= head
+    return out.ravel()
 
 
 def laplacian(phi, lam, edges):
     """Weighted graph Laplacian: per node, sum_j lam_ij (phi_i - phi_j)."""
-    return _net_outflow(lam * (phi[edges[:, 0]] - phi[edges[:, 1]]), edges, len(phi))
+    return _net_outflow(lam * edge_diff(phi, edges), edges, len(phi))
 
 
 def incidence(edges, n):
@@ -75,10 +133,9 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     Returns (phi, lam). Divergence shows up as non-finite values that
     callers check, so its warnings are noise.
     """
-    i, j = edges[:, 0], edges[:, 1]
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
-            dphi = phi[i] - phi[j]  # feeds both updates, so not via laplacian()
+            dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
             lap = _net_outflow(lam * dphi, edges, len(phi))
             if dual:
                 lam = np.maximum(0.0, lam + tau * (0.5 * dphi * dphi - half_c2))
@@ -123,7 +180,7 @@ def feasibility_violation(phi, g):
     if len(g.edges) == 0:
         return 0.0
     phi = np.asarray(phi, dtype=float)
-    gaps = np.abs(phi[g.edges[:, 0]] - phi[g.edges[:, 1]]) - g.costs
+    gaps = np.abs(edge_diff(phi, g.edges)) - g.costs
     return float(max(0.0, gaps.max()))
 
 
@@ -139,8 +196,7 @@ def pd_residual(s, b, g):
     primal = np.abs(b - laplacian(s.phi, s.lam, g.edges))
     res = float(primal.max()) if len(primal) else 0.0
     if len(g.edges):
-        i, j = g.edges[:, 0], g.edges[:, 1]
-        grad = 0.5 * (s.phi[i] - s.phi[j]) ** 2 - 0.5 * g.costs**2
+        grad = 0.5 * edge_diff(s.phi, g.edges) ** 2 - 0.5 * g.costs**2
         projected = np.where(s.lam > 0, grad, np.maximum(grad, 0.0))
         res = max(res, float(np.abs(projected).max()))
     return res

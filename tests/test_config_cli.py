@@ -199,6 +199,30 @@ def test_negative_definite_covariance_is_a_config_error(tmp_path):
     assert "error:" in res.stderr and "positive definite" in res.stderr
 
 
+def test_inner_steady_state_with_dt_above_one_is_an_error(tmp_path):
+    # it rescales multipliers by 1 - dt, which would turn them negative
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = pde\ngrid.nx = 8\ngrid.ny = 8\ngrid.dt = 1.5\ngrid.T = 6\n")
+    res = run_cli("pde", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "dt <= 1" in res.stderr
+
+
+def test_nan_density_stops_pde_and_marks_fig6_partial(tmp_path, capsys):
+    # a huge fixed multiplier overflows phi to inf, and inf - inf is NaN
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mode = pde\ngrid.nx = 8\ngrid.ny = 8\ngrid.mode = on_the_fly_fixed\n"
+        "grid.lam_fixed = 1e200\ngrid.dt = 0.5\ngrid.T = 1\ngrid.n = 50\n"
+    )
+    assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "pde")]) == 1
+    assert "error: transport step made the density nonpositive or NaN" in capsys.readouterr().err
+    assert cli.main(["fig", "6", "--config", str(cfg), "--out", str(tmp_path / "fig")]) == 0
+    assert "fig6_n1.csv (partial)" in capsys.readouterr().out
+    rows = (tmp_path / "fig" / "fig6_n1.csv").read_text().splitlines()[1:]
+    assert rows and "nan" not in "".join(rows)
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(AGENTS_CFG)

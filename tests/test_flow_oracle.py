@@ -7,7 +7,7 @@ take completely different routes to the same LP value.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import FlowProblem, MetricCost, NeighborGraph
@@ -86,6 +86,11 @@ def connected_flow_problems(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(connected_flow_problems())
+# supplies below HiGHS's feasibility tolerance once came back as no flow;
+# scaling them up must not magnify a rounding imbalance into infeasibility
+@example(FlowProblem(NeighborGraph(2, [(0, 1)], [1.0]), np.array([-5e-10, 5e-10])))
+@example(FlowProblem(NeighborGraph(2, [(0, 1)], [1.0]), np.array([0.0, -1.734723475976807e-18])))
+@example(FlowProblem(NeighborGraph(2, [(0, 1)], [1.0]), np.array([0.0, 5e-324])))
 def test_flows_conserve_supplies_on_graph_arcs(p):
     value, flows = so.min_cost_flow(p)
     g = p.graph

@@ -8,11 +8,12 @@ every operator can be checked against explicit numbers.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
-from swarm_ot import DensityField, Domain, GridState, NeighborGraph, PotentialState
-from swarm_ot.primal_dual import laplacian
+from swarm_ot import DensityField, Domain, GridState, NeighborGraph, PotentialState, grid
+from swarm_ot.primal_dual import iterate, laplacian
 
 
 def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
@@ -33,6 +34,8 @@ def test_state_validation():
         GridState(2, 1, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         GridState(2, 1, np.array([0.0, 1.0]))  # not strictly positive
+    with pytest.raises(ValueError, match="strictly positive"):
+        GridState(2, 1, np.array([np.nan, 1.0]))  # NaN compares false both ways
     with pytest.raises(ValueError):
         GridState(2, 1, np.array([0.5, 0.6]))  # does not sum to one
     with pytest.raises(ValueError):
@@ -61,6 +64,32 @@ def test_states_are_values_and_steps_share_what_they_do_not_compute():
     for mode in ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state"):
         so.run_coupled(s, rho_star, mode, inner_n=2, horizon=0.05)
     assert [a.tobytes() for a in (s.rho, s.phi, s.lam)] == before
+
+
+@st.composite
+def grid_potentials(draw):
+    """Grid edges of a random shape up to 12x12 with phi, lam and b on it."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    edges = so.grid_edges(nx, ny)
+
+    def vector(size, lo):
+        return draw(arrays(np.float64, size, elements=st.floats(lo, 10.0)))
+
+    return edges, vector(nx * ny, -10.0), vector(len(edges), 0.0), vector(nx * ny, -10.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_potentials())
+@example((so.grid_edges(1, 1), np.array([0.5]), np.zeros(0), np.array([0.25])))
+def test_grid_stencil_matches_the_index_path_bitwise(case):
+    edges, phi, lam, b = case
+    plain = np.asarray(edges)  # the same edge list without its grid shape
+    assert edges.grid_shape is not None and getattr(plain, "grid_shape", None) is None
+    assert same_bytes(laplacian(phi, lam, edges), laplacian(phi, lam, plain))
+    for dual in (True, False):
+        stencil = iterate(phi, lam, b, edges, 0.5, 0.1, 3, dual)
+        index = iterate(phi, lam, b, plain, 0.5, 0.1, 3, dual)
+        assert all(same_bytes(x, y) for x, y in zip(stencil, index))
 
 
 @st.composite
@@ -151,6 +180,54 @@ def test_transport_step_hand_numbers_and_conservation():
     np.testing.assert_allclose(out.rho, [0.32, 0.68], atol=1e-15)
     assert out.rho.sum() == pytest.approx(1.0, abs=1e-15)
     assert out.t == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("mode", ["on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state"])
+def test_one_laplacian_per_outer_step(monkeypatch, mode):
+    calls, inner = [], []
+
+    def counted(log, f):
+        def wrapper(*args, **kwargs):
+            log.append(None)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(grid, "laplacian", counted(calls, laplacian))
+    monkeypatch.setattr(grid, "pd_flow_step", counted(inner, so.pd_flow_step))
+    s = GridState(8, 8, so.random_density(8, 8, seed=3), dt=1e-3)
+    rho_star = np.full(64, 1.0 / 64)
+    steps = 20
+    # a record at every state: the record, the inner_steady_state guard
+    # and the transport step share one L phi per state
+    reports, _ = so.run_coupled(s, rho_star, mode, inner_n=2, horizon=steps * s.dt)
+    assert len(reports) == steps + 1
+    extra = len(inner) if mode == "inner_steady_state" else 0  # each inner step re-guards
+    assert len(calls) == steps + 1 + extra
+
+
+def test_lap_phi_is_recomputed_when_phi_or_lam_is_rebound():
+    s = GridState(3, 2, so.random_density(3, 2, seed=5), phi=np.arange(6.0), lam=np.full(7, 0.5))
+    first = s.lap_phi()
+    assert s.lap_phi() is first
+    assert same_bytes(first, laplacian(s.phi, s.lam, s.edges))
+    s.phi = s.phi[::-1].copy()
+    assert same_bytes(s.lap_phi(), laplacian(s.phi, s.lam, s.edges))
+    assert not same_bytes(s.lap_phi(), first)
+    before = s.lap_phi()
+    s.lam = 2.0 * s.lam
+    assert same_bytes(s.lap_phi(), laplacian(s.phi, s.lam, s.edges))
+    assert same_bytes(s.lap_phi(), 2.0 * before)
+
+
+def test_inner_steady_state_rejects_dt_above_one():
+    s = GridState(2, 1, np.array([0.3, 0.7]), dt=1.5)
+    with pytest.raises(ValueError, match="dt <= 1"):
+        so.run_coupled(s, RHO_STAR_2, "inner_steady_state", horizon=6.0)
+    # dt = 1 is an exact step: it lands on the target
+    s.dt = 1.0
+    reports, _ = so.run_coupled(s, RHO_STAR_2, "inner_steady_state", horizon=1.0)
+    assert reports[-1].V < 1e-30 and reports[-1].kkt.dual_feasibility >= 0
 
 
 def test_transport_step_positivity_error_names_the_node():

@@ -55,8 +55,13 @@ output.record_every = 10
 """
 
 
-def pde(mode):
-    return PDE + f"grid.mode = {mode}\n"
+# every other pde case is square, so a transposed (ny, nx) layout
+# would go unseen there
+PDE_9X5 = PDE.replace("grid.nx = 8", "grid.nx = 9").replace("grid.ny = 8", "grid.ny = 5")
+
+
+def pde(mode, base=PDE):
+    return base + f"grid.mode = {mode}\n"
 
 
 CASES = {
@@ -83,6 +88,15 @@ CASES = {
     }),
     "pde_inner_steady_state": (["pde"], pde("inner_steady_state"), {
         "metrics.csv": "cf119d61844f287e97ca09ea2e0b5cf397acd0aad633aab28f79233022e91743",
+    }),
+    "pde_9x5_on_the_fly_pd": (["pde"], pde("on_the_fly_pd", PDE_9X5), {
+        "metrics.csv": "70a46e5f737356acc1df8e586bbf7ca5337f71256408aa3d6c7a7aab921cc670",
+    }),
+    "pde_9x5_on_the_fly_fixed": (["pde"], pde("on_the_fly_fixed", PDE_9X5), {
+        "metrics.csv": "b4241ec89aa80bb25f18fb72c2b120bd176237cde6ce442ae67c8643ef34b014",
+    }),
+    "pde_9x5_inner_steady_state": (["pde"], pde("inner_steady_state", PDE_9X5), {
+        "metrics.csv": "f112ab765fc1d203319573ed9d312c7ca607209d09fa5db5553feacfef9ffb36",
     }),
     "fig2": (["fig", "2"], AGENTS, {
         "fig2_n1.csv": "309f0feefc8914d1e9a4cc8888ac2add0a03b00bef66b15ce7b09874b303b9cc",
