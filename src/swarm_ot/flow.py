@@ -3,13 +3,12 @@
 This is the validation oracle: the restricted dual and the uncapacitated
 min-cost flow on the same graph are a primal-dual LP pair, so their
 values must agree. The flow LP is solved exactly by HiGHS through
-`scipy.optimize.linprog`. The transport algorithms never import this
-module.
+`scipy.optimize.linprog`, imported only when a solver here runs. The
+transport algorithms never import this module.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .primal_dual import incidence
 
@@ -42,6 +41,8 @@ def min_cost_flow(p):
     scaling can magnify into an infeasible LP, so the scaled supplies
     have their mean removed.
     """
+    from scipy.optimize import linprog
+
     g = p.graph
     scale = float(np.abs(p.supplies).max(initial=0.0))
     if scale == 0.0:
@@ -73,6 +74,8 @@ def discrete_ot_cost(src, dst, metric):
     min over pairings of (1/N) sum_i c(src_i, dst_sigma(i)), solved
     exactly as an assignment problem.
     """
+    from scipy.optimize import linear_sum_assignment
+
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
     if src.shape != dst.shape:

@@ -14,6 +14,7 @@ list comes from `grid_edges` and knows its shape, so the kernel runs on
 it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
 agent graph. A state computes L phi at most once (`GridState.lap_phi`),
 and the record, the stationarity guard and the transport step share it.
+A record takes the state's edge differences once.
 """
 
 import copy
@@ -59,7 +60,7 @@ class GridState:
         )
         if self.phi.shape != (n,) or self.lam.shape != (len(self.edges),):
             raise ValueError("phi/lam shapes do not match the grid")
-        if np.any(self.lam < 0):
+        if not np.all(self.lam >= 0):
             raise ValueError("multipliers must be nonnegative")
         if not cost > 0:
             raise ValueError("edge cost must be positive")
@@ -153,26 +154,29 @@ def stationarity(s, rho_star):
 
 
 def kkt_residual(s, rho_star):
-    """Residuals of stationarity, feasibility, and slackness.
-
-    dual_feasibility reports the smallest multiplier: nonnegative means
-    the dual cone constraint holds, so unlike the other three fields it
-    is a position, not a violation magnitude.
-    """
-    gaps = np.abs(edge_diff(s.phi, s.edges))
-    feasibility = float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0
-    slackness = float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0
-    dual_feasibility = float(s.lam.min()) if len(s.lam) else 0.0
-    return KKTResidual(stationarity(s, rho_star), feasibility, slackness, dual_feasibility)
+    """Residuals of stationarity, feasibility, and slackness (see `lyapunov`)."""
+    return lyapunov(s, rho_star).kkt
 
 
 def lyapunov(s, rho_star):
-    """V, E, KKT residuals, and the mass conservation error of a state."""
+    """V, E, KKT residuals, and the mass conservation error of a state.
+
+    The gaps |phi_i - phi_j|, taken once, give E, feasibility and
+    slackness. dual_feasibility reports the smallest multiplier: unlike
+    the other KKT fields it is a position, not a violation magnitude.
+    """
     err = s.rho - rho_star
     V = 0.5 * float(np.dot(err, err))
-    dual = 0.5 * float(np.dot(s.lam, edge_diff(s.phi, s.edges) ** 2))
-    mass_error = abs(float(s.rho.sum()) - 1.0)
-    return LyapunovReport(s.t, V, dual + V, kkt_residual(s, rho_star), mass_error)
+    gaps = np.abs(edge_diff(s.phi, s.edges))
+    E = 0.5 * float(np.dot(s.lam, gaps * gaps)) + V
+    over = gaps - s.cost
+    kkt = KKTResidual(
+        stationarity(s, rho_star),
+        float(over.max(initial=0.0)),
+        float((s.lam * np.abs(over)).max(initial=0.0)),
+        float(s.lam.min()) if len(s.lam) else 0.0,
+    )
+    return LyapunovReport(s.t, V, E, kkt, abs(float(s.rho.sum()) - 1.0))
 
 
 def density_error(s, rho_star):

@@ -31,7 +31,7 @@ class PotentialState:
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(self.lam) != len(self.edges):
             raise ValueError("one multiplier per edge required")
-        if np.any(self.lam < 0):
+        if not np.all(self.lam >= 0):
             raise ValueError("multipliers must be nonnegative")
 
 

@@ -1,12 +1,14 @@
 """Synchronous transport rounds: the outer multi-agent loop.
 
-Each round rebuilds the Voronoi partition and neighbor graph, runs a
-fixed number of primal-dual (or primal-only) iterations to estimate the
-Kantorovich potentials, reconstructs a local gradient per agent from
-neighbor potentials, and moves every agent by a proximal step in its
-eps-ball. Potentials and multipliers carry over between rounds.
+Each set of positions is measured once (Voronoi partition, neighbor
+graph, cell masses) for both its record and the round that moves it.
+A round estimates the Kantorovich potentials by a fixed number of
+primal-dual (or primal-only) iterations and moves every agent by a
+proximal step in its eps-ball along a local gradient of its neighbors'
+potentials. Potentials and multipliers carry over between rounds.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,29 +160,36 @@ def _nearest_site(points, sites):
     return np.argmin(d2, axis=1)
 
 
-def transport_round(state, cfg, target, metric, domain, q, dens=None, partition=None, graph=None):
+# one position set's measurement, shared by its record and its round
+Cells = namedtuple("Cells", "partition graph masses")
+
+
+def _measure(positions, target, metric, domain, q, radius, dens=None):
+    """Partition, neighbor graph and cell masses of one set of sites."""
+    partition = build_partition(positions, metric, domain, q)
+    graph = neighbor_graph(partition, metric, radius)
+    return Cells(partition, graph, cell_masses(target, q, partition, dens))
+
+
+def transport_round(state, cfg, target, metric, domain, q, cells=None):
     """One synchronous round of potential estimation and proximal moves.
 
-    Builds the partition and graph at the current positions (or reuses
-    the caller's), estimates potentials with inner_iters primal-dual
-    steps, or primal-only steps with every multiplier at cfg.fixed_dual
-    when that is set, and moves every agent by a proximal step. Returns
-    (new_state, diagnostics); a disconnected graph is reported in the
-    diagnostics rather than raised.
+    Uses the caller's `cells` of the current positions, measuring them
+    itself when given none, when `_dedupe` nudged an agent, or when
+    their sites are not the positions. Estimates potentials with
+    inner_iters primal-dual steps, or primal-only steps with every
+    multiplier at cfg.fixed_dual when that is set, and moves every agent
+    by a proximal step. Returns (new_state, diagnostics); a disconnected
+    graph is reported in the diagnostics rather than raised.
     """
     n = len(state.positions)
     if n < 2:
         raise ValueError("transport needs at least two agents")
     positions, perturbed = _dedupe(state, domain)
-    if perturbed or partition is None or not np.array_equal(partition.sites, positions):
-        partition = build_partition(positions, metric, domain, q)
-        graph = None
-    if graph is None:
-        graph = neighbor_graph(partition, metric, cfg.radius)
-    if dens is None:
-        dens = target.values_on(q)
-    masses = cell_masses(target, q, partition, dens)
-    b = mass_imbalance(masses)
+    if perturbed or cells is None or not np.array_equal(cells.partition.sites, positions):
+        cells = _measure(positions, target, metric, domain, q, cfg.radius)
+    graph = cells.graph
+    b = mass_imbalance(cells.masses)
 
     # warm start: evaluate the previous round's simple-function estimate
     # at the current sites, and keep multipliers on surviving edges
@@ -188,17 +197,15 @@ def transport_round(state, cfg, target, metric, domain, q, dens=None, partition=
         phi0 = np.zeros(n)
     else:
         phi0 = state.prev_phi[_nearest_site(positions, state.prev_sites)]
-    if cfg.fixed_dual is not None:
+    fixed = cfg.fixed_dual is not None
+    if fixed:
         lam0 = np.full(len(graph.edges), float(cfg.fixed_dual))
     else:
         lam0 = np.array(
             [state.prev_lam.get((int(a), int(b)), 0.0) for a, b in graph.edges]
         )
-    inner = PotentialState(phi0, lam0, graph.edges)
-    if cfg.fixed_dual is not None:
-        inner = run_primal(inner, b, graph, cfg.tau, cfg.inner_iters)
-    else:
-        inner = run_pd(inner, b, graph, cfg.tau, cfg.inner_iters)
+    solve = run_primal if fixed else run_pd
+    inner = solve(PotentialState(phi0, lam0, graph.edges), b, graph, cfg.tau, cfg.inner_iters)
 
     lists = graph.neighbor_lists()
     new_positions = np.empty_like(positions)
@@ -211,7 +218,7 @@ def transport_round(state, cfg, target, metric, domain, q, dens=None, partition=
         new_positions[i] = proximal_step(positions[i], grad, cfg.eps, metric, domain)
         step_lengths[i] = metric.distance(positions[i], new_positions[i])
 
-    carried = {} if cfg.fixed_dual is not None else {
+    carried = {} if fixed else {
         (int(a), int(b)): float(v) for (a, b), v in zip(graph.edges, inner.lam)
     }
     new_state = SwarmState(
@@ -224,7 +231,7 @@ def transport_round(state, cfg, target, metric, domain, q, dens=None, partition=
         prev_lam=carried,
     )
     diagnostics = {
-        "masses": masses,
+        "masses": cells.masses,
         "imbalance": b,
         "dual_objective": dual_objective(inner.phi, b),
         "feasibility_violation": feasibility_violation(inner.phi, graph),
@@ -248,31 +255,14 @@ def run_experiment(positions, cfg, target, metric, domain, q, seed=0):
     dens = target.values_on(q)
     state = SwarmState(positions=positions, seed=seed)
     state.positions = domain.clamp(state.positions)
-
-    partition = build_partition(state.positions, metric, domain, q)
-    graph = neighbor_graph(partition, metric, cfg.radius)
-    masses = cell_masses(target, q, partition, dens)
-    records = [
-        MetricsRecord(0, float(np.var(masses)), 0.0, 0.0, 0.0, is_connected(graph))
-    ]
-    snapshots = [(0, state.positions.copy(), masses)]
-
-    for k in range(1, cfg.rounds + 1):
-        state, diag = transport_round(
-            state, cfg, target, metric, domain, q, dens, partition, graph
-        )
-        partition = build_partition(state.positions, metric, domain, q)
-        graph = neighbor_graph(partition, metric, cfg.radius)
-        masses = cell_masses(target, q, partition, dens)
-        records.append(
-            MetricsRecord(
-                k,
-                float(np.var(masses)),
-                state.cost,
-                diag["dual_objective"],
-                diag["feasibility_violation"],
-                diag["connected"],
-            )
-        )
-        snapshots.append((k, state.positions.copy(), masses))
+    records, snapshots = [], []
+    for k in range(cfg.rounds + 1):
+        cells = _measure(state.positions, target, metric, domain, q, cfg.radius, dens)
+        if k == 0:
+            estimate = (0.0, 0.0, is_connected(cells.graph))
+        records.append(MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
+        snapshots.append((k, state.positions.copy(), cells.masses))
+        if k < cfg.rounds:
+            state, diag = transport_round(state, cfg, target, metric, domain, q, cells)
+            estimate = (diag["dual_objective"], diag["feasibility_violation"], diag["connected"])
     return records, snapshots

@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion.
+"""Smoke test: every script in demos/ and README's library example runs.
 
 Each demo goes through the primal-dual kernel (via run_experiment,
 run_coupled or converge_pd), so a demo that no longer runs is a broken
@@ -7,6 +7,7 @@ src/ directory, as their docstrings tell a reader to run them.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,15 +22,27 @@ def test_demos_exist():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    result = run_python([str(demo)], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    result = run_python(["-c", blocks[0]], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) > 0.0  # the final mass variance

@@ -40,6 +40,8 @@ def test_state_validation():
         GridState(2, 1, np.array([0.5, 0.6]))  # does not sum to one
     with pytest.raises(ValueError):
         GridState(2, 1, np.array([0.5, 0.5]), lam=np.array([-0.1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        GridState(2, 1, np.array([0.3, 0.7]), lam=np.array([np.nan]))
     with pytest.raises(ValueError):
         GridState(2, 1, np.array([0.5, 0.5]), dt=0.0)
 
@@ -236,6 +238,55 @@ def test_transport_step_positivity_error_names_the_node():
     with pytest.raises(so.PositivityError, match=r"\(0,0\)"):
         so.transport_step(s)
     assert issubclass(so.PositivityError, ValueError)
+
+
+def record_by_two_passes(s, rho_star):
+    """Reference record that takes the edge differences of phi twice,
+    once for E and once for the KKT residuals."""
+    gaps = np.abs(grid.edge_diff(s.phi, s.edges))
+    kkt = so.KKTResidual(
+        so.stationarity(s, rho_star),
+        float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0,
+        float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0,
+        float(s.lam.min()) if len(s.lam) else 0.0,
+    )
+    err = s.rho - rho_star
+    V = 0.5 * float(np.dot(err, err))
+    dual = 0.5 * float(np.dot(s.lam, grid.edge_diff(s.phi, s.edges) ** 2))
+    return so.LyapunovReport(s.t, V, dual + V, kkt, abs(float(s.rho.sum()) - 1.0))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def record_bits(report):
+    return bits((report.t, report.V, report.E, report.mass_error, *vars(report.kkt).values()))
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_cases())
+@example((GridState(1, 1, [1.0], phi=[0.3]), np.array([1.0])))
+def test_one_pass_record_equals_the_two_pass_record_bitwise(case):
+    s, rho_star = case
+    report = so.lyapunov(s, rho_star)
+    assert record_bits(report) == record_bits(record_by_two_passes(s, rho_star))
+    assert bits(vars(so.kkt_residual(s, rho_star)).values()) == bits(vars(report.kkt).values())
+
+
+def test_a_record_takes_the_edge_differences_once(monkeypatch):
+    calls, edge_diff = [], grid.edge_diff
+
+    def counted(phi, edges):
+        calls.append(None)
+        return edge_diff(phi, edges)
+
+    s = GridState(5, 4, so.random_density(5, 4, seed=2), phi=0.1 * np.arange(20.0),
+                  lam=np.full(31, 0.3))
+    s.lap_phi()  # memoized, as a transported state carries it
+    monkeypatch.setattr(grid, "edge_diff", counted)
+    so.lyapunov(s, np.full(20, 1.0 / 20))
+    assert len(calls) == 1
 
 
 def test_kkt_residual_at_the_hand_saddle():

@@ -108,6 +108,12 @@ def test_multipliers_never_go_negative():
     assert np.all(out.lam >= 0.0)
 
 
+@pytest.mark.parametrize("lam", [-0.1, np.nan])
+def test_negative_or_nan_multipliers_are_rejected(lam):
+    with pytest.raises(ValueError, match="nonnegative"):
+        PotentialState([0.0, 0.0], [lam], [[0, 1]])
+
+
 def test_zero_iterations_return_the_input_state():
     g = two_node_graph()
     s = so.zero_state(g)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import swarm_ot as so
+from swarm_ot import cli, transport
 from swarm_ot import Domain, MetricCost, QuadratureGrid, SwarmState, TransportConfig
 
 
@@ -243,3 +244,115 @@ def test_seeded_positions_are_reproducible_and_in_domain():
     np.testing.assert_array_equal(p1, p2)
     assert np.all(p1 >= 0.0) and np.all(p1 < 1.0)
     assert not np.array_equal(p1, so.initial_positions(20, dom, seed=6))
+
+
+# the `agents_nudged` digest configuration: `_dedupe` nudges agents in
+# some of its rounds
+AGENTS_NUDGED = """\
+mode = agents
+transport.N = 10
+transport.K = 20
+transport.n = 5
+quadrature.resolution = 64
+target.means = 0.98 0.98
+target.covariances = 0.001 0 0 0.001
+transport.eps = 0.1
+transport.tau = 0.3
+"""
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of the module with a call counter."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+MEASURES = ("build_partition", "neighbor_graph", "cell_masses")
+
+
+def nudged_rounds(monkeypatch):
+    """Count rounds in which `_dedupe` nudged an agent."""
+    rounds = []
+    round_fn = transport.transport_round
+
+    def watched(*args, **kwargs):
+        state, diag = round_fn(*args, **kwargs)
+        rounds.append(bool(diag["perturbed"]))
+        return state, diag
+
+    monkeypatch.setattr(transport, "transport_round", watched)
+    return rounds
+
+
+def test_each_position_set_is_measured_once(monkeypatch):
+    dom, metric, q, target = uniform_setup()
+    cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
+    counts = count_calls(monkeypatch, transport, MEASURES)
+    nudged = nudged_rounds(monkeypatch)
+    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, metric, dom, q, seed=3)
+    assert nudged == [False] * cfg.rounds
+    assert counts == dict.fromkeys(MEASURES, cfg.rounds + 1)
+
+
+def test_a_nudged_round_measures_its_cells_again(monkeypatch, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(AGENTS_NUDGED)
+    counts = count_calls(monkeypatch, transport, MEASURES)
+    nudged = nudged_rounds(monkeypatch)
+    assert cli.main(["agents", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(nudged) == 20 and any(nudged)
+    assert counts == dict.fromkeys(MEASURES, 20 + 1 + sum(nudged))
+
+
+def round_bits(result):
+    state, diag = result
+    arrays = (state.positions, state.prev_sites, state.prev_phi, *(
+        np.asarray(v) for v in diag.values()
+    ))
+    return (
+        [a.tobytes() for a in arrays],
+        (state.k, state.cost, state.seed, state.prev_lam),
+        list(diag),
+    )
+
+
+def test_a_round_given_its_cells_matches_one_that_measures_them(monkeypatch):
+    dom, metric, q, target = uniform_setup()
+    cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
+    positions = so.initial_positions(6, dom, seed=8)
+    state = SwarmState(positions, seed=8)
+    cells = transport._measure(positions, target, metric, dom, q, cfg.radius)
+    other = transport._measure(positions[::-1].copy(), target, metric, dom, q, cfg.radius)
+    measured = so.transport_round(state, cfg, target, metric, dom, q)
+    counts = count_calls(monkeypatch, transport, MEASURES)
+    given = so.transport_round(state, cfg, target, metric, dom, q, cells)
+    assert counts == dict.fromkeys(MEASURES, 0)
+    assert round_bits(given) == round_bits(measured)
+    # cells of other sites are measured again at the round's positions
+    given = so.transport_round(state, cfg, target, metric, dom, q, other)
+    assert counts == dict.fromkeys(MEASURES, 1)
+    assert round_bits(given) == round_bits(measured)
+
+
+def test_a_round_whose_dedupe_nudges_measures_its_cells_again(monkeypatch):
+    dom, metric, q, target = uniform_setup()
+    cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
+    positions = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
+    state = SwarmState(positions, seed=2)
+    cells = transport._measure(positions, target, metric, dom, q, cfg.radius)
+    measured = so.transport_round(state, cfg, target, metric, dom, q)
+    assert measured[1]["perturbed"] == [2]
+    counts = count_calls(monkeypatch, transport, MEASURES)
+    given = so.transport_round(state, cfg, target, metric, dom, q, cells)
+    assert counts == dict.fromkeys(MEASURES, 1)
+    assert round_bits(given) == round_bits(measured)
