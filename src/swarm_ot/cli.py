@@ -39,17 +39,14 @@ POSITION_HEADER = ["k", "agent", "x", "y", "owner_mass"]
 PDE_HEADER = ["t", "V", "E", "kkt_stationarity", "kkt_feasibility", "kkt_slackness", "mass_error"]
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(path, header, rows):
+    """Write rows of Python ints and floats (flags as 0/1) by their repr.
+
+    The row builders convert numpy values to Python ones, once per array
+    where they can, so formatting needs no per-value type checks.
+    """
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -86,7 +83,7 @@ def transport_config(cfg, fixed_dual=None, inner_iters=None):
 
 def _agent_rows(records):
     return [
-        [r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, r.connected]
+        [r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)]
         for r in records
     ]
 
@@ -94,8 +91,8 @@ def _agent_rows(records):
 def _position_rows(snapshots):
     rows = []
     for k, positions, masses in snapshots:
-        for a, (pos, mass) in enumerate(zip(positions, masses)):
-            rows.append([k, a, pos[0], pos[1], mass])
+        for a, ((x, y), mass) in enumerate(zip(positions.tolist(), masses.tolist())):
+            rows.append([k, a, x, y, mass])
     return rows
 
 
@@ -248,7 +245,8 @@ def run_fig(cfg, number, out_dir):
                 reports.append(lyapunov(s, rho_star))
             if step in snap_steps:
                 snap_rows += [
-                    [s.t, *s.node_xy(i), s.rho[i], rho_star[i]] for i in range(len(s.rho))
+                    [s.t, *s.node_xy(i), rho, star]
+                    for i, (rho, star) in enumerate(zip(s.rho.tolist(), rho_star.tolist()))
                 ]
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
         write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports))

@@ -45,8 +45,18 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniforms(self, n):
-        """Array of n uniform doubles in [0, 1)."""
-        return np.array([self.next_float() for _ in range(int(n))])
+        """Array of n uniform doubles in [0, 1): n `next_float` draws at once.
+
+        The states and the mix run in uint64 arrays, whose arithmetic
+        wraps modulo 2**64 exactly as the masked integer code does.
+        """
+        n = int(n)
+        z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self.state = (self.state + n * _GOLDEN) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def derive(seed, *labels):

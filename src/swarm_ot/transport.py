@@ -115,19 +115,30 @@ def local_gradient(i, positions, phi, neighbors, grad_tol=1e-9):
     return coef[1:]
 
 
+def _row_norms(v):
+    """Euclidean norm of each row of an (N, 2) array.
+
+    A stacked matmul of 1 x 2 by 2 x 1 runs numpy's vector dot, so every
+    norm has the bits of `np.sqrt(np.dot(row, row))`; an elementwise
+    square-and-sum rounds differently where the dot fuses.
+    """
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def proximal_step(x, g, eps, metric, domain):
     """Minimize c(x, z) + g . (z - x) over the closed eps-ball at x.
 
     With the affine local model the minimizer is x itself while
     ||g|| <= xi (moving cannot pay off), and otherwise the ball-boundary
-    point along -g, clamped into the domain.
+    point along -g, clamped into the domain. `x` and `g` are one (2,)
+    point and gradient or (N, 2) batches of them.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    norm = float(np.sqrt(np.dot(g, g)))
-    if norm <= metric.xi:
-        return x.copy()
-    return domain.clamp(x - (eps / metric.xi) * g / norm)
+    norm = _row_norms(np.atleast_2d(g)).reshape(g.shape[:-1] + (1,))
+    stay = norm <= metric.xi
+    step = (eps / metric.xi) * g / np.where(stay, 1.0, norm)
+    return np.where(stay, x, domain.clamp(x - step))
 
 
 def _dedupe(state, domain):
@@ -156,19 +167,23 @@ def _dedupe(state, domain):
 
 def _nearest_site(points, sites):
     """Index of the nearest site per point, ties to the lowest index."""
-    d2 = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
+    d2 = (points[:, None, 0] - sites[None, :, 0]) ** 2
+    d2 += (points[:, None, 1] - sites[None, :, 1]) ** 2
     return np.argmin(d2, axis=1)
 
 
-# one position set's measurement, shared by its record and its round
-Cells = namedtuple("Cells", "partition graph masses")
+# one position set's measurement, shared by its record and its round;
+# `dens` is the target's values on the quadrature, evaluated once a run
+Cells = namedtuple("Cells", "partition graph masses dens")
 
 
 def _measure(positions, target, metric, domain, q, radius, dens=None):
     """Partition, neighbor graph and cell masses of one set of sites."""
+    if dens is None:
+        dens = target.values_on(q)
     partition = build_partition(positions, metric, domain, q)
     graph = neighbor_graph(partition, metric, radius)
-    return Cells(partition, graph, cell_masses(target, q, partition, dens))
+    return Cells(partition, graph, cell_masses(target, q, partition, dens), dens)
 
 
 def transport_round(state, cfg, target, metric, domain, q, cells=None):
@@ -187,7 +202,8 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
         raise ValueError("transport needs at least two agents")
     positions, perturbed = _dedupe(state, domain)
     if perturbed or cells is None or not np.array_equal(cells.partition.sites, positions):
-        cells = _measure(positions, target, metric, domain, q, cfg.radius)
+        dens = None if cells is None else cells.dens
+        cells = _measure(positions, target, metric, domain, q, cfg.radius, dens)
     graph = cells.graph
     b = mass_imbalance(cells.masses)
 
@@ -197,30 +213,25 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
         phi0 = np.zeros(n)
     else:
         phi0 = state.prev_phi[_nearest_site(positions, state.prev_sites)]
+    edges = [tuple(e) for e in graph.edges.tolist()]
     fixed = cfg.fixed_dual is not None
     if fixed:
-        lam0 = np.full(len(graph.edges), float(cfg.fixed_dual))
+        lam0 = np.full(len(edges), float(cfg.fixed_dual))
     else:
-        lam0 = np.array(
-            [state.prev_lam.get((int(a), int(b)), 0.0) for a, b in graph.edges]
-        )
+        lam0 = np.array([state.prev_lam.get(e, 0.0) for e in edges], dtype=float)
     solve = run_primal if fixed else run_pd
     inner = solve(PotentialState(phi0, lam0, graph.edges), b, graph, cfg.tau, cfg.inner_iters)
 
     lists = graph.neighbor_lists()
-    new_positions = np.empty_like(positions)
-    step_lengths = np.empty(n)
-    isolated = []
-    for i in range(n):
-        if not lists[i]:
-            isolated.append(i)
-        grad = local_gradient(i, positions, inner.phi, lists[i], cfg.grad_tol)
-        new_positions[i] = proximal_step(positions[i], grad, cfg.eps, metric, domain)
-        step_lengths[i] = metric.distance(positions[i], new_positions[i])
+    isolated = [i for i, l in enumerate(lists) if not l]
+    grads = np.array(
+        [local_gradient(i, positions, inner.phi, l, cfg.grad_tol) for i, l in enumerate(lists)]
+    )
+    new_positions = proximal_step(positions, grads, cfg.eps, metric, domain)
+    # the bits of metric.distance(positions[i], new_positions[i]) per agent
+    step_lengths = metric.xi * _row_norms(positions - new_positions)
 
-    carried = {} if fixed else {
-        (int(a), int(b)): float(v) for (a, b), v in zip(graph.edges, inner.lam)
-    }
+    carried = {} if fixed else dict(zip(edges, inner.lam.tolist()))
     new_state = SwarmState(
         positions=new_positions,
         k=state.k + 1,

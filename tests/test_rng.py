@@ -4,6 +4,9 @@ The generator must reproduce the reference splitmix64 output sequence so
 that seeded experiments are portable across machines and languages.
 """
 
+import numpy as np
+import pytest
+
 from swarm_ot.rng import SplitMix64, derive
 
 # First three outputs of splitmix64 seeded with 0, as published with the
@@ -40,3 +43,15 @@ def test_derive_is_deterministic_and_label_sensitive():
 def test_derive_streams_do_not_collide_for_small_labels():
     seeds = {derive(0, a, b) for a in range(8) for b in range(8)}
     assert len(seeds) == 64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345678901234567])
+@pytest.mark.parametrize("n", [0, 1, 65536])
+def test_uniforms_are_the_next_float_stream(seed, n):
+    drawn, stepped = SplitMix64(seed), SplitMix64(seed)
+    xs = drawn.uniforms(n)
+    ref = np.array([stepped.next_float() for _ in range(n)], dtype=float)
+    assert xs.dtype == ref.dtype and xs.tobytes() == ref.tobytes()
+    # the batch advances the state exactly as n single draws do
+    assert drawn.state == stepped.state
+    assert drawn.next_u64() == stepped.next_u64()

@@ -7,6 +7,7 @@ exactly. Round-level tests pin fixed points and the balancing trend.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import cli, transport
@@ -356,3 +357,121 @@ def test_a_round_whose_dedupe_nudges_measures_its_cells_again(monkeypatch):
     given = so.transport_round(state, cfg, target, metric, dom, q, cells)
     assert counts == dict.fromkeys(MEASURES, 1)
     assert round_bits(given) == round_bits(measured)
+
+
+def test_a_nudged_round_evaluates_the_target_no_more(monkeypatch, tmp_path):
+    # the run evaluates its target on the quadrature once; a round that
+    # measures its nudged cells again reuses those values
+    config = tmp_path / "run.cfg"
+    config.write_text(AGENTS_NUDGED)
+    raw_many = so.DensityField._raw_many
+    evaluated = []
+
+    def counted(self, points):
+        evaluated.append(len(points))
+        return raw_many(self, points)
+
+    monkeypatch.setattr(so.DensityField, "_raw_many", counted)
+    rounds = []
+    round_fn = transport.transport_round
+
+    def watched(*args, **kwargs):
+        before = len(evaluated)
+        state, diag = round_fn(*args, **kwargs)
+        rounds.append((bool(diag["perturbed"]), len(evaluated) - before))
+        return state, diag
+
+    monkeypatch.setattr(transport, "transport_round", watched)
+    assert cli.main(["agents", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(rounds) == 20 and any(nudged for nudged, _ in rounds)
+    assert [calls for _, calls in rounds] == [0] * 20
+
+
+def scalar_proximal_step(x, g, eps, metric, domain):
+    """One agent's proximal step, spelled with `np.dot` as a reference."""
+    norm = float(np.sqrt(np.dot(g, g)))
+    if norm <= metric.xi:
+        return x.copy()
+    return domain.clamp(x - (eps / metric.xi) * g / norm)
+
+
+# 5 * 2**k, so the 3-4-5 gradients below have norm exactly xi
+XIS = [0.625, 1.25, 2.5, 5.0]
+
+
+@st.composite
+def step_cases(draw):
+    xi = draw(st.sampled_from(XIS))
+    # a small domain around the points makes many steps clamp
+    lo = np.array([draw(st.floats(-1.0, 0.0)), draw(st.floats(-1.0, 0.0))])
+    dom = Domain(lo, lo + [draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))])
+    unit = st.floats(0.0, 1.0)
+    coord = st.floats(-20.0, 20.0, allow_subnormal=True)
+    # zero gradients, gradients of norm exactly xi (3-4-5 and axis
+    # vectors), and arbitrary ones
+    special = st.sampled_from([(0.0, 0.0), (xi, 0.0), (0.0, -xi), (-3 * xi / 5, 4 * xi / 5)])
+    n = draw(st.integers(1, 12))
+    x = np.array([dom.lo + dom.extent * [draw(unit), draw(unit)] for _ in range(n)])
+    g = np.array([draw(st.one_of(special, st.tuples(coord, coord))) for _ in range(n)])
+    eps = draw(st.floats(1e-6, 1.0))
+    return x, g, eps, MetricCost(xi), dom
+
+
+@settings(deadline=None, max_examples=200)
+@given(step_cases())
+def test_a_batched_proximal_step_is_the_rowwise_step_bit_for_bit(case):
+    x, g, eps, metric, dom = case
+    batched = so.proximal_step(x, g, eps, metric, dom)
+    rows = np.array([so.proximal_step(x[i], g[i], eps, metric, dom) for i in range(len(x))])
+    ref = np.array([scalar_proximal_step(x[i], g[i], eps, metric, dom) for i in range(len(x))])
+    assert batched.shape == x.shape
+    assert batched.tobytes() == rows.tobytes() == ref.tobytes()
+
+
+def test_norm_exactly_xi_stays_put():
+    # |(3, 4)| is 5 exactly, so the agent sits on the threshold and stays
+    metric, dom = MetricCost(5.0), Domain()
+    x = np.array([[0.5, 0.5], [0.5, 0.5]])
+    g = np.array([[3.0, 4.0], [3.0, 4.0 + 1e-12]])
+    moved = so.proximal_step(x, g, 0.1, metric, dom)
+    assert np.array_equal(moved[0], x[0])
+    assert not np.array_equal(moved[1], x[1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40))
+def test_row_norms_have_the_bits_of_the_vector_dot(rows):
+    v = np.array(rows)
+    ref = np.array([np.sqrt(np.dot(r, r)) for r in v])
+    assert transport._row_norms(v).tobytes() == ref.tobytes()
+
+
+def test_step_lengths_are_the_metric_distance_of_each_move():
+    dom, _, q, target = uniform_setup()
+    metric = MetricCost(1.7)
+    cfg = TransportConfig(eps=0.08, tau=0.5, inner_iters=5, rounds=3)
+    state = SwarmState(so.initial_positions(40, dom, seed=4), seed=4)
+    for _ in range(cfg.rounds):
+        state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+        steps = diag["step_lengths"]
+        ref = [metric.distance(a, b) for a, b in zip(state.prev_sites, state.positions)]
+        assert steps.tobytes() == np.array(ref).tobytes()
+    assert np.count_nonzero(steps) > 0
+
+
+def dense_nearest_site(points, sites):
+    d2 = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def point_sets(dyadic):
+    # eighths of the unit square put many points at equal distances
+    coord = st.integers(0, 8).map(lambda k: k / 8.0) if dyadic else st.floats(0, 1)
+    return st.lists(st.tuples(coord, coord), min_size=1, max_size=15)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.booleans().flatmap(lambda dyadic: st.tuples(point_sets(dyadic), point_sets(dyadic))))
+def test_nearest_site_is_the_dense_argmin_ties_included(case):
+    points, sites = (np.array(c) for c in case)
+    assert np.array_equal(transport._nearest_site(points, sites), dense_nearest_site(points, sites))

@@ -7,6 +7,7 @@ match bit for bit, ties included.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def _dense_owner(sites, domain, q):
     sites = domain.clamp(np.asarray(sites, dtype=float))
     d2 = ((q.centers[None, :, :] - sites[:, None, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=0)
+
+
+def _blocked_dense_owner(sites, domain, q, block=4096):
+    """`_dense_owner` one block of cells at a time, for production sizes."""
+    blocks = np.split(q.centers, range(block, q.n_cells, block))
+    return np.concatenate([_dense_owner(sites, domain, SimpleNamespace(centers=c)) for c in blocks])
 
 
 def setup(sites, n=64, radius=None):
@@ -201,3 +208,51 @@ def test_partition_memory_does_not_scale_with_sites_times_cells():
         tracemalloc.stop()
     # the dense table would need 1000 * 128**2 * 2 * 8 bytes, about 262 MB
     assert peak < 16 * 2**20
+
+
+def _clustered(n, seed, side):
+    """n seeded sites in a square of the given side at (0.4, 0.6)."""
+    return [0.4, 0.6] + side * so.SplitMix64(seed).uniforms(2 * n).reshape(n, 2)
+
+
+def _dyadic(n, seed, denominator):
+    """n seeded sites on a dyadic lattice: exact distances, many exact ties."""
+    return np.floor(so.SplitMix64(seed).uniforms(2 * n).reshape(n, 2) * denominator) / denominator
+
+
+def _gaussian(n, seed, sigma):
+    """n seeded sites drawn around (0.3, 0.7) with standard deviation sigma."""
+    return np.random.default_rng(seed).normal([0.3, 0.7], sigma, size=(n, 2))
+
+
+# production sizes reach the blocked kernels of the BLAS under the
+# per-site matrix product, which the hypothesis cases above never do
+@pytest.mark.parametrize("sites, nx, ny", [
+    (so.SplitMix64(0).uniforms(600).reshape(300, 2), 256, 256),
+    (so.SplitMix64(0).uniforms(600).reshape(300, 2), 300, 200),
+    (_clustered(300, 1, 0.1), 256, 256),
+    (_gaussian(300, 2, 0.01), 256, 256),
+    (_dyadic(300, 4, 64), 256, 256),
+    (so.SplitMix64(3).uniforms(40).reshape(20, 2), 512, 512),
+], ids=["uniform-256", "uniform-300x200", "box-0.1", "gaussian-0.01", "dyadic-256", "n20-512"])
+def test_production_sizes_match_the_dense_argmin(sites, nx, ny):
+    dom = Domain()
+    q = QuadratureGrid(dom, nx, ny)
+    part = so.build_partition(sites, MetricCost(), dom, q)
+    assert np.array_equal(part.owner, _blocked_dense_owner(sites, dom, q))
+
+
+def _loop_neighbor_lists(n, edges):
+    lists = [[] for _ in range(n)]
+    for a, b in edges:
+        lists[a].append(b)
+        lists[b].append(a)
+    return [sorted(l) for l in lists]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
+def test_neighbor_lists_match_a_loop_over_the_edges(n, pairs):
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n})
+    graph = so.NeighborGraph(n, edges, np.ones(len(edges)))
+    assert graph.neighbor_lists() == _loop_neighbor_lists(n, edges)
