@@ -3,12 +3,12 @@
 This is the validation oracle: the restricted dual and the uncapacitated
 min-cost flow on the same graph are a primal-dual LP pair, so their
 values must agree. The flow LP is solved exactly by HiGHS through
-`scipy.optimize.linprog`, imported only when a solver here runs. The
-transport algorithms never import this module.
+`scipy.optimize.linprog`, imported, like all of scipy in this package,
+only when a function that needs it runs. The transport algorithms never
+import this module.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .primal_dual import incidence
 
@@ -41,6 +41,7 @@ def min_cost_flow(p):
     scaling can magnify into an infeasible LP, so the scaled supplies
     have their mean removed.
     """
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     g = p.graph

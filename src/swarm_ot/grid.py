@@ -8,22 +8,26 @@ positivity check (an error, never a clamp).
 
 The potential flow is the agents' primal-dual kernel `iterate` on the
 grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
-transport and stationarity use its operator `laplacian`, and the direct
-stationary solve its sparse form built from `incidence`. The grid's edge
+transport and stationarity use its operator `laplacian`. The grid's edge
 list comes from `grid_edges` and knows its shape, so the kernel runs on
 it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
 agent graph. A state computes L phi at most once (`GridState.lap_phi`),
 and the record, the stationarity guard and the transport step share it.
-A record takes the state's edge differences once.
+A record takes the state's edge differences once, and its sums are
+`einsum` reductions, which unlike BLAS dot products give the same bits
+under any thread count.
+
+The stationary solve with unit multipliers needs no sparse solver: the
+2-D DCT-II diagonalizes the grid's Laplacian (Neumann boundary), so it
+is a closed-form spectral solve by FFT in numpy alone.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .primal_dual import edge_diff, grid_edges, incidence, iterate, laplacian
+from .primal_dual import edge_diff, grid_edges, iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
 
@@ -166,9 +170,9 @@ def lyapunov(s, rho_star):
     the other KKT fields it is a position, not a violation magnitude.
     """
     err = s.rho - rho_star
-    V = 0.5 * float(np.dot(err, err))
+    V = 0.5 * float(np.einsum("i,i->", err, err))
     gaps = np.abs(edge_diff(s.phi, s.edges))
-    E = 0.5 * float(np.dot(s.lam, gaps * gaps)) + V
+    E = 0.5 * float(np.einsum("i,i->", s.lam, gaps * gaps)) + V
     over = gaps - s.cost
     kkt = KKTResidual(
         stationarity(s, rho_star),
@@ -182,7 +186,7 @@ def lyapunov(s, rho_star):
 def density_error(s, rho_star):
     """L2 distance of the density from the target, sqrt(2V)."""
     err = s.rho - rho_star
-    return float(np.sqrt(np.dot(err, err)))
+    return float(np.sqrt(np.einsum("i,i->", err, err)))
 
 
 def random_density(nx, ny, seed):
@@ -212,21 +216,42 @@ def density_on_grid(field, nx, ny, domain, floor=1e-6):
     return vals / total
 
 
+def _dct(x):
+    """Unnormalized DCT-II along the last axis, by FFT of the even extension.
+
+    Returns C_k = 2 sum_j x_j cos(pi k (2j + 1) / 2n) for k < n.
+    """
+    n = x.shape[-1]
+    y = np.fft.rfft(np.concatenate([x, x[..., ::-1]], axis=-1))[..., :n]
+    return (y * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
+
+
+def _idct(c):
+    """Inverse of `_dct` along the last axis (irfft of the even extension)."""
+    n = c.shape[-1]
+    return np.fft.irfft(c * np.exp(0.5j * np.pi * np.arange(n) / n), 2 * n)[..., :n]
+
+
 def steady_potentials(s, rho_star):
     """Stationary (phi, lam) pair with unit multipliers.
 
     Solves the graph-Laplacian system div(grad phi) = rho_star - rho
-    directly (node 0 pinned; potentials are defined up to a constant).
-    Used to start inner_steady_state runs at stationarity instead of
-    integrating the slow primal-dual ramp-up.
+    (node 0 pinned; potentials are defined up to a constant). The 2-D
+    DCT-II diagonalizes the grid's 4-neighbor Laplacian, with eigenvalue
+    (2 - 2 cos(pi k / nx)) + (2 - 2 cos(pi l / ny)) at mode (k, l), so
+    the solve transforms the imbalance, divides by the eigenvalues with
+    the constant mode set to 0, and transforms back: O(nx ny log(nx ny)) time
+    and O(nx ny) memory. Used to start inner_steady_state runs at
+    stationarity instead of integrating the slow primal-dual ramp-up.
     """
-    n = len(s.rho)
-    B = incidence(s.edges, n)
-    lap = B.T @ B
-    rhs = s.rho - rho_star
-    phi = np.zeros(n)
-    phi[1:] = spla.spsolve(lap[1:, 1:].tocsc(), rhs[1:])
-    return phi, np.ones(len(s.edges))
+    b = (s.rho - rho_star).reshape(s.ny, s.nx)
+    c = _dct(_dct(b).T)  # (nx, ny): mode (k, l) at [k, l]
+    ev = (2 - 2 * np.cos(np.pi * np.arange(s.nx) / s.nx))[:, None] + (
+        2 - 2 * np.cos(np.pi * np.arange(s.ny) / s.ny)
+    )
+    ev[0, 0] = np.inf  # the constant mode
+    phi = _idct(_idct(c / ev).T).ravel()
+    return phi - phi[0], np.ones(len(s.edges))
 
 
 def saturated_potentials(s, rho_star):

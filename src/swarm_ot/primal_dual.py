@@ -19,7 +19,6 @@ The path follows from the edge list itself; nothing selects it.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class PotentialState:
@@ -121,6 +120,8 @@ def incidence(edges, n):
     Row k holds +1 at edges[k, 0] and -1 at edges[k, 1], so B.T @ flux is
     the net outflow and B.T @ diag(lam) @ B is the operator `laplacian`.
     """
+    import scipy.sparse as sp
+
     m = len(edges)
     rows = np.tile(np.arange(m), 2)
     return sp.csr_matrix((np.repeat([1.0, -1.0], m), (rows, edges.T.ravel())), shape=(m, n))
@@ -130,16 +131,31 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
 
     The one kernel behind the agents' inner loop and the grid flow.
-    Returns (phi, lam). Divergence shows up as non-finite values that
-    callers check, so its warnings are noise.
+    Returns (phi, lam) and never writes its inputs. Divergence shows up as
+    non-finite values that callers check, so its warnings are noise.
+
+    Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
+    and phi' = phi + tau (b - L phi) in place, in the buffers of the flux
+    and of L phi, with every operation and operand order of those
+    expressions, so the bits are theirs. With only two edge-sized and two
+    node-sized allocations per step, a large grid's run does not return
+    heap pages to the system and fault them in again.
     """
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
             dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
-            lap = _net_outflow(lam * dphi, edges, len(phi))
+            flux = lam * dphi
+            step = _net_outflow(flux, edges, len(phi))
             if dual:
-                lam = np.maximum(0.0, lam + tau * (0.5 * dphi * dphi - half_c2))
-            phi = phi + tau * (b - lap)
+                np.multiply(0.5, dphi, out=flux)
+                flux *= dphi
+                flux -= half_c2
+                np.multiply(tau, flux, out=flux)
+                np.add(lam, flux, out=flux)
+                lam = np.maximum(0.0, flux, out=flux)
+            np.subtract(b, step, out=step)
+            np.multiply(tau, step, out=step)
+            phi = np.add(phi, step, out=step)
     return phi, lam
 
 

@@ -7,8 +7,6 @@ cell masses, adjacency, and the communication graph.
 """
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 
 class Partition:
@@ -123,6 +121,9 @@ def neighbor_graph(p, metric, radius=None):
 
 def is_connected(g):
     """Whether the agents that own cells lie in one connected component."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     nodes = np.nonzero(g.active)[0]
     if len(nodes) <= 1:
         return True

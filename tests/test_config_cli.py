@@ -4,6 +4,8 @@ The CLI tests run the installed entry point in a subprocess on tiny
 configurations, checking output schemas and byte-level determinism.
 """
 
+import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,12 +44,13 @@ output.record_every = 2
 """
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "swarm_ot", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -146,6 +149,37 @@ def test_pde_cli_writes_metrics(tmp_path):
     assert len(lines) == 7  # header + t=0 + five recorded of ten steps
     t_final = float(lines[-1].split(",")[0])
     assert t_final == pytest.approx(0.1)
+
+
+def test_pde_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 65k nodes a BLAS dot product splits its sum by thread count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mode = pde\ngrid.nx = 256\ngrid.ny = 256\ngrid.mode = on_the_fly_pd\n"
+        "grid.warm_start = true\ngrid.T = 0.002\n"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        res = run_cli("pde", "--config", str(cfg), "--out", str(out), env=env)
+        assert res.returncode == 0, res.stderr
+        digests.add(hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
+def test_a_pde_run_never_imports_scipy(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PDE_CFG + "grid.warm_start = true\n")  # runs the stationary solve
+    script = (
+        "import sys\n"
+        "from swarm_ot import cli\n"
+        f"assert cli.main(['pde', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_starting_at_the_target_keeps_v_at_zero(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
 from swarm_ot import DensityField, Domain, GridState, NeighborGraph, PotentialState, grid
-from swarm_ot.primal_dual import iterate, laplacian
+from swarm_ot.primal_dual import incidence, iterate, laplacian
 
 
 def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
@@ -148,9 +148,13 @@ def test_grid_steps_are_the_swarm_kernel(case, lam_fixed):
 @given(grid_cases(), st.floats(0.01, 0.999))
 def test_transport_step_conserves_mass(case, fraction):
     s, _ = case
-    # a dt below the positivity limit, so every drawn case takes the step
+    # a dt below the positivity limit, so every drawn case takes the step;
+    # a subnormal rate overflows that dt to inf, and the drawn dt is below
+    # the limit then
     rate = float(np.abs(laplacian(s.phi, s.lam, s.edges)).max(initial=0.0))
-    s.dt = fraction * s.rho.min() / rate if rate > 0 else s.dt
+    with np.errstate(over="ignore"):
+        dt = fraction * s.rho.min() / rate if rate > 0 else np.inf
+    s.dt = dt if np.isfinite(dt) else s.dt
     out = so.transport_step(s)
     assert abs(out.rho.sum() - s.rho.sum()) <= 1e-13
     assert np.all(out.rho > 0)
@@ -251,8 +255,8 @@ def record_by_two_passes(s, rho_star):
         float(s.lam.min()) if len(s.lam) else 0.0,
     )
     err = s.rho - rho_star
-    V = 0.5 * float(np.dot(err, err))
-    dual = 0.5 * float(np.dot(s.lam, grid.edge_diff(s.phi, s.edges) ** 2))
+    V = 0.5 * float(np.einsum("i,i->", err, err))
+    dual = 0.5 * float(np.einsum("i,i->", s.lam, grid.edge_diff(s.phi, s.edges) ** 2))
     return so.LyapunovReport(s.t, V, dual + V, kkt, abs(float(s.rho.sum()) - 1.0))
 
 
@@ -352,6 +356,62 @@ def test_steady_potentials_solve_stationarity_exactly():
     before = so.density_error(s, rho_star)
     out = so.transport_step(s)
     assert so.density_error(out, rho_star) == pytest.approx((1.0 - s.dt) * before, rel=1e-10)
+
+
+def sparse_steady_phi(s, rho_star):
+    """Reference stationary solve: the sparse Laplacian B^T B with node 0 pinned.
+
+    It solves for the mean-free imbalance: pinning node 0 would put the
+    mean, which no phi balances, on node 0 as a point source.
+    """
+    import scipy.sparse.linalg as spla
+
+    B = incidence(s.edges, len(s.rho))
+    b = s.rho - rho_star
+    phi = np.zeros(len(b))
+    if len(phi) > 1:
+        phi[1:] = spla.spsolve((B.T @ B)[1:, 1:].tocsc(), (b - b.mean())[1:])
+    return phi
+
+
+def check_steady_solve(s, rho_star):
+    phi, lam = so.steady_potentials(s, rho_star)
+    assert phi[0] == 0.0
+    np.testing.assert_array_equal(lam, np.ones(len(s.edges)))
+    s.phi, s.lam = phi, lam
+    b = s.rho - rho_star
+    # no phi balances the mean of b (the rounding in two sums to one), and
+    # no stored phi beats a few roundings of its largest entry: about 7e-13
+    # of max|b| on the 4096x2 grid
+    floor = abs(b.mean()) + 32 * np.finfo(float).eps * np.abs(phi).max()
+    assert so.stationarity(s, rho_star) <= 1e-12 * np.abs(b).max() + floor
+    ref = sparse_steady_phi(s, rho_star)
+    # max|b| joins the scale for an imbalance that is all mean: its phi is
+    # 0 up to rounding
+    assert np.abs(phi - ref).max() <= 1e-10 * (np.abs(ref).max() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (9, 5), (50, 50), (4096, 2)])
+def test_spectral_steady_solve_matches_the_sparse_solve(nx, ny):
+    rho = so.random_density(nx, ny, seed=3)
+    check_steady_solve(GridState(nx, ny, rho), np.full(nx * ny, 1.0 / (nx * ny)))
+    phi, _ = so.steady_potentials(GridState(nx, ny, rho), rho)
+    assert np.all(phi == 0.0)
+
+
+@st.composite
+def density_pairs(draw):
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rho, rho_star = (
+        draw(arrays(float, nx * ny, elements=st.floats(1e-3, 1.0))) for _ in range(2)
+    )
+    return GridState(nx, ny, rho / rho.sum()), rho_star / rho_star.sum()
+
+
+@settings(deadline=None, max_examples=100)
+@given(density_pairs())
+def test_spectral_steady_solve_on_random_shapes(case):
+    check_steady_solve(*case)
 
 
 def test_saturated_potentials_are_stationary_and_feasible():

@@ -81,22 +81,22 @@ CASES = {
         "metrics.csv": "e7da9852cb8bd2e33e2f1d0bb3e6d6db06967d6d11609e3fc55755f7e800ac8f",
     }),
     "pde_on_the_fly_pd_warm": (["pde"], pde("on_the_fly_pd") + "grid.warm_start = true\n", {
-        "metrics.csv": "a765d2557b978e22dc1e87d9d21dbd68bdc27e04a69a0bcd98aaa9f2150be81c",
+        "metrics.csv": "600b98b12a621c6bcf896fde73bbf1e4ea2085f0f311751e970998b564006488",
     }),
     "pde_on_the_fly_fixed": (["pde"], pde("on_the_fly_fixed"), {
-        "metrics.csv": "e76dd20cf6646cb9a946696e98e8549bd5d5238442522fef6d854bcdc75b9abd",
+        "metrics.csv": "68579dad5c27da591961ed4d92a23bbb974b66ca6f511a1f0e9ab012c863367e",
     }),
     "pde_inner_steady_state": (["pde"], pde("inner_steady_state"), {
-        "metrics.csv": "cf119d61844f287e97ca09ea2e0b5cf397acd0aad633aab28f79233022e91743",
+        "metrics.csv": "75ef42e150f9a7964e32baa1367a71f7a49360f57b8df4c9958c50a0136126a6",
     }),
     "pde_9x5_on_the_fly_pd": (["pde"], pde("on_the_fly_pd", PDE_9X5), {
         "metrics.csv": "70a46e5f737356acc1df8e586bbf7ca5337f71256408aa3d6c7a7aab921cc670",
     }),
     "pde_9x5_on_the_fly_fixed": (["pde"], pde("on_the_fly_fixed", PDE_9X5), {
-        "metrics.csv": "b4241ec89aa80bb25f18fb72c2b120bd176237cde6ce442ae67c8643ef34b014",
+        "metrics.csv": "5e52c329bfee19c538514cd63ccecfaf60ff8422948e9f94607fea33e6a5a67c",
     }),
     "pde_9x5_inner_steady_state": (["pde"], pde("inner_steady_state", PDE_9X5), {
-        "metrics.csv": "f112ab765fc1d203319573ed9d312c7ca607209d09fa5db5553feacfef9ffb36",
+        "metrics.csv": "d5a35912b5a9b056123729d7464dfa57ce47e0debfeeea4480c86d7e6d999e95",
     }),
     "fig2": (["fig", "2"], AGENTS, {
         "fig2_n1.csv": "309f0feefc8914d1e9a4cc8888ac2add0a03b00bef66b15ce7b09874b303b9cc",
@@ -107,20 +107,20 @@ CASES = {
         "fig3.csv": "8bc3cd07f45e78312ab7d457612afb5db35a20eb1d5605889f8ae985d24d8d9f",
     }),
     "fig4": (["fig", "4"], PDE, {
-        "fig4_density.csv": "7a0e3a90b7180fab0b4851beb01905d4043f55d7ca826615a2f292cd9e611526",
-        "fig4_metrics.csv": "cf119d61844f287e97ca09ea2e0b5cf397acd0aad633aab28f79233022e91743",
+        "fig4_density.csv": "c38c35b2dafbd9ed5e54deaeaeccf0379d77dfc43447ecc5282ef68d4787db92",
+        "fig4_metrics.csv": "75ef42e150f9a7964e32baa1367a71f7a49360f57b8df4c9958c50a0136126a6",
     }),
     "fig5": (["fig", "5"], PDE, {
-        "fig5_n1.csv": "9812d02815a4e7001beed9d06e6e512803f7b29d3d8c614b57a2d69abcb28c4f",
-        "fig5_n2.csv": "67630a1aea7aa4824c24be80be942728d65daf2ed70dcbb8a2ba0da492d39b3c",
-        "fig5_n5.csv": "2b95a834d59beaaf71498afc1ee86c5abff58fdb674efcb77646a7650a8f137a",
-        "fig5_n10.csv": "e371b510b739f40ec468c1fcd6c462f549667e7c2761a11b997744c8b50c675c",
+        "fig5_n1.csv": "6c47cc953834022a6aa74d78c71b681ef220e2f12deb0ab9df06931b6aa53be6",
+        "fig5_n2.csv": "4bf61d9cc65b95e251e1fafca631269b089b65248a5007bc5c8c8222f73b682a",
+        "fig5_n5.csv": "451a18b6522439dbca89c95d65c625749540b95f16e12a94bc6976488ca172e6",
+        "fig5_n10.csv": "1dbe480f07e7e965492ea0f437d1e7a9f138b0d888597250f9768d158b872cf9",
     }),
     "fig6": (["fig", "6"], PDE, {
-        "fig6_n1.csv": "74e4b23254dbafadf82d927d46e3ae81248c7c375cb678dcd169e8590da353bb",
-        "fig6_n2.csv": "369381c2d5538431122df8ad5fff5f3d510a9dd33f0fbdd8a89d603aa0c718bf",
-        "fig6_n5.csv": "41d6cbffc5b83abc13f5a53cf67612583bd0f8b49abd1f278a0b71636afa35ba",
-        "fig6_n10.csv": "705827e7c5426ba0526fff6ac7791d20eaf28051f67663f66714a5611e699fff",
+        "fig6_n1.csv": "1431a87b6e41ec1fdc0c935849bc08280e9dd1b9e6bdd3c0c57f003223eee24f",
+        "fig6_n2.csv": "83416583df39e06eabd53ff00afec23361b66b71a62a2a8dc9851e614d14a58d",
+        "fig6_n5.csv": "282e3b980937587ecc7195f8b8430b16922733361cc1c2d184cf972bbe650acc",
+        "fig6_n10.csv": "35c1e1d22b1f7fc1b17dcbe161c5020b7879ba8396dfa6eca66de084f3923f38",
     }),
 }
 

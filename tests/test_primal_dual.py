@@ -10,10 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
 from swarm_ot import NeighborGraph, PotentialState
-from swarm_ot.primal_dual import incidence, laplacian
+from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, incidence, iterate, laplacian
 
 
 def two_node_graph(cost=1.0):
@@ -60,6 +62,46 @@ def test_single_step_matches_hand_computation():
     out = so.run_pd(s, b, g, tau=1.0, n=1)
     np.testing.assert_allclose(out.phi, [0.2, -0.2])
     np.testing.assert_array_equal(out.lam, 0.0)
+
+
+def iterate_by_expressions(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
+    """Reference kernel: each update as one expression of fresh arrays."""
+    for _ in range(n_steps):
+        dphi = edge_diff(phi, edges)
+        lap = _net_outflow(lam * dphi, edges, len(phi))
+        if dual:
+            lam = np.maximum(0.0, lam + tau * (0.5 * dphi * dphi - half_c2))
+        phi = phi + tau * (b - lap)
+    return phi, lam
+
+
+@st.composite
+def kernel_cases(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = nx * ny
+    edges = grid_edges(nx, ny)
+    if draw(st.booleans()):  # the same edges as a plain (gather and bincount) list
+        edges = np.asarray(edges)[draw(st.permutations(range(len(edges))))]
+        edges = edges.reshape(-1, 2)
+    finite = st.floats(-10.0, 10.0)
+    phi = draw(arrays(float, n, elements=finite))
+    lam = draw(arrays(float, len(edges), elements=st.floats(0.0, 10.0)))
+    b = draw(arrays(float, n, elements=finite))
+    return phi, lam, b, edges, draw(st.floats(0.0, 2.0)), draw(st.floats(1e-4, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_cases(), st.integers(1, 3), st.booleans())
+def test_in_place_kernel_has_the_bits_of_the_expressions(case, n_steps, dual):
+    phi, lam, b, edges, half_c2, tau = case
+    inputs = [a.copy() for a in (phi, lam, b)]
+    got = iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual)
+    with np.errstate(all="ignore"):
+        want = iterate_by_expressions(phi, lam, b, edges, half_c2, tau, n_steps, dual)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for a, before in zip((phi, lam, b), inputs):  # the inputs are never written
+        assert a.tobytes() == before.tobytes()
 
 
 def test_second_step_uses_one_snapshot_for_both_updates():
