@@ -4,9 +4,28 @@ Ownership is raster Voronoi: every quadrature cell belongs to the
 nearest site, ties to the lowest index. Two agents are neighbors when
 their cells share a 4-adjacent cell boundary; the same structure serves
 cell masses, adjacency, and the communication graph.
+
+The partition is exact, not approximate: a running-minimum scan over
+the sites in index order, where each site scans only the window of
+grid tiles on which it may be nearest. A site is culled from a tile
+only when its smallest possible squared distance there exceeds another
+site's largest. Both bounds are sums of the scan's own squared offsets,
+and rounded addition is monotone, so a culled site loses every cell of
+the tile strictly; a site whose bound ties is kept (`<=`), and the scan
+gives ties to the lowest index. The owners are therefore those of the
+dense N x M argmin bit for bit. For N sites on M = nx * ny cells the
+scan needs O(M + N * (nx + ny) + N * M / TILE**2) memory, never an
+N x M table. Spread-out sites scan a few tiles each; a tight cluster,
+whose windows span the grid, costs what the full O(N * M) scan costs.
+
+Connectivity is plain numpy label propagation, so an agent run never
+imports scipy.
 """
 
 import numpy as np
+
+# cells per side of the tiles on which `build_partition` culls sites
+TILE = 16
 
 
 class Partition:
@@ -57,9 +76,8 @@ def build_partition(sites, metric, domain, q):
     irrelevant to the argmin.
 
     The sites are scanned one at a time against a running minimum over
-    the quadrature's tensor grid: O(N*M) time and O(M) memory for N
-    sites and M cells. A site takes a cell only when strictly closer
-    than every earlier site, which keeps ties at the lowest index.
+    the quadrature's tensor grid. A site takes a cell only when strictly
+    closer than every earlier site, which keeps ties at the lowest index.
 
     Each site's squared-distance table is one K = 2 matrix product,
     `[dy**2, 1] @ [1; dx**2]`, which fills the table faster than a
@@ -67,6 +85,25 @@ def build_partition(sites, metric, domain, q):
     products by one are exact, so each entry is one rounded addition
     whether or not the product is fused, and addition commutes. The
     owners therefore do not depend on the BLAS the product runs on.
+
+    Each site scans only a window of the grid. The grid is cut into
+    TILE x TILE tiles (partial at the far edges). On each tile, a site's
+    lower bound is its smallest `dy**2` there plus its smallest `dx**2`,
+    and its upper bound the largest plus the largest. Rounded addition is
+    monotone, so each of the site's table entries on the tile lies
+    between the two. A site is a candidate on a tile when its lower bound
+    is `<=` the smallest upper bound of all sites there; any other site
+    is strictly farther, on every cell of the tile, than the site with
+    that upper bound, so it can neither win a cell nor tie for one, and
+    leaving it out changes no owner. A site scans the bounding rectangle
+    of its candidate tiles, in index order with the others, so the owners
+    equal those of the full scan bit for bit, ties included.
+
+    For N sites on M = nx * ny cells, the bounds take O(N * M / TILE**2)
+    time and memory and the squared offsets O(N * (nx + ny)). The scan
+    takes O(M) memory and time proportional to the windows' total area:
+    a few tiles per site when sites are spread out, up to the full
+    O(N * M) for a tight cluster, whose windows span the grid.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.ndim != 2 or sites.shape[1] != 2:
@@ -76,20 +113,46 @@ def build_partition(sites, metric, domain, q):
     if not np.all(np.isfinite(sites)):
         raise ValueError("sites must be finite")
     sites = domain.clamp(sites)
-    shape = (q.ny, q.nx)
-    best = np.full(shape, np.inf)
-    owner = np.zeros(shape, dtype=np.int64)
-    d2 = np.empty(shape)
-    closer = np.empty(shape, dtype=bool)
+    ty, tx = -(-q.ny // TILE), -(-q.nx // TILE)
+    # squared offsets of every site, one column each, over whole tiles: the
+    # far edge tiles repeat their last row or column, which leaves every
+    # tile's minimum and maximum as they are
+    dy2 = (q.ys[np.minimum(np.arange(ty * TILE), q.ny - 1), None] - sites[:, 1]) ** 2
+    dx2 = (q.xs[np.minimum(np.arange(tx * TILE), q.nx - 1), None] - sites[:, 0]) ** 2
+    dy2t, dx2t = dy2.reshape(ty, TILE, -1), dx2.reshape(tx, TILE, -1)
+    # (ty, tx, N) bounds on the sums dy**2 + dx**2 over each tile's cells
+    lower = dy2t.min(axis=1)[:, None] + dx2t.min(axis=1)[None, :]
+    upper = dy2t.max(axis=1)[:, None] + dx2t.max(axis=1)[None, :]
+    candidate = lower <= upper.min(axis=2, keepdims=True)
+    windows = np.column_stack([_span(candidate.any(axis=1), q.ny), _span(candidate.any(axis=0), q.nx)])
+    best = np.full((q.ny, q.nx), np.inf)
+    owner = np.zeros((q.ny, q.nx), dtype=np.int64)
+    d2 = np.empty(q.n_cells)
+    closer = np.empty(q.n_cells, dtype=bool)
     rows, cols = np.ones((q.ny, 2)), np.ones((2, q.nx))
-    for i, (sx, sy) in enumerate(sites):
-        rows[:, 0] = (q.ys - sy) ** 2
-        cols[1] = (q.xs - sx) ** 2
-        np.matmul(rows, cols, out=d2)
-        np.less(d2, best, out=closer)
-        np.copyto(owner, i, where=closer)
-        np.minimum(best, d2, out=best)
+    for i, (y0, y1, x0, x1) in enumerate(windows.tolist()):
+        h, w = y1 - y0, x1 - x0
+        r, c = rows[:h], cols[:, :w]
+        r[:, 0] = dy2[y0:y1, i]
+        c[1] = dx2[x0:x1, i]
+        d, near = d2[: h * w].reshape(h, w), closer[: h * w].reshape(h, w)
+        b = best[y0:y1, x0:x1]
+        np.matmul(r, c, out=d)
+        np.less(d, b, out=near)
+        np.copyto(owner[y0:y1, x0:x1], i, where=near)
+        np.minimum(b, d, out=b)
     return Partition(sites, owner.ravel(), q)
+
+
+def _span(hit, size):
+    """Cell ranges [start, stop) of each site's hit tiles along one axis.
+
+    `hit` is (tiles, N). A site's range runs from its first to its last
+    hit tile, clipped to `size`; it is the empty (0, 0) if none is hit.
+    """
+    first = np.argmax(hit, axis=0)
+    stop = np.minimum((len(hit) - np.argmax(hit[::-1], axis=0)) * TILE, size)
+    return np.where(hit.any(axis=0), [first * TILE, stop], 0).T
 
 
 def neighbor_graph(p, metric, radius=None):
@@ -120,15 +183,30 @@ def neighbor_graph(p, metric, radius=None):
 
 
 def is_connected(g):
-    """Whether the agents that own cells lie in one connected component."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    """Whether the agents that own cells lie in one connected component.
 
-    nodes = np.nonzero(g.active)[0]
+    Without a `radius`, `neighbor_graph` is connected by construction:
+    every quadrature cell has an owner and the 4-neighbor grid is
+    connected, so a grid path between two owned cells crosses owner
+    boundaries only along graph edges. Only `radius` can disconnect it.
+
+    Components are labeled by min-label propagation: each node takes the
+    smallest label among itself and its neighbors, then its label's
+    label (pointer jumping), until nothing changes. Labels only fall and
+    stay within a node's component, and at the fixed point both ends of
+    every edge agree, so each component carries one label of its own.
+    """
+    nodes = np.flatnonzero(g.active)
     if len(nodes) <= 1:
         return True
-    adjacency = sp.coo_matrix(
-        (np.ones(len(g.edges)), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n)
-    )
-    _, labels = connected_components(adjacency, directed=False)
-    return bool(np.all(labels[nodes] == labels[nodes[0]]))
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    label = np.arange(g.n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    return bool(np.all(label[nodes] == label[nodes[0]]))

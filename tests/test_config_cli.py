@@ -182,6 +182,22 @@ def test_a_pde_run_never_imports_scipy(tmp_path):
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("command", [["agents"], ["fig", "2"]], ids=["agents", "fig2"])
+def test_an_agent_run_never_imports_scipy(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(AGENTS_CFG)
+    argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from swarm_ot import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_starting_at_the_target_keeps_v_at_zero(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(PDE_CFG + "grid.rho0 = target\n")
