@@ -23,10 +23,10 @@ from .grid import (
     coupled_states,
     density_error,
     density_on_grid,
-    lyapunov,
     random_density,
     run_coupled,
     saturated_potentials,
+    step_count,
 )
 from .primal_dual import converge_pd, dual_objective, feasibility_violation, mass_imbalance, zero_state
 from .rng import STREAM_ORACLE, STREAM_TARGET, SplitMix64, derive
@@ -137,17 +137,21 @@ def _pde_state(cfg, warm_start=None):
     return state, rho_star
 
 
-def run_pde(cfg, out_dir):
-    state, rho_star = _pde_state(cfg)
-    reports, final = run_coupled(
-        state,
-        rho_star,
-        cfg.grid_mode,
-        inner_n=cfg.grid_inner,
+def _grid_loop_args(cfg):
+    """Keywords of the grid loop (`run_coupled`, `coupled_states`) that
+    every grid command takes from the config."""
+    return dict(
         horizon=cfg.grid_horizon,
         lam_fixed=cfg.grid_lam_fixed,
         inner_tol=cfg.grid_inner_tol,
         record_every=cfg.record_every,
+    )
+
+
+def run_pde(cfg, out_dir):
+    state, rho_star = _pde_state(cfg)
+    reports, final = run_coupled(
+        state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
     )
     write_csv(out_dir / "metrics.csv", PDE_HEADER, _pde_rows(reports))
     print(
@@ -226,28 +230,25 @@ def run_fig(cfg, number, out_dir):
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], rows)
             print("fig 3: wrote fig3.csv")
         return 0
-    # figures 4-6 take one pass per curve over the coupled states and
-    # record the reports that `pde` records for the same config
-    steps = int(round(cfg.grid_horizon / cfg.grid_dt))
-
-    def recorded(step):
-        return step % cfg.record_every == 0 or step == steps
-
+    # figures 4-6 record through the grid loop of `pde`: fig 4 is one
+    # `pde` run plus density snapshots, figs 5 and 6 one run per curve
     if number == 4:
         state, rho_star = _pde_state(cfg)
+        steps = step_count(cfg.grid_horizon, state.dt)
         snap_steps = {round(k * steps / 4) for k in range(5)}
         states = coupled_states(
-            state, rho_star, cfg.grid_mode, cfg.grid_inner, cfg.grid_lam_fixed, cfg.grid_inner_tol
+            state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
         )
         reports, snap_rows = [], []
-        for step, s in zip(range(steps + 1), states):
-            if recorded(step):
-                reports.append(lyapunov(s, rho_star))
+        for step, (s, report) in enumerate(states):
+            if report is not None:
+                reports.append(report)
             if step in snap_steps:
                 snap_rows += [
                     [s.t, *s.node_xy(i), rho, star]
                     for i, (rho, star) in enumerate(zip(s.rho.tolist(), rho_star.tolist()))
                 ]
+            del s  # dropped before the next step and record: see grid.coupled_states
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
         write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports))
         print("fig 4: wrote fig4_density.csv fig4_metrics.csv")
@@ -261,16 +262,12 @@ def run_fig(cfg, number, out_dir):
     state, rho_star = _pde_state(cfg, warm_start=(number == 5))
     written = []
     for n in (1, 2, 5, 10):
-        states = coupled_states(state, rho_star, mode, n, cfg.grid_lam_fixed, cfg.grid_inner_tol)
-        reports = []
         halted = False
         try:
-            for step, s in zip(range(steps + 1), states):
-                if recorded(step):
-                    reports.append(lyapunov(s, rho_star))
+            reports, _ = run_coupled(state, rho_star, mode, inner_n=n, **_grid_loop_args(cfg))
         except PositivityError as exc:
-            print(f"fig {number}: n={n} stopped after t={s.t:.4f}: {exc}")
-            halted = True
+            print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
+            reports, halted = exc.reports, True
         name = f"fig{number}_n{n}.csv"
         rows = [[r.t, float(np.sqrt(2.0 * r.V))] + _pde_rows([r])[0][1:] for r in reports]
         write_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:], rows)

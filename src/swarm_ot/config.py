@@ -2,10 +2,12 @@
 
 The format is one `section.key = value` assignment per line with `#`
 comments; vector values are whitespace-separated numbers, and lists of
-vectors use `;` between items. Unknown keys are rejected so typos fail
-loudly, and every error names the key and line it came from.
+vectors use `;` between items. Every number must be finite. Unknown
+keys are rejected so typos fail loudly, and every error names the key
+and line it came from.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +65,11 @@ def _parse_int(text):
 
 
 def _parse_float(text):
-    return float(text)
+    """A finite float: inf and nan are malformed for every key."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _parse_bool(text):
@@ -75,7 +81,7 @@ def _parse_bool(text):
 def _parse_vectors(text):
     """Parse `a b; c d; ...` into a list of float arrays."""
     items = [part.strip() for part in text.split(";") if part.strip()]
-    return [np.array([float(tok) for tok in item.split()]) for item in items]
+    return [np.array([_parse_float(tok) for tok in item.split()]) for item in items]
 
 
 def _positive(value):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarm_ot import ConfigError, PositivityError, cli, grid, load_config
+from swarm_ot import ConfigError, PositivityError, cli, config, grid, load_config
 
 AGENTS_CFG = """\
 # agent quantization run
@@ -101,6 +101,30 @@ def test_malformed_and_out_of_range_values_name_the_key():
         load_config("transport.N = 1\n")
     with pytest.raises(ConfigError, match="key 'mode' must be one of"):
         load_config("mode = agent\n")
+
+
+FLOAT_KEYS = [key for key, (_, parse, _, _) in config._KEYS.items() if parse is config._parse_float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_are_malformed_for_every_key(key):
+    for value in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError, match=f"line 2: key '{key}' has malformed value"):
+            load_config(f"seed = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match="key 'target.covariances' has malformed value"):
+        load_config("target.covariances = 0.05 0 0 inf\n")
+
+
+@pytest.mark.parametrize("command", [["pde"], ["fig", "4"]])
+def test_an_infinite_horizon_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = pde\ngrid.nx = 4\ngrid.ny = 4\ngrid.T = inf\n")
+    assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: line 4: key 'grid.T'" in capsys.readouterr().err
+    # past the config file, the grid loop's step count rejects it too
+    unchecked = config.ExperimentConfig(mode="pde", grid_nx=4, grid_ny=4, grid_horizon=np.inf)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        cli.run_fig(unchecked, 4, tmp_path)
 
 
 def test_missing_assignment_and_comments():
@@ -258,6 +282,7 @@ def test_inner_steady_state_with_dt_above_one_is_an_error(tmp_path):
     assert "error:" in res.stderr and "dt <= 1" in res.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_density_stops_pde_and_marks_fig6_partial(tmp_path, capsys):
     # a huge fixed multiplier overflows phi to inf, and inf - inf is NaN
     cfg = tmp_path / "run.cfg"
@@ -424,3 +449,47 @@ def test_fig4_is_one_pde_run_with_its_last_snapshot_at_the_horizon(tmp_path, mod
     times = sorted(set(density[:, 0]))
     assert len(times) == 5 and times[0] == 0.0
     assert times[-1] == pytest.approx(float(horizon), abs=1e-12)
+
+
+# a natural positivity stop: n = 1 of fig 5 stops after step 473
+PARTIAL_CFG = """\
+mode = pde
+grid.nx = 20
+grid.ny = 20
+grid.dt = 1e-3
+grid.T = 0.5
+target.means = 0.5 0.5
+target.covariances = 0.05 0 0 0.05
+output.record_every = 7
+grid.n = 2
+"""
+
+
+@pytest.mark.parametrize("number, mode", [(5, "on_the_fly_pd"), (6, "on_the_fly_fixed")])
+def test_fig5_and_fig6_curves_are_pde_runs(tmp_path, number, mode):
+    cfg = tmp_path / "run.cfg"
+    # fig 5 warm-starts its curves, fig 6 does not
+    warm = "grid.warm_start = true\n" if number == 5 else ""
+    cfg.write_text(PARTIAL_CFG + f"grid.mode = {mode}\n" + warm)
+    assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "pde")]) == 0
+    assert cli.main(["fig", str(number), "--config", str(cfg), "--out", str(tmp_path / "fig")]) == 0
+    curve = (tmp_path / "fig" / f"fig{number}_n2.csv").read_text().splitlines()
+    rows = [line.split(",") for line in curve]
+    without_error = "".join(",".join(row[:1] + row[2:]) + "\n" for row in rows)
+    assert without_error == (tmp_path / "pde" / "metrics.csv").read_text()
+    assert len(rows) == 1 + 73
+
+
+@pytest.mark.parametrize("number", [5, 6])
+def test_fig5_and_fig6_make_one_run_per_curve(tmp_path, monkeypatch, number):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = pde\ngrid.nx = 4\ngrid.ny = 4\ngrid.dt = 1e-2\ngrid.T = 0.03\n")
+    real, curves = cli.run_coupled, []
+
+    def counted(*args, **kwargs):
+        curves.append(kwargs["inner_n"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_coupled", counted)
+    assert cli.main(["fig", str(number), "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert curves == [1, 2, 5, 10]

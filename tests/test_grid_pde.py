@@ -6,6 +6,8 @@ potential gap saturates at 1 and the multiplier settles at 0.2), so
 every operator can be checked against explicit numbers.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -496,6 +498,67 @@ def test_run_coupled_rejects_record_every_below_one(record_every):
     with pytest.raises(ValueError, match="record_every"):
         so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1,
                        record_every=record_every)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, -1.0, np.inf])
+def test_run_coupled_rejects_horizons_without_a_step_count(horizon):
+    # NaN and inf have no step count, and a negative horizon would give
+    # a run without even its t = 0 record
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=horizon)
+
+
+def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
+    real, calls = grid.transport_step, []
+
+    def fail_fifth_step(s):
+        calls.append(None)
+        if len(calls) == 5:
+            raise so.PositivityError("injected stop")
+        return real(s)
+
+    monkeypatch.setattr(grid, "transport_step", fail_fifth_step)
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    with pytest.raises(so.PositivityError) as info:
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1, record_every=3)
+    # steps 1-4 completed; records at steps 0 and 3
+    assert info.value.t == pytest.approx(0.04)
+    assert [r.t for r in info.value.reports] == pytest.approx([0.0, 0.03])
+
+
+def test_run_coupled_frees_each_state_before_the_next_record(monkeypatch):
+    # a state that outlives the next record pins its arrays while the
+    # record allocates, and a large grid then faults pages in every step
+    real, seen, alive = grid.lyapunov, [], []
+
+    def checked(s, rho_star):
+        alive.append(sum(ref() is not None for ref in seen))
+        seen.append(weakref.ref(s))
+        return real(s, rho_star)
+
+    monkeypatch.setattr(grid, "lyapunov", checked)
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", inner_n=2, horizon=0.05)
+    assert alive == [0] * 6
+
+
+def test_the_grid_loop_records_by_its_rule_and_keeps_errstate_to_itself():
+    # numpy's errstate is a context variable: one held across a yield
+    # would silence the code that iterates the loop
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    states = so.coupled_states(
+        s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1, record_every=4
+    )
+    recorded = []
+    with np.errstate(all="raise"):
+        for step, (state, report) in enumerate(states):
+            assert set(np.geterr().values()) == {"raise"}
+            if report is not None:
+                assert report.t == state.t
+                recorded.append(step)
+    assert recorded == [0, 4, 8, 10]
+    assert state.t == pytest.approx(0.1)
 
 
 def test_inner_steady_state_keeps_stationarity_machine_small():

@@ -60,6 +60,20 @@ output.record_every = 10
 PDE_9X5 = PDE.replace("grid.nx = 8", "grid.nx = 9").replace("grid.ny = 8", "grid.ny = 5")
 
 
+# a positivity stop that the dynamics reach on their own: n = 1 stops
+# after step 473, between two records, and keeps 68 of its 73 rows
+FIG5_PARTIAL = """\
+mode = pde
+grid.nx = 20
+grid.ny = 20
+grid.dt = 1e-3
+grid.T = 0.5
+target.means = 0.5 0.5
+target.covariances = 0.05 0 0 0.05
+output.record_every = 7
+"""
+
+
 def pde(mode, base=PDE):
     return base + f"grid.mode = {mode}\n"
 
@@ -122,6 +136,21 @@ CASES = {
         "fig6_n5.csv": "282e3b980937587ecc7195f8b8430b16922733361cc1c2d184cf972bbe650acc",
         "fig6_n10.csv": "35c1e1d22b1f7fc1b17dcbe161c5020b7879ba8396dfa6eca66de084f3923f38",
     }),
+    "fig5_partial": (["fig", "5"], FIG5_PARTIAL, {
+        "fig5_n1.csv": "d8b2b6a30606aced326a173fe415280eb8db1a850f5269d65a72e7d5a0dd890a",
+        "fig5_n2.csv": "404328791c69095e46151818f719d805ad5e234cfe8155c28251e4c7d6351c1f",
+        "fig5_n5.csv": "52def7bd1f2c73675cfda9b717f3cbdc2793bcfd54617b37066cbd271069f04c",
+        "fig5_n10.csv": "1924cad85f0f32f180d63cbf2342426424fcb988753598c09569caa472d38409",
+    }),
+}
+
+# the stdout of cases whose console output is part of the result
+STDOUT = {
+    "fig5_partial": (
+        "fig 5: n=1 stopped after t=0.4730: transport step made the density "
+        "nonpositive or NaN at node (4,9); reduce dt\n"
+        "fig 5: wrote fig5_n1.csv (partial) fig5_n2.csv fig5_n5.csv fig5_n10.csv\n"
+    ),
 }
 
 
@@ -136,9 +165,11 @@ def run_case(args, config, tmp_path):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_seeded_output_matches_recorded_digest(name, tmp_path):
+def test_seeded_output_matches_recorded_digest(name, tmp_path, capsys):
     args, config, expected = CASES[name]
     assert run_case(args, config, tmp_path) == expected
+    if name in STDOUT:
+        assert capsys.readouterr().out == STDOUT[name]
 
 
 # stdout of `oracle-check` on the first 3 seed-0 instances
