@@ -128,6 +128,14 @@ def _pde_state(cfg, warm_start=None):
     target = build_target(cfg, domain, cfg.seed)
     rho_star = density_on_grid(target, cfg.grid_nx, cfg.grid_ny, domain)
     if cfg.grid_rho0 == "target":
+        zero = np.flatnonzero(~(rho_star > 0))
+        if len(zero):
+            x, y = int(zero[0]) % cfg.grid_nx, int(zero[0]) // cfg.grid_nx
+            raise ConfigError(
+                f"grid.rho0 = target needs a strictly positive target, but it is 0 at node "
+                f"({x},{y}) of the {cfg.grid_nx}x{cfg.grid_ny} grid; widen the target or use "
+                "grid.rho0 = random"
+            )
         rho0 = rho_star.copy()
     else:
         rho0 = random_density(cfg.grid_nx, cfg.grid_ny, cfg.seed)
@@ -143,7 +151,6 @@ def _grid_loop_args(cfg):
     return dict(
         horizon=cfg.grid_horizon,
         lam_fixed=cfg.grid_lam_fixed,
-        inner_tol=cfg.grid_inner_tol,
         record_every=cfg.record_every,
     )
 

@@ -50,7 +50,6 @@ class ExperimentConfig:
     grid_cost: float = 1.0
     grid_rho0: str = "random"
     grid_warm_start: bool = False
-    grid_inner_tol: float = 1e-8
     record_every: int = 1
     out_dir: str = "."
 
@@ -125,7 +124,6 @@ _KEYS = {
         "one of ('random', 'target')",
     ),
     "grid.warm_start": ("grid_warm_start", _parse_bool, None, None),
-    "grid.inner_tol": ("grid_inner_tol", _parse_float, _positive, "positive"),
     "output.record_every": ("record_every", _parse_int, _positive, "positive"),
     "output.dir": ("out_dir", str, None, None),
 }

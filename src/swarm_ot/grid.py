@@ -12,7 +12,7 @@ transport and stationarity use its operator `laplacian`. The grid's edge
 list comes from `grid_edges` and knows its shape, so the kernel runs on
 it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
 agent graph. A state computes L phi at most once (`GridState.lap_phi`),
-and the record, the stationarity guard and the transport step share it.
+and the record and the transport step share it.
 A record takes the state's edge differences once, and its sums are
 `einsum` reductions, which unlike BLAS dot products give the same bits
 under any thread count.
@@ -24,7 +24,8 @@ fig 4 reads its density snapshots off the same loop.
 
 The stationary solve with unit multipliers needs no sparse solver: the
 2-D DCT-II diagonalizes the grid's Laplacian (Neumann boundary), so it
-is a closed-form spectral solve by FFT in numpy alone.
+is a closed-form spectral solve by FFT in numpy alone. It is the whole
+inner solve of inner_steady_state, which never iterates.
 """
 
 import copy
@@ -121,17 +122,15 @@ class LyapunovReport:
     mass_error: float
 
 
-def pd_flow_step(s, rho_star, dt=None):
-    """One explicit Euler step of the primal-dual flow (rho untouched).
+def pd_flow_step(s, rho_star):
+    """One explicit Euler step, of length s.dt, of the primal-dual flow (rho untouched).
 
     phi ascends the divergence of lam grad phi plus the imbalance;
     lam follows the constraint violation with the rate projected so
-    multipliers never leave the nonnegative cone. dt defaults to the
-    state's dt; inner solvers may pass a larger relaxation step.
+    multipliers never leave the nonnegative cone.
     """
-    h = s.dt if dt is None else float(dt)
     out = copy.copy(s)
-    out.phi, out.lam = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, h, 1)
+    out.phi, out.lam = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, 1)
     return out
 
 
@@ -252,8 +251,8 @@ def steady_potentials(s, rho_star):
     (2 - 2 cos(pi k / nx)) + (2 - 2 cos(pi l / ny)) at mode (k, l), so
     the solve transforms the imbalance, divides by the eigenvalues with
     the constant mode set to 0, and transforms back: O(nx ny log(nx ny)) time
-    and O(nx ny) memory. Used to start inner_steady_state runs at
-    stationarity instead of integrating the slow primal-dual ramp-up.
+    and O(nx ny) memory. The pair inner_steady_state starts from and
+    keeps, in place of integrating the slow primal-dual ramp-up.
     """
     b = (s.rho - rho_star).reshape(s.ny, s.nx)
     c = _dct(_dct(b).T)  # (nx, ny): mode (k, l) at [k, l]
@@ -283,12 +282,6 @@ def saturated_potentials(s, rho_star):
     return phi / scale, lam * scale
 
 
-# inner_steady_state: relaxation step and per-transport-step budget of
-# the inner primal-dual flow
-INNER_DT = 0.2
-INNER_CAP = 500_000
-
-
 def step_count(horizon, dt):
     """Outer steps of a run to `horizon`: round(horizon / dt).
 
@@ -301,16 +294,7 @@ def step_count(horizon, dt):
     return int(round(steps))
 
 
-def coupled_states(
-    s,
-    rho_star,
-    mode,
-    inner_n=1,
-    horizon=1.0,
-    lam_fixed=1.0,
-    inner_tol=1e-8,
-    record_every=1,
-):
+def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
     """The one grid loop: (state, report) from t = 0 to the horizon.
 
     Yields the initialized state, then the state after each of
@@ -321,16 +305,15 @@ def coupled_states(
     Modes:
       on_the_fly_pd     - inner_n primal-dual flow steps per transport step
       on_the_fly_fixed  - inner_n primal-only steps with lam == lam_fixed
-      inner_steady_state- converge the primal-dual flow to stationarity
-                          <= inner_tol before every transport step
+      inner_steady_state- the inner flow held at its stationary point
 
-    inner_steady_state starts from a directly computed stationary pair
-    and relaxes with its own inner step INNER_DT, independent of the
-    transport dt, for at most INNER_CAP steps per transport step (a
-    RuntimeError past that). After each transport step the multipliers
-    are rescaled by (1 - dt), which restores stationarity exactly and
-    keeps the inner loop cheap; a dt above 1 would make them negative,
-    so this mode rejects it (a ValueError).
+    inner_steady_state takes no inner steps. It starts from the
+    closed-form stationary pair of `steady_potentials`, and after each
+    transport step, which scales the imbalance by (1 - dt), it rescales
+    the multipliers by (1 - dt) too, which keeps the pair stationary
+    exactly (records show kkt stationarity near 1e-16). A dt above 1
+    would make the multipliers negative, so this mode rejects it (a
+    ValueError).
 
     A diverging run shows up as a non-finite density, which the
     positivity check of `transport_step` stops, so each outer step and
@@ -351,9 +334,10 @@ def coupled_states(
     modes = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}")
-    if mode != "inner_steady_state" and inner_n < 1:
+    steady = mode == "inner_steady_state"
+    if not steady and inner_n < 1:
         raise ValueError("on-the-fly modes need at least one inner step")
-    if mode == "inner_steady_state" and s.dt > 1:
+    if steady and s.dt > 1:
         raise ValueError("inner_steady_state needs dt <= 1: it rescales multipliers by 1 - dt")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -364,32 +348,19 @@ def coupled_states(
         if not lam_fixed > 0:
             raise ValueError("fixed dual weight must be positive")
         s.lam = np.full(len(s.edges), float(lam_fixed))
-    if mode == "inner_steady_state":
+    if steady:
         s.phi, s.lam = steady_potentials(s, rho_star)
+        inner_n = 0
+    inner_step = pd_flow_step if mode == "on_the_fly_pd" else relaxed_primal_step
 
     yield s, lyapunov(s, rho_star)
     for step in range(1, steps + 1):
         prev = s  # released just before the record: see the docstring
         with np.errstate(all="ignore"):
-            if mode == "on_the_fly_pd":
-                for _ in range(inner_n):
-                    s = pd_flow_step(s, rho_star)
-            elif mode == "on_the_fly_fixed":
-                for _ in range(inner_n):
-                    s = relaxed_primal_step(s, rho_star)
-            else:
-                used = 0
-                while stationarity(s, rho_star) > inner_tol:
-                    if used >= INNER_CAP:
-                        raise RuntimeError(
-                            f"inner solver hit the iteration cap at t={s.t:.6f}"
-                        )
-                    s = pd_flow_step(s, rho_star, dt=INNER_DT)
-                    used += 1
+            for _ in range(inner_n):
+                s = inner_step(s, rho_star)
             s = transport_step(s)
-            if mode == "inner_steady_state":
-                # transport scaled the imbalance by (1 - dt); scaling the
-                # multipliers the same way preserves stationarity exactly
+            if steady:
                 s.lam = s.lam * (1.0 - s.dt)
             del prev
             recorded = step % record_every == 0 or step == steps
@@ -398,16 +369,7 @@ def coupled_states(
     return s
 
 
-def run_coupled(
-    s,
-    rho_star,
-    mode,
-    inner_n=1,
-    horizon=1.0,
-    lam_fixed=1.0,
-    inner_tol=1e-8,
-    record_every=1,
-):
+def run_coupled(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
     """Run `coupled_states` to the horizon and collect its reports.
 
     Returns (reports, final_state): one LyapunovReport at t = 0, at
@@ -416,7 +378,13 @@ def run_coupled(
     taken before the stop, and `t`, the time of the last completed step.
     """
     states = coupled_states(
-        s, rho_star, mode, inner_n, horizon, lam_fixed, inner_tol, record_every
+        s,
+        rho_star,
+        mode,
+        inner_n=inner_n,
+        horizon=horizon,
+        lam_fixed=lam_fixed,
+        record_every=record_every,
     )
     reports = []
     try:

@@ -90,6 +90,9 @@ def test_vector_lists_split_on_semicolons():
 def test_unknown_key_is_rejected_with_line_number():
     with pytest.raises(ConfigError, match="line 2: unknown key 'transport.epsilon'"):
         load_config("seed = 1\ntransport.epsilon = 0.5\n")
+    # inner_steady_state has no inner solver, so no tolerance for one
+    with pytest.raises(ConfigError, match="line 1: unknown key 'grid.inner_tol'"):
+        load_config("grid.inner_tol = 1e-8\n")
 
 
 def test_malformed_and_out_of_range_values_name_the_key():
@@ -230,6 +233,23 @@ def test_starting_at_the_target_keeps_v_at_zero(tmp_path):
     lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     v_column = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(v <= 1e-15 for v in v_column)
+
+
+def test_starting_at_a_target_with_zero_nodes_is_a_config_error(tmp_path):
+    # so narrow a Gaussian underflows to 0 at far nodes of the 50x50 grid
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "mode = pde\ngrid.rho0 = target\ngrid.T = 0.01\n"
+        "target.means = 0.5 0.5\ntarget.covariances = 0.0001 0 0 0.0001\n"
+    )
+    res = run_cli("pde", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "error: grid.rho0 = target needs a strictly positive target" in res.stderr
+    assert "at node (0,0) of the 50x50 grid" in res.stderr
+    # a random start is unaffected by the zero target nodes
+    cfg.write_text(cfg.read_text().replace("grid.rho0 = target", "grid.rho0 = random"))
+    res = run_cli("pde", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
 
 
 def test_rho0_key_parses_and_rejects_junk():
