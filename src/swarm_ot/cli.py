@@ -76,7 +76,6 @@ def transport_config(cfg, fixed_dual=None, inner_iters=None):
         inner_iters=cfg.inner_iters if inner_iters is None else inner_iters,
         rounds=cfg.rounds,
         fixed_dual=fixed_dual,
-        grad_tol=cfg.grad_tol,
         radius=cfg.radius,
     )
 

@@ -3,8 +3,8 @@
 The format is one `section.key = value` assignment per line with `#`
 comments; vector values are whitespace-separated numbers, and lists of
 vectors use `;` between items. Every number must be finite. Unknown
-keys are rejected so typos fail loudly, and every error names the key
-and line it came from.
+and repeated keys are rejected so typos fail loudly, and every error
+names the key and line it came from.
 """
 
 import math
@@ -31,7 +31,6 @@ class ExperimentConfig:
     tau: float = 1.0
     fixed_dual: float | None = None
     radius: float | None = None
-    grad_tol: float = 1e-9
     quad_resolution: int = 256
     # target measure
     target_kind: str = "gaussian"
@@ -102,7 +101,6 @@ _KEYS = {
     "transport.tau": ("tau", _parse_float, _positive, "positive"),
     "transport.fixed_dual": ("fixed_dual", _parse_float, _positive, "positive"),
     "transport.radius": ("radius", _parse_float, _positive, "positive"),
-    "transport.grad_tol": ("grad_tol", _parse_float, _positive, "positive"),
     "quadrature.resolution": ("quad_resolution", _parse_int, lambda v: v >= 2, "at least 2"),
     "target.kind": ("target_kind", str, lambda v: v in _TARGET_KINDS, f"one of {_TARGET_KINDS}"),
     "target.means": ("target_means", _parse_vectors, None, None),
@@ -177,6 +175,8 @@ def load_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {ln}: unknown key '{key}'")
+        if key in line_of:
+            raise ConfigError(f"line {ln}: key '{key}' repeats line {line_of[key]}")
         attr, parser, check, constraint = _KEYS[key]
         try:
             parsed = parser(value)

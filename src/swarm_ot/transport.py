@@ -5,7 +5,8 @@ graph, cell masses) for both its record and the round that moves it.
 A round estimates the Kantorovich potentials by a fixed number of
 primal-dual (or primal-only) iterations and moves every agent by a
 proximal step in its eps-ball along a local gradient of its neighbors'
-potentials. Potentials and multipliers carry over between rounds.
+potentials. Each agent keeps its own potential from round to round, and
+its multipliers with the neighbors that survive.
 """
 
 from collections import namedtuple
@@ -42,7 +43,6 @@ class TransportConfig:
     inner_iters: int = 1
     rounds: int = 1
     fixed_dual: float | None = None
-    grad_tol: float = 1e-9
     radius: float | None = None
 
     def __post_init__(self):
@@ -56,26 +56,29 @@ class TransportConfig:
             raise ValueError("rounds must be nonnegative")
         if self.fixed_dual is not None and not self.fixed_dual > 0:
             raise ValueError("fixed dual weight must be positive")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
         if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
 
 
 @dataclass
 class SwarmState:
-    """Agent positions plus the potential estimate carried across rounds."""
+    """Agent positions plus what each agent carries across rounds.
+
+    prev_phi[i] is agent i's own potential from the last round, and
+    prev_lam maps an agent pair (i, j) to its last multiplier.
+    """
 
     positions: np.ndarray
     k: int = 0
     cost: float = 0.0
     seed: int = 0
-    prev_sites: np.ndarray | None = None
     prev_phi: np.ndarray | None = None
     prev_lam: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        if self.prev_phi is not None and np.shape(self.prev_phi) != (len(self.positions),):
+            raise ValueError("prev_phi must hold one potential per agent")
 
 
 @dataclass
@@ -97,7 +100,12 @@ def initial_positions(n_agents, domain, seed):
     return domain.lo + u * domain.extent
 
 
-def local_gradient(i, positions, phi, neighbors, grad_tol=1e-9):
+# rcond of the gradient fit: a collinear neighborhood's vanishing singular
+# value falls below it, so the fit keeps to the directions it can see
+GRAD_RCOND = 1e-9
+
+
+def local_gradient(i, positions, phi, neighbors):
     """Gradient of the least-squares affine fit of neighborhood potentials.
 
     Fits phi over agent i and its neighbors; with a rank-deficient
@@ -111,7 +119,7 @@ def local_gradient(i, positions, phi, neighbors, grad_tol=1e-9):
     idx = [int(i)] + neighbors
     rel = positions[idx] - positions[int(i)]
     design = np.column_stack([np.ones(len(idx)), rel])
-    coef, _, _, _ = np.linalg.lstsq(design, phi[idx], rcond=grad_tol)
+    coef, _, _, _ = np.linalg.lstsq(design, phi[idx], rcond=GRAD_RCOND)
     return coef[1:]
 
 
@@ -165,13 +173,6 @@ def _dedupe(state, domain):
     return positions, perturbed
 
 
-def _nearest_site(points, sites):
-    """Index of the nearest site per point, ties to the lowest index."""
-    d2 = (points[:, None, 0] - sites[None, :, 0]) ** 2
-    d2 += (points[:, None, 1] - sites[None, :, 1]) ** 2
-    return np.argmin(d2, axis=1)
-
-
 # one position set's measurement, shared by its record and its round;
 # `dens` is the target's values on the quadrature, evaluated once a run
 Cells = namedtuple("Cells", "partition graph masses dens")
@@ -207,12 +208,9 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
     graph = cells.graph
     b = mass_imbalance(cells.masses)
 
-    # warm start: evaluate the previous round's simple-function estimate
-    # at the current sites, and keep multipliers on surviving edges
-    if state.prev_phi is None:
-        phi0 = np.zeros(n)
-    else:
-        phi0 = state.prev_phi[_nearest_site(positions, state.prev_sites)]
+    # warm start: each agent starts from its own last potential (`_dedupe`
+    # keeps agent order) and each surviving edge from its last multiplier
+    phi0 = np.zeros(n) if state.prev_phi is None else state.prev_phi
     edges = [tuple(e) for e in graph.edges.tolist()]
     fixed = cfg.fixed_dual is not None
     if fixed:
@@ -224,9 +222,7 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
 
     lists = graph.neighbor_lists()
     isolated = [i for i, l in enumerate(lists) if not l]
-    grads = np.array(
-        [local_gradient(i, positions, inner.phi, l, cfg.grad_tol) for i, l in enumerate(lists)]
-    )
+    grads = np.array([local_gradient(i, positions, inner.phi, l) for i, l in enumerate(lists)])
     new_positions = proximal_step(positions, grads, cfg.eps, metric, domain)
     # the bits of metric.distance(positions[i], new_positions[i]) per agent
     step_lengths = metric.xi * _row_norms(positions - new_positions)
@@ -237,7 +233,6 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
         k=state.k + 1,
         cost=state.cost + float(step_lengths.sum() / n),
         seed=state.seed,
-        prev_sites=positions,
         prev_phi=inner.phi,
         prev_lam=carried,
     )

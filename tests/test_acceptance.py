@@ -5,13 +5,12 @@ Each test prints a single `criterion N: PASS/FAIL` line (visible under
 asserted where a criterion carries one.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 import swarm_ot as so
+from conftest import run_python
 from swarm_ot.rng import STREAM_ORACLE, STREAM_TARGET, derive
 
 DOM = so.Domain()
@@ -216,11 +215,8 @@ def test_criterion_9_thread_count_never_changes_output(tmp_path):
     for threads in ("1", "4"):
         for name, cfg in (("agents", agents_cfg), ("pde", pde_cfg)):
             out = tmp_path / f"{name}_t{threads}"
-            res = subprocess.run(
-                [sys.executable, "-m", "swarm_ot", name, "--config", str(cfg),
-                 "--threads", threads, "--out", str(out)],
-                capture_output=True, text=True,
-            )
+            res = run_python(["-m", "swarm_ot", name, "--config", str(cfg),
+                              "--threads", threads, "--out", str(out)])
             assert res.returncode == 0, res.stderr
             outputs[(name, threads)] = {
                 p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))

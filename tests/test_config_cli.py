@@ -1,18 +1,17 @@
 """Config parsing and command-line harness tests.
 
-The CLI tests run the installed entry point in a subprocess on tiny
-configurations, checking output schemas and byte-level determinism.
+The CLI tests run `python -m swarm_ot` from the checkout's src/ in a
+subprocess on tiny configurations, checking output schemas and
+byte-level determinism.
 """
 
 import hashlib
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from swarm_ot import ConfigError, PositivityError, cli, config, grid, load_config
 
 AGENTS_CFG = """\
@@ -45,13 +44,7 @@ output.record_every = 2
 
 
 def run_cli(*args, cwd=None, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "swarm_ot", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    return run_python(["-m", "swarm_ot", *args], cwd=cwd, env=env)
 
 
 def test_defaults_cover_the_standard_experiment():
@@ -93,6 +86,14 @@ def test_unknown_key_is_rejected_with_line_number():
     # inner_steady_state has no inner solver, so no tolerance for one
     with pytest.raises(ConfigError, match="line 1: unknown key 'grid.inner_tol'"):
         load_config("grid.inner_tol = 1e-8\n")
+    # the gradient fit's rcond is a constant, not a knob
+    with pytest.raises(ConfigError, match="line 1: unknown key 'transport.grad_tol'"):
+        load_config("transport.grad_tol = 1e-9\n")
+
+
+def test_a_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: key 'transport.N' repeats line 1"):
+        load_config("transport.N = 5\nseed = 2\ntransport.N = 7\n")
 
 
 def test_malformed_and_out_of_range_values_name_the_key():
@@ -204,7 +205,7 @@ def test_a_pde_run_never_imports_scipy(tmp_path):
         f"assert cli.main(['pde', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    res = run_python(["-c", script])
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
 
@@ -220,7 +221,7 @@ def test_an_agent_run_never_imports_scipy(tmp_path, command):
         f"assert cli.main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    res = run_python(["-c", script])
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
 

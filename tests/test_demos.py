@@ -6,13 +6,12 @@ public entry point. They run in a subprocess against the checkout's
 src/ directory, as their docstrings tell a reader to run them.
 """
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,18 +19,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_demos_exist():
     assert DEMOS
-
-
-def run_python(args, cwd):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        timeout=300,
-    )
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -5,16 +5,12 @@ iterative dual solver and the exact LP solver (HiGHS) on the flow side
 take completely different routes to the same LP value.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import swarm_ot as so
+from conftest import run_python
 from swarm_ot import FlowProblem, MetricCost, NeighborGraph
 
 
@@ -23,21 +19,11 @@ def path_graph(costs):
     return NeighborGraph(len(costs) + 1, edges, costs)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 def test_the_cli_does_not_load_the_lp_solver_until_the_oracle_runs():
     # agents, pde and fig never call the oracle, so they should not pay
     # for importing scipy.optimize
     check = "import sys, swarm_ot.cli; print('scipy.optimize' in sys.modules)"
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", check],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        timeout=120,
-    )
+    result = run_python(["-c", check], timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 

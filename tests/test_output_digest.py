@@ -88,8 +88,8 @@ CASES = {
         "positions.csv": "cb978bfc1f5ecaafe2d524d8730e4a3dfc1ac94554abd9b531303190f2a841ba",
     }),
     "agents_nudged": (["agents"], AGENTS_NUDGED, {
-        "metrics.csv": "e3fc5bc95a1389a66b96b02a68752ca85845bae419a8bcbca361a75670b2b94c",
-        "positions.csv": "ee73414f38d4a12b7b9df9af55e5e25ec95dd97eed376263cf7d64adbfac5b07",
+        "metrics.csv": "3c51108073a67e1476f8586fff7b35e1b1f1f8d39799d91cafe4df7724212760",
+        "positions.csv": "965bfb7bca09ca2845e466945fae3a47394ec85e8c00bf3258db0cb8deaba5d6",
     }),
     "pde_on_the_fly_pd": (["pde"], pde("on_the_fly_pd"), {
         "metrics.csv": "e7da9852cb8bd2e33e2f1d0bb3e6d6db06967d6d11609e3fc55755f7e800ac8f",

@@ -159,11 +159,13 @@ def test_corner_duplicates_stay_in_the_domain():
     for seed in range(6):
         state = SwarmState(np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.4]]), seed=seed)
         for k in range(5):
-            state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+            sites, perturbed = transport._dedupe(state, dom)
             if k == 0:
-                assert diag["perturbed"] == [1]
-                assert not np.array_equal(state.prev_sites[0], state.prev_sites[1])
-            assert all(dom.contains(p) for p in state.prev_sites)
+                assert perturbed == [1]
+                assert not np.array_equal(sites[0], sites[1])
+            assert all(dom.contains(p) for p in sites)
+            state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+            assert diag["perturbed"] == perturbed
             assert all(dom.contains(p) for p in state.positions)
 
 
@@ -195,13 +197,40 @@ def test_transport_round_follows_cfg_fixed_dual():
     np.testing.assert_array_equal(fixed.prev_phi, ref.phi)
 
 
-def test_potentials_warm_start_from_previous_round():
+def inner_starts(monkeypatch):
+    """Record (starting state, returned phi) of every inner solve."""
+    solves = []
+    for name in ("run_pd", "run_primal"):
+        def watched(s, *args, solve=getattr(transport, name)):
+            start = (s.phi.copy(), s.lam.copy())
+            out = solve(s, *args)
+            solves.append((start, out.phi.copy()))
+            return out
+
+        monkeypatch.setattr(transport, name, watched)
+    return solves
+
+
+def test_potentials_warm_start_from_previous_round(monkeypatch):
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.25, 0.5], [0.85, 0.5]])
     cfg = TransportConfig(eps=0.01, tau=0.5, inner_iters=20)
     state, _ = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
-    assert state.prev_phi is not None and state.prev_sites is not None
+    assert state.prev_phi.shape == (2,) and np.any(state.prev_phi)
     assert set(state.prev_lam) == {(0, 1)}
+    solves = inner_starts(monkeypatch)
+    so.transport_round(state, cfg, target, metric, dom, q)
+    [((phi0, lam0), _)] = solves
+    assert phi0.tobytes() == state.prev_phi.tobytes()
+    assert lam0.tolist() == [state.prev_lam[(0, 1)]]
+
+
+def test_prev_phi_holds_one_potential_per_agent():
+    positions = np.array([[0.2, 0.5], [0.8, 0.5], [0.5, 0.1]])
+    SwarmState(positions, prev_phi=np.zeros(3))
+    for phi in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="prev_phi"):
+            SwarmState(positions, prev_phi=phi)
 
 
 def test_variance_decreases_over_rounds():
@@ -317,7 +346,7 @@ def test_a_nudged_round_measures_its_cells_again(monkeypatch, tmp_path):
 
 def round_bits(result):
     state, diag = result
-    arrays = (state.positions, state.prev_sites, state.prev_phi, *(
+    arrays = (state.positions, state.prev_phi, *(
         np.asarray(v) for v in diag.values()
     ))
     return (
@@ -387,6 +416,39 @@ def test_a_nudged_round_evaluates_the_target_no_more(monkeypatch, tmp_path):
     assert [calls for _, calls in rounds] == [0] * 20
 
 
+@pytest.mark.parametrize("fixed", [False, True], ids=["pd", "fixed_dual"])
+def test_every_agent_warm_starts_from_its_own_potential(monkeypatch, tmp_path, fixed):
+    # an agent's potential is carried by its index; a nearest-previous-site
+    # lookup would hand some agents another agent's potential in this run
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        AGENTS_NUDGED.replace("mode = agents", "mode = agents_fixed_dual")
+        + "transport.fixed_dual = 1.0\n"
+        if fixed
+        else AGENTS_NUDGED
+    )
+    solves = inner_starts(monkeypatch)
+    sites = []
+    dedupe = transport._dedupe
+
+    def watched(state, domain):
+        positions, perturbed = dedupe(state, domain)
+        sites.append(positions)
+        return positions, perturbed
+
+    monkeypatch.setattr(transport, "_dedupe", watched)
+    assert cli.main(["agents", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(solves) == len(sites) == 20
+    assert not solves[0][0][0].any()
+    for ((phi0, _), _), (_, phi) in zip(solves[1:], solves):
+        assert phi0.tobytes() == phi.tobytes()
+    nearest = [
+        np.argmin(((now[:, None, :] - before[None, :, :]) ** 2).sum(axis=2), axis=1)
+        for before, now in zip(sites, sites[1:])
+    ]
+    assert any(np.any(idx != np.arange(len(idx))) for idx in nearest)
+
+
 def scalar_proximal_step(x, g, eps, metric, domain):
     """One agent's proximal step, spelled with `np.dot` as a reference."""
     norm = float(np.sqrt(np.dot(g, g)))
@@ -452,26 +514,10 @@ def test_step_lengths_are_the_metric_distance_of_each_move():
     cfg = TransportConfig(eps=0.08, tau=0.5, inner_iters=5, rounds=3)
     state = SwarmState(so.initial_positions(40, dom, seed=4), seed=4)
     for _ in range(cfg.rounds):
+        before = state.positions
         state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+        assert diag["perturbed"] == []  # so the round moved `before` itself
         steps = diag["step_lengths"]
-        ref = [metric.distance(a, b) for a, b in zip(state.prev_sites, state.positions)]
+        ref = [metric.distance(a, b) for a, b in zip(before, state.positions)]
         assert steps.tobytes() == np.array(ref).tobytes()
     assert np.count_nonzero(steps) > 0
-
-
-def dense_nearest_site(points, sites):
-    d2 = ((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
-
-
-def point_sets(dyadic):
-    # eighths of the unit square put many points at equal distances
-    coord = st.integers(0, 8).map(lambda k: k / 8.0) if dyadic else st.floats(0, 1)
-    return st.lists(st.tuples(coord, coord), min_size=1, max_size=15)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.booleans().flatmap(lambda dyadic: st.tuples(point_sets(dyadic), point_sets(dyadic))))
-def test_nearest_site_is_the_dense_argmin_ties_included(case):
-    points, sites = (np.array(c) for c in case)
-    assert np.array_equal(transport._nearest_site(points, sites), dense_nearest_site(points, sites))
