@@ -38,9 +38,7 @@ runs = {}
 for inner in (1, 10):
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=inner, rounds=rounds)
     positions = initial_positions(n_agents, domain, seed)
-    records, snapshots = run_experiment(
-        positions, cfg, target, metric, domain, q, seed=seed
-    )
+    records, snapshots = run_experiment(positions, cfg, target, metric, q, seed=seed)
     runs[inner] = (records, snapshots)
 
 print(f"{n_agents} agents, {rounds} rounds, eps=0.02, tau=1.0, seed={seed}")

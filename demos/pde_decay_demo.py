@@ -27,7 +27,6 @@ import numpy as np
 
 from swarm_ot import (
     DensityField,
-    Domain,
     GridState,
     density_on_grid,
     random_density,
@@ -38,11 +37,10 @@ from swarm_ot import (
 nx = ny = 20
 dt = 1e-3
 horizon = 2.0
-domain = Domain()
 target = DensityField.gaussian_mixture(
     means=[[0.5, 0.5]], covariances=[[[0.05, 0.0], [0.0, 0.05]]]
 )
-rho_star = density_on_grid(target, nx, ny, domain)
+rho_star = density_on_grid(target, nx, ny)
 rho0 = random_density(nx, ny, seed=0)
 
 

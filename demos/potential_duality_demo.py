@@ -35,7 +35,7 @@ from swarm_ot import (
 domain = Domain()
 metric = MetricCost()
 q = QuadratureGrid(domain, 64)
-target = DensityField.uniform()
+dens = DensityField.uniform().values_on(q)
 
 print("site sets of growing size, uniform target, 64x64 quadrature")
 print(f"{'n':>4} {'dual objective':>16} {'flow value':>16} {'gap':>10} "
@@ -44,11 +44,11 @@ print(f"{'n':>4} {'dual objective':>16} {'flow value':>16} {'gap':>10} "
 for n in (3, 5, 8, 12, 20):
     gen = SplitMix64(derive(0, 11, n))
     sites = gen.uniforms(2 * n).reshape(n, 2)
-    partition = build_partition(sites, metric, domain, q)
+    partition = build_partition(sites, q)
     graph = neighbor_graph(partition, metric)
     assert is_connected(graph), "every site owns cells on a shared raster"
 
-    b = mass_imbalance(cell_masses(target, q, partition))
+    b = mass_imbalance(cell_masses(partition, dens))
     state, info = converge_pd(zero_state(graph), b, graph, tol=1e-10)
     dual = dual_objective(state.phi, b)
     flow, _ = min_cost_flow(FlowProblem(graph, b))

@@ -107,10 +107,9 @@ def run_agents(cfg, out_dir):
     metric = MetricCost()
     q = QuadratureGrid(domain, cfg.quad_resolution)
     target = build_target(cfg, domain, cfg.seed)
-    fixed = cfg.fixed_dual if cfg.mode == "agents_fixed_dual" else None
-    tcfg = transport_config(cfg, fixed_dual=fixed)
+    tcfg = transport_config(cfg, fixed_dual=cfg.fixed_dual)
     positions = initial_positions(cfg.n_agents, domain, cfg.seed)
-    records, snapshots = run_experiment(positions, tcfg, target, metric, domain, q, cfg.seed)
+    records, snapshots = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
     write_csv(out_dir / "metrics.csv", AGENT_HEADER, _agent_rows(records))
     write_csv(out_dir / "positions.csv", POSITION_HEADER, _position_rows(snapshots))
     last = records[-1]
@@ -123,9 +122,8 @@ def run_agents(cfg, out_dir):
 
 def _pde_state(cfg, warm_start=None):
     """Initial grid state and target masses; warm_start defaults to cfg's."""
-    domain = Domain()
-    target = build_target(cfg, domain, cfg.seed)
-    rho_star = density_on_grid(target, cfg.grid_nx, cfg.grid_ny, domain)
+    target = build_target(cfg, Domain(), cfg.seed)
+    rho_star = density_on_grid(target, cfg.grid_nx, cfg.grid_ny)
     if cfg.grid_rho0 == "target":
         zero = np.flatnonzero(~(rho_star > 0))
         if len(zero):
@@ -172,8 +170,7 @@ def oracle_check(cfg, n_instances=10, tol=1e-4, feas_tol=1e-6):
     domain = Domain()
     metric = MetricCost()
     q = QuadratureGrid(domain, 64)
-    target = DensityField.uniform(domain)
-    dens = target.values_on(q)
+    dens = DensityField.uniform(domain).values_on(q)
     worst_gap = 0.0
     worst_feas = 0.0
     failures = 0
@@ -182,9 +179,9 @@ def oracle_check(cfg, n_instances=10, tol=1e-4, feas_tol=1e-6):
         gen = SplitMix64(inst_seed)
         n = 5 + gen.next_u64() % 16  # 5..20 nodes
         sites = domain.lo + gen.uniforms(2 * n).reshape(n, 2) * domain.extent
-        partition = build_partition(sites, metric, domain, q)
+        partition = build_partition(sites, q)
         graph = neighbor_graph(partition, metric)
-        b = mass_imbalance(cell_masses(target, q, partition, dens))
+        b = mass_imbalance(cell_masses(partition, dens))
         # A violated edge contributes cost * violation to the saddle
         # residual, so the residual tolerance must shrink with the
         # shortest edge or the feasibility bar holds only by luck. The
@@ -224,14 +221,14 @@ def run_fig(cfg, number, out_dir):
         if number == 2:
             for n in (1, 5, 10):
                 tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, metric, domain, q, cfg.seed)
+                records, _ = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
                 write_csv(out_dir / f"fig2_n{n}.csv", AGENT_HEADER, _agent_rows(records))
             print("fig 2: wrote fig2_n1.csv fig2_n5.csv fig2_n10.csv")
         else:
             rows = []
             for n in range(1, 11):
                 tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, metric, domain, q, cfg.seed)
+                records, _ = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
                 rows.append([n, records[-1].net_cost])
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], rows)
             print("fig 3: wrote fig3.csv")

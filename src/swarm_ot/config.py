@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import MODES as GRID_MODES
+
 
 class ConfigError(ValueError):
     pass
@@ -54,7 +56,6 @@ class ExperimentConfig:
 
 
 _MODES = ("agents", "agents_fixed_dual", "pde")
-_GRID_MODES = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")
 _TARGET_KINDS = ("gaussian", "uniform", "pgm")
 
 
@@ -111,7 +112,7 @@ _KEYS = {
     "grid.ny": ("grid_ny", _parse_int, lambda v: v >= 1, "at least 1"),
     "grid.dt": ("grid_dt", _parse_float, _positive, "positive"),
     "grid.T": ("grid_horizon", _parse_float, _positive, "positive"),
-    "grid.mode": ("grid_mode", str, lambda v: v in _GRID_MODES, f"one of {_GRID_MODES}"),
+    "grid.mode": ("grid_mode", str, lambda v: v in GRID_MODES, f"one of {GRID_MODES}"),
     "grid.n": ("grid_inner", _parse_int, lambda v: v >= 1, "at least 1"),
     "grid.lam_fixed": ("grid_lam_fixed", _parse_float, _positive, "positive"),
     "grid.cost": ("grid_cost", _parse_float, _positive, "positive"),
@@ -191,6 +192,9 @@ def load_config(text):
     _finish_vectors(cfg, line_of)
     if cfg.mode == "agents_fixed_dual" and cfg.fixed_dual is None:
         raise ConfigError("mode 'agents_fixed_dual' requires key 'transport.fixed_dual'")
+    if cfg.fixed_dual is not None and cfg.mode != "agents_fixed_dual":
+        ln = line_of["transport.fixed_dual"]
+        raise ConfigError(f"line {ln}: key 'transport.fixed_dual' requires mode 'agents_fixed_dual'")
     if cfg.target_kind == "pgm" and cfg.target_pgm_path is None:
         raise ConfigError("target.kind 'pgm' requires key 'target.pgm_path'")
     if cfg.grid_warm_start and cfg.grid_mode != "on_the_fly_pd":

@@ -207,15 +207,15 @@ def random_density(nx, ny, seed):
     return u / u.sum()
 
 
-def density_on_grid(field, nx, ny, domain, floor=1e-6):
-    """Sample a density field onto grid nodes as masses summing to one.
+def density_on_grid(field, nx, ny, floor=1e-6):
+    """Sample a density field onto an nx x ny grid of `field.domain`.
 
-    Raster fields are floored before normalization so the target stays
-    strictly positive on the whole grid.
+    Returns node masses summing to one. Raster fields are floored before
+    normalization so the target stays strictly positive on the whole grid.
     """
-    ext = domain.extent
-    xs = domain.lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
-    ys = domain.lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
+    lo, ext = field.domain.lo, field.domain.extent
+    xs = lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
+    ys = lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
     X, Y = np.meshgrid(xs, ys)
     vals = field._raw_many(np.column_stack([X.ravel(), Y.ravel()]))
     if field.kind == "raster":
@@ -294,6 +294,9 @@ def step_count(horizon, dt):
     return int(round(steps))
 
 
+MODES = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")  # of coupled_states, grid.mode
+
+
 def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
     """The one grid loop: (state, report) from t = 0 to the horizon.
 
@@ -331,9 +334,8 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
     `on_the_fly_pd` run, 17 times the page faults and about 9% more time
     (2-core x86-64 VM).
     """
-    modes = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")
-    if mode not in modes:
-        raise ValueError(f"mode must be one of {modes}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     steady = mode == "inner_steady_state"
     if not steady and inner_n < 1:
         raise ValueError("on-the-fly modes need at least one inner step")

@@ -246,13 +246,11 @@ def load_pgm(data, domain=None):
     return field
 
 
-def cell_masses(field, q, partition, density_values=None):
+def cell_masses(partition, density_values):
     """Per-agent target masses of the partition cells, summing to one.
 
-    `density_values` may carry precomputed `field.values_on(q)` to avoid
-    reevaluating the density each round.
+    `density_values` is the target's `values_on(partition.q)`, evaluated
+    once a run by the caller; each is weighted by `partition.q.cell_area`.
     """
-    if density_values is None:
-        density_values = field.values_on(q)
-    weights = density_values * q.cell_area
+    weights = density_values * partition.q.cell_area
     return np.bincount(partition.owner, weights=weights, minlength=len(partition.sites))

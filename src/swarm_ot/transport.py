@@ -178,33 +178,31 @@ def _dedupe(state, domain):
 Cells = namedtuple("Cells", "partition graph masses dens")
 
 
-def _measure(positions, target, metric, domain, q, radius, dens=None):
+def _measure(positions, metric, q, radius, dens):
     """Partition, neighbor graph and cell masses of one set of sites."""
-    if dens is None:
-        dens = target.values_on(q)
-    partition = build_partition(positions, metric, domain, q)
+    partition = build_partition(positions, q)
     graph = neighbor_graph(partition, metric, radius)
-    return Cells(partition, graph, cell_masses(target, q, partition, dens), dens)
+    return Cells(partition, graph, cell_masses(partition, dens), dens)
 
 
-def transport_round(state, cfg, target, metric, domain, q, cells=None):
+def transport_round(state, cfg, target, metric, q, cells=None):
     """One synchronous round of potential estimation and proximal moves.
 
-    Uses the caller's `cells` of the current positions, measuring them
-    itself when given none, when `_dedupe` nudged an agent, or when
-    their sites are not the positions. Estimates potentials with
-    inner_iters primal-dual steps, or primal-only steps with every
-    multiplier at cfg.fixed_dual when that is set, and moves every agent
-    by a proximal step. Returns (new_state, diagnostics); a disconnected
-    graph is reported in the diagnostics rather than raised.
+    Uses the caller's `cells` of the positions, which keep to `q.domain`,
+    measuring them itself when given none (evaluating the target), when
+    `_dedupe` nudged an agent, or when their sites are not the positions.
+    Estimates potentials with inner_iters primal-dual steps, or primal-only
+    steps with every multiplier at cfg.fixed_dual when that is set, and
+    moves every agent by a proximal step. Returns (new_state, diagnostics);
+    a disconnected graph is reported in the diagnostics rather than raised.
     """
     n = len(state.positions)
     if n < 2:
         raise ValueError("transport needs at least two agents")
-    positions, perturbed = _dedupe(state, domain)
+    positions, perturbed = _dedupe(state, q.domain)
     if perturbed or cells is None or not np.array_equal(cells.partition.sites, positions):
-        dens = None if cells is None else cells.dens
-        cells = _measure(positions, target, metric, domain, q, cfg.radius, dens)
+        dens = target.values_on(q) if cells is None else cells.dens
+        cells = _measure(positions, metric, q, cfg.radius, dens)
     graph = cells.graph
     b = mass_imbalance(cells.masses)
 
@@ -223,7 +221,7 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
     lists = graph.neighbor_lists()
     isolated = [i for i, l in enumerate(lists) if not l]
     grads = np.array([local_gradient(i, positions, inner.phi, l) for i, l in enumerate(lists)])
-    new_positions = proximal_step(positions, grads, cfg.eps, metric, domain)
+    new_positions = proximal_step(positions, grads, cfg.eps, metric, q.domain)
     # the bits of metric.distance(positions[i], new_positions[i]) per agent
     step_lengths = metric.xi * _row_norms(positions - new_positions)
 
@@ -249,8 +247,8 @@ def transport_round(state, cfg, target, metric, domain, q, cells=None):
     return new_state, diagnostics
 
 
-def run_experiment(positions, cfg, target, metric, domain, q, seed=0):
-    """Run cfg.rounds transport rounds and collect per-round metrics.
+def run_experiment(positions, cfg, target, metric, q, seed=0):
+    """Run cfg.rounds transport rounds of agents in `q.domain`.
 
     Returns (records, snapshots): one MetricsRecord per round index
     0..rounds, and per-round (k, positions, masses) tuples for position
@@ -259,16 +257,15 @@ def run_experiment(positions, cfg, target, metric, domain, q, seed=0):
     connected flag to the communication graph that round used.
     """
     dens = target.values_on(q)
-    state = SwarmState(positions=positions, seed=seed)
-    state.positions = domain.clamp(state.positions)
+    state = SwarmState(positions=q.domain.clamp(positions), seed=seed)
     records, snapshots = [], []
     for k in range(cfg.rounds + 1):
-        cells = _measure(state.positions, target, metric, domain, q, cfg.radius, dens)
+        cells = _measure(state.positions, metric, q, cfg.radius, dens)
         if k == 0:
             estimate = (0.0, 0.0, is_connected(cells.graph))
         records.append(MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
         snapshots.append((k, state.positions.copy(), cells.masses))
         if k < cfg.rounds:
-            state, diag = transport_round(state, cfg, target, metric, domain, q, cells)
+            state, diag = transport_round(state, cfg, target, metric, q, cells)
             estimate = (diag["dual_objective"], diag["feasibility_violation"], diag["connected"])
     return records, snapshots

@@ -67,13 +67,13 @@ class NeighborGraph:
         return [neighbors[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def build_partition(sites, metric, domain, q):
-    """Assign every quadrature cell to its nearest site.
+def build_partition(sites, q):
+    """Assign every quadrature cell of `q` to its nearest site.
 
     Ties break to the lowest site index, so the scan order cannot change
-    the result. Sites must be finite and are clamped into the domain
-    first. The conformal factor scales all distances alike and is
-    irrelevant to the argmin.
+    the result. Sites must be finite and are clamped into `q.domain`
+    first. No metric is passed: its conformal factor scales all distances
+    alike, so the argmin does not depend on it.
 
     The sites are scanned one at a time against a running minimum over
     the quadrature's tensor grid. A site takes a cell only when strictly
@@ -112,7 +112,7 @@ def build_partition(sites, metric, domain, q):
         raise ValueError("need at least one site")
     if not np.all(np.isfinite(sites)):
         raise ValueError("sites must be finite")
-    sites = domain.clamp(sites)
+    sites = q.domain.clamp(sites)
     ty, tx = -(-q.ny // TILE), -(-q.nx // TILE)
     # squared offsets of every site, one column each, over whole tiles: the
     # far edge tiles repeat their last row or column, which leaves every

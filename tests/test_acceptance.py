@@ -32,8 +32,7 @@ def _seeded_gaussian_target(seed, q=None):
 
 def test_criterion_1_dual_matches_flow_oracle():
     q = so.QuadratureGrid(DOM, 64)
-    target = so.DensityField.uniform(DOM)
-    dens = target.values_on(q)
+    dens = so.DensityField.uniform(DOM).values_on(q)
     started = time.time()
     worst_gap = 0.0
     worst_feas = 0.0
@@ -41,10 +40,10 @@ def test_criterion_1_dual_matches_flow_oracle():
         gen = so.SplitMix64(derive(0, STREAM_ORACLE, r))
         n = 5 + gen.next_u64() % 16
         sites = gen.uniforms(2 * n).reshape(n, 2)
-        part = so.build_partition(sites, METRIC, DOM, q)
+        part = so.build_partition(sites, q)
         graph = so.neighbor_graph(part, METRIC)
         assert so.is_connected(graph)
-        b = so.mass_imbalance(so.cell_masses(target, q, part, dens))
+        b = so.mass_imbalance(so.cell_masses(part, dens))
         # Residual tolerance scaled to the shortest edge so the 1e-6
         # feasibility bar is guaranteed, not a matter of which seed.
         tol_r = min(1e-8, 0.5e-6 * float(graph.costs.min()))
@@ -82,7 +81,7 @@ def test_criterion_2_two_node_closed_form():
 
 def test_criterion_3_exponential_decay_slope():
     started = time.time()
-    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20, DOM)
+    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     reports, _ = so.run_coupled(s, rho_star, "inner_steady_state", horizon=2.0, record_every=100)
     ts = np.array([r.t for r in reports])
@@ -95,7 +94,7 @@ def test_criterion_3_exponential_decay_slope():
 
 def test_criterion_4_fixed_dual_lyapunov():
     started = time.time()
-    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20, DOM)
+    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     reports, final = so.run_coupled(
         s, rho_star, "on_the_fly_fixed", inner_n=1, horizon=50.0,
@@ -113,7 +112,7 @@ def test_criterion_4_fixed_dual_lyapunov():
 
 
 def test_criterion_5_conservation_and_positivity_soak():
-    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20, DOM)
+    rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     # transport_step raises on any nonpositive density, so completing the
     # run certifies positivity at every one of the 10,000 steps
@@ -139,7 +138,7 @@ def test_criterion_6_stage_cost_bounds():
         so.TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=12, fixed_dual=1.0),
     ):
         positions = so.initial_positions(12, DOM, seed=1)
-        records, snapshots = so.run_experiment(positions, cfg, target, METRIC, DOM, q, seed=1)
+        records, snapshots = so.run_experiment(positions, cfg, target, METRIC, q, seed=1)
         lower = so.discrete_ot_cost(snapshots[0][1], snapshots[-1][1], METRIC)
         stage_cost = records[-1].net_cost
         steps = np.array([
@@ -164,7 +163,7 @@ def test_criterion_7_inner_iterations_improve_balance():
         initial = None
         for n in (1, 10):
             cfg = so.TransportConfig(eps=0.02, tau=1.0, inner_iters=n, rounds=40)
-            records, _ = so.run_experiment(positions, cfg, target, METRIC, DOM, q, seed)
+            records, _ = so.run_experiment(positions, cfg, target, METRIC, q, seed)
             initial = records[0].mass_variance
             final[n] = records[-1].mass_variance
         ok = ok and final[10] < 0.5 * initial and final[10] <= final[1]

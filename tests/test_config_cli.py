@@ -154,6 +154,27 @@ def test_cross_requirements():
     assert cfg.fixed_dual == 1.0
 
 
+@pytest.mark.parametrize("mode", ["agents", "pde"])
+def test_fixed_dual_under_a_mode_that_ignores_it_is_an_error(mode):
+    message = "line 3: key 'transport.fixed_dual' requires mode 'agents_fixed_dual'"
+    with pytest.raises(ConfigError, match=message):
+        load_config(f"mode = {mode}\nseed = 1\ntransport.fixed_dual = 1.0\n")
+    with pytest.raises(ConfigError, match=message.replace("line 3", "line 1")):
+        load_config(f"transport.fixed_dual = 1.0\nmode = {mode}\n")
+
+
+def test_the_config_and_the_grid_loop_share_one_list_of_modes():
+    assert config.GRID_MODES is grid.MODES
+    rho = np.full(4, 0.25)
+    for mode in grid.MODES:
+        assert load_config(f"grid.mode = {mode}\n").grid_mode == mode
+        next(grid.coupled_states(grid.GridState(2, 2, rho), rho, mode, horizon=0.0))
+    with pytest.raises(ConfigError, match="key 'grid.mode' must be one of"):
+        load_config("grid.mode = steady\n")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        next(grid.coupled_states(grid.GridState(2, 2, rho), rho, "steady"))
+
+
 def test_agents_cli_writes_both_csvs(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(AGENTS_CFG)

@@ -124,9 +124,9 @@ def test_strong_duality_on_random_graphs():
         gen = so.SplitMix64(so.derive(99, trial))
         n = 4 + gen.next_u64() % 5
         sites = gen.uniforms(2 * n).reshape(n, 2)
-        part = so.build_partition(sites, MetricCost(), so.Domain(), so.QuadratureGrid(so.Domain(), 48))
+        part = so.build_partition(sites, so.QuadratureGrid(so.Domain(), 48))
         g = so.neighbor_graph(part, MetricCost())
-        masses = so.cell_masses(so.DensityField.uniform(), part.q, part)
+        masses = so.cell_masses(part, so.DensityField.uniform().values_on(part.q))
         b = so.mass_imbalance(masses)
         state, info = so.converge_pd(so.zero_state(g), b, g, tol=1e-9)
         assert info["converged"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import swarm_ot as so
-from swarm_ot import DensityField, Domain, MetricCost, PgmParseError, QuadratureGrid, load_pgm
+from swarm_ot import DensityField, Domain, PgmParseError, QuadratureGrid, load_pgm
 
 
 def quad(n=64):
@@ -172,10 +172,9 @@ def test_pgm_all_white_is_degenerate():
 
 def two_site_setup(n=256):
     dom = Domain()
-    metric = MetricCost()
     q = QuadratureGrid(dom, n)
     sites = np.array([[0.25, 0.5], [0.85, 0.5]])
-    part = so.build_partition(sites, metric, dom, q)
+    part = so.build_partition(sites, q)
     return dom, q, part
 
 
@@ -183,7 +182,7 @@ def test_cell_masses_of_uniform_two_site_partition():
     # the bisector x = 0.55 splits a 256-wide grid into 141 and 115
     # columns of cell centers, so the masses are 141/256 and 115/256
     dom, q, part = two_site_setup()
-    masses = so.cell_masses(DensityField.uniform(dom), q, part)
+    masses = so.cell_masses(part, DensityField.uniform(dom).values_on(q))
     assert masses[0] == pytest.approx(141.0 / 256.0, abs=1e-12)
     assert masses[1] == pytest.approx(115.0 / 256.0, abs=1e-12)
     # and those agree with the exact split 0.55 / 0.45 up to grid snap
@@ -193,7 +192,7 @@ def test_cell_masses_of_uniform_two_site_partition():
 def test_cell_masses_partition_of_unity():
     dom, q, part = two_site_setup()
     field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2)).normalize(q)
-    masses = so.cell_masses(field, q, part)
+    masses = so.cell_masses(part, field.values_on(q))
     assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -201,15 +200,7 @@ def test_cell_masses_stable_under_quadrature_refinement():
     dom, qc, part_c = two_site_setup(64)
     _, qf, part_f = two_site_setup(256)
     field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
-    coarse = so.cell_masses(field.normalize(qc), qc, part_c)
-    fine = so.cell_masses(field.normalize(qf), qf, part_f)
+    coarse = so.cell_masses(part_c, field.normalize(qc).values_on(qc))
+    fine = so.cell_masses(part_f, field.normalize(qf).values_on(qf))
     assert np.all(np.abs(coarse - fine) < 0.02 * fine)
 
-
-def test_cell_masses_accept_precomputed_density_values():
-    dom, q, part = two_site_setup()
-    field = DensityField.uniform(dom)
-    dens = field.values_on(q)
-    np.testing.assert_allclose(
-        so.cell_masses(field, q, part, dens), so.cell_masses(field, q, part)
-    )

@@ -117,7 +117,7 @@ def test_symmetric_quadrants_are_a_fixed_point():
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
     cfg = TransportConfig(eps=0.05, tau=1.0, inner_iters=10)
-    state, diag = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
+    state, diag = so.transport_round(SwarmState(positions), cfg, target, metric, q)
     np.testing.assert_array_equal(state.positions, positions)
     np.testing.assert_allclose(diag["masses"], 0.25, atol=1e-12)
     assert state.cost == 0.0
@@ -127,7 +127,7 @@ def test_zero_inner_iterations_mean_no_first_move():
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.2, 0.4], [0.8, 0.6]])
     cfg = TransportConfig(eps=0.05, inner_iters=0)
-    state, diag = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
+    state, diag = so.transport_round(SwarmState(positions), cfg, target, metric, q)
     np.testing.assert_array_equal(state.positions, positions)
     assert diag["dual_objective"] == 0.0
 
@@ -139,7 +139,7 @@ def test_step_lengths_never_exceed_eps():
     cfg = TransportConfig(eps=0.03, tau=1.0, inner_iters=10)
     state = SwarmState(positions)
     for _ in range(5):
-        state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+        state, diag = so.transport_round(state, cfg, target, metric, q)
         assert diag["step_lengths"].max() <= 0.03 + 1e-12
 
 
@@ -147,7 +147,7 @@ def test_duplicate_positions_are_nudged_apart():
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]])
     cfg = TransportConfig(eps=0.02, inner_iters=2)
-    state, diag = so.transport_round(SwarmState(positions, seed=9), cfg, target, metric, dom, q)
+    state, diag = so.transport_round(SwarmState(positions, seed=9), cfg, target, metric, q)
     assert diag["perturbed"] == [1]
     assert len(state.positions) == 3
 
@@ -164,7 +164,7 @@ def test_corner_duplicates_stay_in_the_domain():
                 assert perturbed == [1]
                 assert not np.array_equal(sites[0], sites[1])
             assert all(dom.contains(p) for p in sites)
-            state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+            state, diag = so.transport_round(state, cfg, target, metric, q)
             assert diag["perturbed"] == perturbed
             assert all(dom.contains(p) for p in state.positions)
 
@@ -173,14 +173,14 @@ def test_single_agent_is_rejected():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig()
     with pytest.raises(ValueError):
-        so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, target, metric, dom, q)
+        so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, target, metric, q)
 
 
 def test_fixed_dual_round_keeps_multipliers_out_of_carryover():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, inner_iters=5)
     state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
-    state, _ = so.transport_round(state, cfg, target, metric, dom, q)
+    state, _ = so.transport_round(state, cfg, target, metric, q)
     assert state.prev_lam == {}
 
 
@@ -190,8 +190,8 @@ def test_transport_round_follows_cfg_fixed_dual():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, tau=0.5, inner_iters=5)
     positions = np.array([[0.2, 0.5], [0.8, 0.5]])
-    fixed, diag = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
-    graph = so.neighbor_graph(so.build_partition(positions, metric, dom, q), metric)
+    fixed, diag = so.transport_round(SwarmState(positions), cfg, target, metric, q)
+    graph = so.neighbor_graph(so.build_partition(positions, q), metric)
     start = so.PotentialState(np.zeros(2), np.ones(len(graph.edges)), graph.edges)
     ref = so.run_primal(start, diag["imbalance"], graph, cfg.tau, cfg.inner_iters)
     np.testing.assert_array_equal(fixed.prev_phi, ref.phi)
@@ -215,11 +215,11 @@ def test_potentials_warm_start_from_previous_round(monkeypatch):
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.25, 0.5], [0.85, 0.5]])
     cfg = TransportConfig(eps=0.01, tau=0.5, inner_iters=20)
-    state, _ = so.transport_round(SwarmState(positions), cfg, target, metric, dom, q)
+    state, _ = so.transport_round(SwarmState(positions), cfg, target, metric, q)
     assert state.prev_phi.shape == (2,) and np.any(state.prev_phi)
     assert set(state.prev_lam) == {(0, 1)}
     solves = inner_starts(monkeypatch)
-    so.transport_round(state, cfg, target, metric, dom, q)
+    so.transport_round(state, cfg, target, metric, q)
     [((phi0, lam0), _)] = solves
     assert phi0.tobytes() == state.prev_phi.tobytes()
     assert lam0.tolist() == [state.prev_lam[(0, 1)]]
@@ -237,7 +237,7 @@ def test_variance_decreases_over_rounds():
     dom, metric, q, target = uniform_setup(128)
     positions = so.initial_positions(16, dom, seed=4)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=15)
-    records, snapshots = so.run_experiment(positions, cfg, target, metric, dom, q, seed=4)
+    records, snapshots = so.run_experiment(positions, cfg, target, metric, q, seed=4)
     assert len(records) == 16 and len(snapshots) == 16
     assert records[-1].mass_variance < 0.5 * records[0].mass_variance
     # net cost accumulates monotonically
@@ -249,7 +249,7 @@ def test_zero_rounds_yield_only_the_initial_record():
     dom, metric, q, target = uniform_setup()
     positions = np.array([[0.2, 0.4], [0.8, 0.6]])
     cfg = TransportConfig(rounds=0)
-    records, snapshots = so.run_experiment(positions, cfg, target, metric, dom, q)
+    records, snapshots = so.run_experiment(positions, cfg, target, metric, q)
     assert len(records) == 1 and len(snapshots) == 1
     assert records[0].k == 0 and records[0].net_cost == 0.0
 
@@ -258,13 +258,32 @@ def test_runs_are_deterministic():
     dom, metric, q, target = uniform_setup()
     positions = so.initial_positions(8, dom, seed=12)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
-    r1, s1 = so.run_experiment(positions, cfg, target, metric, dom, q, seed=12)
-    r2, s2 = so.run_experiment(positions, cfg, target, metric, dom, q, seed=12)
+    r1, s1 = so.run_experiment(positions, cfg, target, metric, q, seed=12)
+    r2, s2 = so.run_experiment(positions, cfg, target, metric, q, seed=12)
     assert r1 == r2
     for (k1, p1, m1), (k2, p2, m2) in zip(s1, s2):
         assert k1 == k2
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(m1, m2)
+
+
+def test_an_agent_run_keeps_to_a_domain_off_the_unit_square():
+    # the run reads its domain from the quadrature alone
+    dom = Domain((-1.0, 2.0), (3.0, 3.0))
+    q = QuadratureGrid(dom, 48, 24)
+    target = so.DensityField.gaussian_mixture([2.0, 2.6], 0.3 * np.eye(2), domain=dom).normalize(q)
+    positions = so.initial_positions(12, dom, seed=2)
+    positions[0] = [5.0, 0.0]  # outside: clamped to the corner (3, 2)
+    cfg = TransportConfig(eps=0.05, tau=0.05, inner_iters=10, rounds=15)
+    r1, s1 = so.run_experiment(positions, cfg, target, MetricCost(), q, seed=2)
+    r2, s2 = so.run_experiment(positions, cfg, target, MetricCost(), q, seed=2)
+    assert s1[0][1][0].tolist() == [3.0, 2.0]
+    assert all(dom.contains(p) for _, pos, _ in s1 for p in pos)
+    assert r1 == r2
+    assert [(p.tobytes(), m.tobytes()) for _, p, m in s1] == [
+        (p.tobytes(), m.tobytes()) for _, p, m in s2
+    ]
+    assert r1[-1].mass_variance < r1[0].mass_variance
 
 
 def test_seeded_positions_are_reproducible_and_in_domain():
@@ -329,7 +348,7 @@ def test_each_position_set_is_measured_once(monkeypatch):
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
     counts = count_calls(monkeypatch, transport, MEASURES)
     nudged = nudged_rounds(monkeypatch)
-    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, metric, dom, q, seed=3)
+    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, metric, q, seed=3)
     assert nudged == [False] * cfg.rounds
     assert counts == dict.fromkeys(MEASURES, cfg.rounds + 1)
 
@@ -361,15 +380,16 @@ def test_a_round_given_its_cells_matches_one_that_measures_them(monkeypatch):
     cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
     positions = so.initial_positions(6, dom, seed=8)
     state = SwarmState(positions, seed=8)
-    cells = transport._measure(positions, target, metric, dom, q, cfg.radius)
-    other = transport._measure(positions[::-1].copy(), target, metric, dom, q, cfg.radius)
-    measured = so.transport_round(state, cfg, target, metric, dom, q)
+    dens = target.values_on(q)
+    cells = transport._measure(positions, metric, q, cfg.radius, dens)
+    other = transport._measure(positions[::-1].copy(), metric, q, cfg.radius, dens)
+    measured = so.transport_round(state, cfg, target, metric, q)
     counts = count_calls(monkeypatch, transport, MEASURES)
-    given = so.transport_round(state, cfg, target, metric, dom, q, cells)
+    given = so.transport_round(state, cfg, target, metric, q, cells)
     assert counts == dict.fromkeys(MEASURES, 0)
     assert round_bits(given) == round_bits(measured)
     # cells of other sites are measured again at the round's positions
-    given = so.transport_round(state, cfg, target, metric, dom, q, other)
+    given = so.transport_round(state, cfg, target, metric, q, other)
     assert counts == dict.fromkeys(MEASURES, 1)
     assert round_bits(given) == round_bits(measured)
 
@@ -379,11 +399,11 @@ def test_a_round_whose_dedupe_nudges_measures_its_cells_again(monkeypatch):
     cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
     positions = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
     state = SwarmState(positions, seed=2)
-    cells = transport._measure(positions, target, metric, dom, q, cfg.radius)
-    measured = so.transport_round(state, cfg, target, metric, dom, q)
+    cells = transport._measure(positions, metric, q, cfg.radius, target.values_on(q))
+    measured = so.transport_round(state, cfg, target, metric, q)
     assert measured[1]["perturbed"] == [2]
     counts = count_calls(monkeypatch, transport, MEASURES)
-    given = so.transport_round(state, cfg, target, metric, dom, q, cells)
+    given = so.transport_round(state, cfg, target, metric, q, cells)
     assert counts == dict.fromkeys(MEASURES, 1)
     assert round_bits(given) == round_bits(measured)
 
@@ -515,7 +535,7 @@ def test_step_lengths_are_the_metric_distance_of_each_move():
     state = SwarmState(so.initial_positions(40, dom, seed=4), seed=4)
     for _ in range(cfg.rounds):
         before = state.positions
-        state, diag = so.transport_round(state, cfg, target, metric, dom, q)
+        state, diag = so.transport_round(state, cfg, target, metric, q)
         assert diag["perturbed"] == []  # so the round moved `before` itself
         steps = diag["step_lengths"]
         ref = [metric.distance(a, b) for a, b in zip(before, state.positions)]

@@ -37,7 +37,7 @@ def setup(sites, n=64, radius=None):
     dom = Domain()
     metric = MetricCost()
     q = QuadratureGrid(dom, n)
-    part = so.build_partition(np.asarray(sites, dtype=float), metric, dom, q)
+    part = so.build_partition(np.asarray(sites, dtype=float), q)
     graph = so.neighbor_graph(part, metric, radius=radius)
     return part, graph
 
@@ -140,7 +140,7 @@ def test_non_finite_sites_are_rejected(bad):
     sites = np.array([[0.2, 0.5], [0.8, 0.5]])
     sites[1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        so.build_partition(sites, MetricCost(), dom, q)
+        so.build_partition(sites, q)
 
 
 @st.composite
@@ -180,7 +180,7 @@ def partition_cases(draw):
 @given(partition_cases())
 def test_running_minimum_matches_the_dense_argmin(case):
     dom, q, sites = case
-    part = so.build_partition(sites, MetricCost(), dom, q)
+    part = so.build_partition(sites, q)
     assert part.owner.dtype == np.int64
     assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
 
@@ -232,7 +232,7 @@ def culled_partition_cases(draw):
 @given(culled_partition_cases())
 def test_culled_scan_matches_the_dense_argmin(case):
     dom, q, sites = case
-    part = so.build_partition(sites, MetricCost(), dom, q)
+    part = so.build_partition(sites, q)
     assert np.array_equal(part.owner, _blocked_dense_owner(sites, dom, q))
 
 
@@ -250,7 +250,7 @@ def test_a_tie_at_a_tile_bound_keeps_the_lower_index(nx, ny, sites, cell, owner)
     dom = Domain((0.0, 0.0), (nx * h, ny * h))
     q = QuadratureGrid(dom, nx, ny)
     sites = h * np.array(sites)
-    part = so.build_partition(sites, MetricCost(), dom, q)
+    part = so.build_partition(sites, q)
     assert part.owner[cell[1] * nx + cell[0]] == owner
     assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
 
@@ -262,10 +262,10 @@ def test_mirrored_sites_tie_to_the_lowest_index():
     q = QuadratureGrid(dom, 8, 4)
     c, off = q.centers[27], np.array([0.25, 0.125])
     sites = np.array([c + off, c - off, c + 0.5])
-    part = so.build_partition(sites, MetricCost(), dom, q)
+    part = so.build_partition(sites, q)
     assert part.owner[27] == 0
     assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
-    part = so.build_partition(sites[::-1], MetricCost(), dom, q)
+    part = so.build_partition(sites[::-1], q)
     assert part.owner[27] == 1  # the pair now holds indices 1 and 2
 
 
@@ -275,7 +275,7 @@ def test_partition_memory_does_not_scale_with_sites_times_cells():
     sites = so.SplitMix64(5).uniforms(2000).reshape(1000, 2)
     tracemalloc.start()
     try:
-        so.build_partition(sites, MetricCost(), dom, q)
+        so.build_partition(sites, q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -314,7 +314,7 @@ def _gaussian(n, seed, sigma):
 def test_production_sizes_match_the_dense_argmin(sites, nx, ny):
     dom = Domain()
     q = QuadratureGrid(dom, nx, ny)
-    part = so.build_partition(sites, MetricCost(), dom, q)
+    part = so.build_partition(sites, q)
     assert np.array_equal(part.owner, _blocked_dense_owner(sites, dom, q))
 
 
