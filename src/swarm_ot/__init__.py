@@ -7,7 +7,14 @@ system with Lyapunov and KKT diagnostics.
 """
 
 from .geometry import Domain, MetricCost
-from .target import DensityField, PgmParseError, QuadratureGrid, load_pgm, cell_masses
+from .target import (
+    DensityField,
+    DomainMismatchError,
+    PgmParseError,
+    QuadratureGrid,
+    load_pgm,
+    cell_masses,
+)
 from .voronoi import Partition, NeighborGraph, build_partition, neighbor_graph, is_connected
 from .primal_dual import (
     PotentialState,

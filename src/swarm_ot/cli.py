@@ -69,13 +69,13 @@ def build_target(cfg, domain, seed):
     return field.normalize(QuadratureGrid(domain, cfg.quad_resolution))
 
 
-def transport_config(cfg, fixed_dual=None, inner_iters=None):
+def transport_config(cfg, inner_iters=None):
     return TransportConfig(
         eps=cfg.eps,
         tau=cfg.tau,
         inner_iters=cfg.inner_iters if inner_iters is None else inner_iters,
         rounds=cfg.rounds,
-        fixed_dual=fixed_dual,
+        fixed_dual=cfg.fixed_dual,
         radius=cfg.radius,
     )
 
@@ -107,7 +107,7 @@ def run_agents(cfg, out_dir):
     metric = MetricCost()
     q = QuadratureGrid(domain, cfg.quad_resolution)
     target = build_target(cfg, domain, cfg.seed)
-    tcfg = transport_config(cfg, fixed_dual=cfg.fixed_dual)
+    tcfg = transport_config(cfg)
     positions = initial_positions(cfg.n_agents, domain, cfg.seed)
     records, snapshots = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
     write_csv(out_dir / "metrics.csv", AGENT_HEADER, _agent_rows(records))

@@ -13,9 +13,17 @@ list comes from `grid_edges` and knows its shape, so the kernel runs on
 it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
 agent graph. A state computes L phi at most once (`GridState.lap_phi`),
 and the record and the transport step share it.
-A record takes the state's edge differences once, and its sums are
-`einsum` reductions, which unlike BLAS dot products give the same bits
-under any thread count.
+
+A record reads the edge terms of the state's potential
+(`GridState.edge_terms`: phi_i - phi_j, its square, the slack
+| |phi_i - phi_j| - cost | and the largest excess). A state computes
+them once per potential, and L phi reads their edge differences. In
+inner_steady_state phi is fixed for the whole run, so the edge
+differences are taken once per run, not twice per step. The on-the-fly
+modes rebind phi at every outer step, and `coupled_states` drops the
+terms with each record there (its docstring says why). The record's sums
+are `einsum` reductions, which unlike BLAS dot products give the same
+bits under any thread count.
 
 `coupled_states` is the one time loop: it counts a run's steps
 (`step_count`), steps every mode and takes the `lyapunov` records;
@@ -31,6 +39,7 @@ inner solve of inner_steady_state, which never iterates.
 import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +65,7 @@ class GridState:
     """
 
     _lap_memo = None  # (phi, lam, L phi) of the last lap_phi() call
+    _edge_memo = None  # (phi, cost, EdgeTerms) of the last edge_terms() call
 
     def __init__(self, nx, ny, rho, phi=None, lam=None, cost=1.0, dt=1e-3, t=0.0):
         self.nx = int(nx)
@@ -93,12 +103,43 @@ class GridState:
         """L phi = laplacian(phi, lam), computed once per (phi, lam) pair.
 
         Keyed on the identity of the two arrays, which states never
-        write in place: rebinding either one recomputes it.
+        write in place: rebinding either one recomputes it. It reads the
+        edge differences of `edge_terms` when the state holds them.
         """
         memo = self._lap_memo
         if memo is None or memo[0] is not self.phi or memo[1] is not self.lam:
-            memo = self._lap_memo = (self.phi, self.lam, laplacian(self.phi, self.lam, self.edges))
+            held = self._edge_memo
+            dphi = held[2].dphi if held is not None and held[0] is self.phi else None
+            lap = laplacian(self.phi, self.lam, self.edges, dphi)
+            memo = self._lap_memo = (self.phi, self.lam, lap)
         return memo[2]
+
+    def edge_terms(self):
+        """The `EdgeTerms` of phi, computed once per potential.
+
+        Keyed on the identity of phi (and the cost), like `lap_phi`: a
+        state that rebinds phi computes them anew, and until then its
+        copy of the old terms is dead weight (see `coupled_states`).
+        Three edge-sized arrays and no temporary.
+        """
+        memo = self._edge_memo
+        if memo is None or memo[0] is not self.phi or memo[1] != self.cost:
+            dphi = edge_diff(self.phi, self.edges)
+            slack = np.abs(dphi)
+            slack -= self.cost
+            feasibility = float(slack.max(initial=0.0))
+            terms = EdgeTerms(dphi, dphi * dphi, np.abs(slack, out=slack), feasibility)
+            memo = self._edge_memo = (self.phi, self.cost, terms)
+        return memo[2]
+
+
+class EdgeTerms(NamedTuple):
+    """What a record needs of a potential on the edges, lam aside."""
+
+    dphi: np.ndarray  # phi_i - phi_j, the operand of L phi
+    sq: np.ndarray  # dphi * dphi, the bits of |dphi| * |dphi|, for E
+    slack: np.ndarray  # | |dphi| - cost |, for the slackness residual
+    feasibility: float  # the largest excess |dphi| - cost, at least 0
 
 
 @dataclass
@@ -122,22 +163,29 @@ class LyapunovReport:
     mass_error: float
 
 
-def pd_flow_step(s, rho_star):
-    """One explicit Euler step, of length s.dt, of the primal-dual flow (rho untouched).
+def pd_flow_step(s, rho_star, n=1):
+    """n explicit Euler steps, each of length s.dt, of the primal-dual flow (rho untouched).
 
     phi ascends the divergence of lam grad phi plus the imbalance;
     lam follows the constraint violation with the rate projected so
-    multipliers never leave the nonnegative cone.
+    multipliers never leave the nonnegative cone. rho - rho_star is
+    constant over the steps, so one call gives the bits of n calls.
     """
     out = copy.copy(s)
-    out.phi, out.lam = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, 1)
+    with np.errstate(all="ignore"):
+        out.phi, out.lam = iterate(
+            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n
+        )
     return out
 
 
-def relaxed_primal_step(s, rho_star):
-    """Primal flow step with the multipliers held at s.lam."""
+def relaxed_primal_step(s, rho_star, n=1):
+    """n primal flow steps with the multipliers held at s.lam."""
     out = copy.copy(s)
-    out.phi, _ = iterate(s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, 1, dual=False)
+    with np.errstate(all="ignore"):
+        out.phi, _ = iterate(
+            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual=False
+        )
     return out
 
 
@@ -175,19 +223,20 @@ def kkt_residual(s, rho_star):
 def lyapunov(s, rho_star):
     """V, E, KKT residuals, and the mass conservation error of a state.
 
-    The gaps |phi_i - phi_j|, taken once, give E, feasibility and
-    slackness. dual_feasibility reports the smallest multiplier: unlike
-    the other KKT fields it is a position, not a violation magnitude.
+    The state's `edge_terms`, taken once per potential, give E,
+    feasibility and slackness, and the stationarity's L phi reads their
+    edge differences. dual_feasibility reports the smallest multiplier:
+    unlike the other KKT fields it is a position, not a violation
+    magnitude.
     """
     err = s.rho - rho_star
     V = 0.5 * float(np.einsum("i,i->", err, err))
-    gaps = np.abs(edge_diff(s.phi, s.edges))
-    E = 0.5 * float(np.einsum("i,i->", s.lam, gaps * gaps)) + V
-    over = gaps - s.cost
+    terms = s.edge_terms()
+    E = 0.5 * float(np.einsum("i,i->", s.lam, terms.sq)) + V
     kkt = KKTResidual(
         stationarity(s, rho_star),
-        float(over.max(initial=0.0)),
-        float((s.lam * np.abs(over)).max(initial=0.0)),
+        terms.feasibility,
+        float((s.lam * terms.slack).max(initial=0.0)),
         float(s.lam.min()) if len(s.lam) else 0.0,
     )
     return LyapunovReport(s.t, V, E, kkt, abs(float(s.rho.sum()) - 1.0))
@@ -310,6 +359,9 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
       on_the_fly_fixed  - inner_n primal-only steps with lam == lam_fixed
       inner_steady_state- the inner flow held at its stationary point
 
+    The on-the-fly modes take an outer step's inner_n steps in one
+    `pd_flow_step` or `relaxed_primal_step` call.
+
     inner_steady_state takes no inner steps. It starts from the
     closed-form stationary pair of `steady_potentials`, and after each
     transport step, which scales the imbalance by (1 - dt), it rescales
@@ -333,6 +385,16 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
     go back to the system and are faulted in again every step: on a 256²
     `on_the_fly_pd` run, 17 times the page faults and about 9% more time
     (2-core x86-64 VM).
+
+    A record leaves the state holding the edge terms of its phi
+    (`GridState.edge_terms`). inner_steady_state keeps them: its phi never
+    changes, so every later record and L phi reads them. The on-the-fly
+    modes drop them with the record. Their next inner steps rebind phi,
+    and the recorded state lives on as the previous state through those
+    steps, so kept terms would hold three dead edge-sized arrays at the
+    run's peak: on the 256² `pde_pd256` run, 3.4 MiB more peak RSS
+    (48.8 against 45.4 MiB), where dropping them keeps the peak within
+    0.2 MiB of computing every record from scratch (2-core x86-64 VM).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -352,21 +414,26 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
         s.lam = np.full(len(s.edges), float(lam_fixed))
     if steady:
         s.phi, s.lam = steady_potentials(s, rho_star)
-        inner_n = 0
     inner_step = pd_flow_step if mode == "on_the_fly_pd" else relaxed_primal_step
 
-    yield s, lyapunov(s, rho_star)
+    def record(s):
+        report = lyapunov(s, rho_star)
+        if not steady:
+            s._edge_memo = None  # the next inner steps rebind phi: see the docstring
+        return report
+
+    yield s, record(s)
     for step in range(1, steps + 1):
         prev = s  # released just before the record: see the docstring
         with np.errstate(all="ignore"):
-            for _ in range(inner_n):
-                s = inner_step(s, rho_star)
+            if not steady:
+                s = inner_step(s, rho_star, inner_n)
             s = transport_step(s)
             if steady:
                 s.lam = s.lam * (1.0 - s.dt)
             del prev
             recorded = step % record_every == 0 or step == steps
-            report = lyapunov(s, rho_star) if recorded else None
+            report = record(s) if recorded else None
         yield s, report
     return s
 

@@ -95,23 +95,32 @@ def _net_outflow(flux, edges, n):
         out -= np.bincount(edges[:, 1], weights=flux, minlength=n)
         return out.astype(float, copy=False)  # bincount of no edges is int
     # bincount's order: from zero, a node's horizontal edge, then its
-    # vertical one, at the tail and at the head
+    # vertical one, at the tail and at the head. fh + 0.0 is 0.0 + fh, so
+    # a -0.0 flux sums to +0.0 as in bincount; the column without a
+    # horizontal edge starts at 0.0 itself.
     ny, nx = shape
     nh = ny * (nx - 1)
     fh, fv = flux[:nh].reshape(ny, nx - 1), flux[nh:].reshape(ny - 1, nx)
-    out = np.zeros(shape)
-    out[:, :-1] += fh
+    out = np.empty(shape)
+    np.add(fh, 0.0, out=out[:, :-1])
+    out[:, -1] = 0.0
     out[:-1] += fv
-    head = np.zeros(shape)
-    head[:, 1:] += fh
+    head = np.empty(shape)
+    np.add(fh, 0.0, out=head[:, 1:])
+    head[:, 0] = 0.0
     head[1:] += fv
     out -= head
     return out.ravel()
 
 
-def laplacian(phi, lam, edges):
-    """Weighted graph Laplacian: per node, sum_j lam_ij (phi_i - phi_j)."""
-    return _net_outflow(lam * edge_diff(phi, edges), edges, len(phi))
+def laplacian(phi, lam, edges, dphi=None):
+    """Weighted graph Laplacian: per node, sum_j lam_ij (phi_i - phi_j).
+
+    dphi, when given, is phi's `edge_diff`, taken once by the caller.
+    """
+    if dphi is None:
+        dphi = edge_diff(phi, edges)
+    return _net_outflow(lam * dphi, edges, len(phi))
 
 
 def incidence(edges, n):
@@ -132,7 +141,8 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
 
     The one kernel behind the agents' inner loop and the grid flow.
     Returns (phi, lam) and never writes its inputs. Divergence shows up as
-    non-finite values that callers check, so its warnings are noise.
+    non-finite values that callers check, so its warnings are noise: each
+    caller enters np.errstate(all="ignore") once around its calls.
 
     Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
     and phi' = phi + tau (b - L phi) in place, in the buffers of the flux
@@ -141,21 +151,20 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     node-sized allocations per step, a large grid's run does not return
     heap pages to the system and fault them in again.
     """
-    with np.errstate(all="ignore"):
-        for _ in range(n_steps):
-            dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
-            flux = lam * dphi
-            step = _net_outflow(flux, edges, len(phi))
-            if dual:
-                np.multiply(0.5, dphi, out=flux)
-                flux *= dphi
-                flux -= half_c2
-                np.multiply(tau, flux, out=flux)
-                np.add(lam, flux, out=flux)
-                lam = np.maximum(0.0, flux, out=flux)
-            np.subtract(b, step, out=step)
-            np.multiply(tau, step, out=step)
-            phi = np.add(phi, step, out=step)
+    for _ in range(n_steps):
+        dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
+        flux = lam * dphi
+        step = _net_outflow(flux, edges, len(phi))
+        if dual:
+            np.multiply(0.5, dphi, out=flux)
+            flux *= dphi
+            flux -= half_c2
+            np.multiply(tau, flux, out=flux)
+            np.add(lam, flux, out=flux)
+            lam = np.maximum(0.0, flux, out=flux)
+        np.subtract(b, step, out=step)
+        np.multiply(tau, step, out=step)
+        phi = np.add(phi, step, out=step)
     return phi, lam
 
 
@@ -169,7 +178,8 @@ def _run(s, b, g, tau, n, dual):
     if n == 0:
         return s
     b = np.asarray(b, dtype=float)
-    phi, lam = iterate(s.phi, s.lam, b, g.edges, 0.5 * g.costs**2, tau, n, dual)
+    with np.errstate(all="ignore"):
+        phi, lam = iterate(s.phi, s.lam, b, g.edges, 0.5 * g.costs**2, tau, n, dual)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
         kind = "primal-dual" if dual else "primal"
         raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
@@ -242,36 +252,38 @@ def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
     best = np.inf
     stall = 0
     used = 0
-    while used < max_iter and tau_cur > 1e-10:
-        chunk = min(CHECK_EVERY, max_iter - used)
-        phi_new, lam_new = iterate(phi, lam, b, g.edges, half_c2, tau_cur, chunk)
-        used += chunk
-        finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))
-        if finite:
-            state = PotentialState(phi_new, lam_new, g.edges)
-            res = pd_residual(state, b, g)
-        else:
-            res = np.inf
-        if not finite or res > 1e8:
-            # diverged: restart from the initial state with half the step
-            tau_cur *= 0.5
-            phi, lam = s.phi.copy(), s.lam.copy()
-            best = np.inf
-            stall = 0
-            continue
-        phi, lam = phi_new, lam_new
-        if res <= tol:
-            return state, {"converged": True, "iterations": used, "tau": tau_cur, "residual": res}
-        if res < best * (1.0 - 1e-6):
-            best = res
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 50:
-                # no new best for a whole window: the iterate is orbiting
-                # the saddle rather than approaching it, so damp the step
+    with np.errstate(all="ignore"):
+        while used < max_iter and tau_cur > 1e-10:
+            chunk = min(CHECK_EVERY, max_iter - used)
+            phi_new, lam_new = iterate(phi, lam, b, g.edges, half_c2, tau_cur, chunk)
+            used += chunk
+            finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))
+            if finite:
+                state = PotentialState(phi_new, lam_new, g.edges)
+                res = pd_residual(state, b, g)
+            else:
+                res = np.inf
+            if not finite or res > 1e8:
+                # diverged: restart from the initial state with half the step
                 tau_cur *= 0.5
+                phi, lam = s.phi.copy(), s.lam.copy()
+                best = np.inf
                 stall = 0
+                continue
+            phi, lam = phi_new, lam_new
+            if res <= tol:
+                info = {"converged": True, "iterations": used, "tau": tau_cur, "residual": res}
+                return state, info
+            if res < best * (1.0 - 1e-6):
+                best = res
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 50:
+                    # no new best for a whole window: the iterate is orbiting
+                    # the saddle rather than approaching it, so damp the step
+                    tau_cur *= 0.5
+                    stall = 0
     state = PotentialState(phi, lam, g.edges)
     res = pd_residual(state, b, g)
     return state, {

@@ -22,6 +22,10 @@ class PgmParseError(ValueError):
         self.offset = offset
 
 
+class DomainMismatchError(ValueError):
+    """A field evaluated on a quadrature over another domain."""
+
+
 class QuadratureGrid:
     """Midpoint-rule quadrature cells over a rectangular domain."""
 
@@ -137,11 +141,24 @@ class DensityField:
         return float(self._raw_many(x[None, :])[0] / self.normalizer)
 
     def values_on(self, q):
-        """Normalized density at every quadrature cell center."""
+        """Normalized density at every quadrature cell center.
+
+        A DomainMismatchError unless q covers the field's own domain:
+        elsewhere the values would not integrate to one.
+        """
+        mine, theirs = self.domain, q.domain
+        if not (np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)):
+            raise DomainMismatchError(
+                f"the target's domain {mine.lo.tolist()}-{mine.hi.tolist()} is not "
+                f"the quadrature's {theirs.lo.tolist()}-{theirs.hi.tolist()}"
+            )
         return self._raw_many(q.centers) / self.normalizer
 
     def normalize(self, q):
-        """Return a copy rescaled so quadrature over the domain equals one."""
+        """Return a copy rescaled so quadrature over the domain equals one.
+
+        q must cover the field's domain (see `values_on`).
+        """
         total = float(self.values_on(q).sum() * q.cell_area)
         if total <= 0:
             raise ValueError("degenerate target: density integrates to zero")

@@ -428,6 +428,25 @@ def test_fig_subcommand_smoke(tmp_path):
     assert res.returncode == 2  # argparse rejects out-of-range figure numbers
 
 
+def test_fig2_keeps_the_fixed_dual_of_its_config(tmp_path):
+    # fig 2's n = 5 curve is the `agents` run at transport.n = 5, with or
+    # without a fixed dual, and the fixed dual changes it
+    plain = "transport.N = 8\ntransport.K = 3\ntransport.n = 5\nquadrature.resolution = 32\n"
+    configs = {
+        "plain": "mode = agents\n" + plain,
+        "fixed": "mode = agents_fixed_dual\ntransport.fixed_dual = 1.0\n" + plain,
+    }
+    curves = {}
+    for name, text in configs.items():
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(text)
+        for command in (["agents"], ["fig", "2"]):
+            assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        curves[name] = (out / "fig2_n5.csv").read_bytes()
+        assert curves[name] == (out / "metrics.csv").read_bytes()
+    assert curves["fixed"] != curves["plain"]
+
+
 def test_uniform_pde_target_reaches_tiny_error(tmp_path):
     # rho0 far from uniform decays toward it; V must drop monotonically
     cfg = tmp_path / "run.cfg"

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
 from swarm_ot import DensityField, GridState, NeighborGraph, PotentialState, grid
-from swarm_ot.primal_dual import incidence, iterate, laplacian
+from swarm_ot.primal_dual import _net_outflow, incidence, iterate, laplacian
 
 
 def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
@@ -288,6 +288,108 @@ def test_a_record_takes_the_edge_differences_once(monkeypatch):
     monkeypatch.setattr(grid, "edge_diff", counted)
     so.lyapunov(s, np.full(20, 1.0 / 20))
     assert len(calls) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+    st.sampled_from(grid.MODES),
+    st.sampled_from([1, 3]),
+    st.integers(1, 3),
+    st.integers(1, 8),
+)
+@example(1, 7, 0, "on_the_fly_pd", 1, 2, 5)
+@example(7, 1, 0, "inner_steady_state", 3, 1, 7)
+def test_every_record_equals_the_record_of_a_fresh_state(nx, ny, seed, mode, every, inner_n, steps):
+    # the edge terms a state keeps (or drops) between records never
+    # change a record's bits
+    dt = 0.01
+    s = GridState(nx, ny, so.random_density(nx, ny, seed), dt=dt)
+    rho_star = so.random_density(nx, ny, seed + 1)
+    states = so.coupled_states(
+        s, rho_star, mode, inner_n=inner_n, horizon=steps * dt, record_every=every
+    )
+    records = 0
+    for state, report in states:
+        if report is None:
+            continue
+        fresh = GridState(nx, ny, state.rho, phi=state.phi, lam=state.lam, cost=state.cost,
+                          dt=state.dt, t=state.t)
+        assert record_bits(report) == record_bits(so.lyapunov(fresh, rho_star))
+        records += 1
+    assert records == 1 + steps // every + (steps % every != 0)
+
+
+@pytest.mark.parametrize("mode", grid.MODES)
+def test_edge_terms_are_computed_once_per_potential(monkeypatch, mode):
+    calls, real = [], grid.edge_diff
+
+    def counted(phi, edges):
+        calls.append(None)
+        return real(phi, edges)
+
+    monkeypatch.setattr(grid, "edge_diff", counted)
+    s = GridState(5, 4, so.random_density(5, 4, seed=6), dt=0.01)
+    reports, _ = so.run_coupled(s, np.full(20, 1.0 / 20), mode, inner_n=2, horizon=0.1,
+                                record_every=3)
+    # phi is fixed for the whole steady run, and new at every on-the-fly record
+    assert len(calls) == (1 if mode == "inner_steady_state" else len(reports))
+
+
+@pytest.mark.parametrize("mode", ["on_the_fly_pd", "on_the_fly_fixed"])
+def test_no_state_alive_at_an_on_the_fly_record_holds_edge_terms(monkeypatch, mode):
+    # phi is rebound at every outer step; terms carried past that would
+    # pin three edge-sized arrays through the next inner steps
+    real, seen, held = grid.lyapunov, [], []
+
+    def checked(s, rho_star):
+        alive = [ref() for ref in seen if ref() is not None] + [s]
+        held.append(sum(state._edge_memo is not None for state in alive))
+        seen.append(weakref.ref(s))
+        return real(s, rho_star)
+
+    monkeypatch.setattr(grid, "lyapunov", checked)
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    states = so.coupled_states(s, np.full(16, 1.0 / 16), mode, inner_n=2, horizon=0.05)
+    for state, report in states:
+        assert state._edge_memo is None  # dropped with the record
+        del state
+    assert held == [0] * 6
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_cases(), st.integers(0, 5))
+def test_n_inner_steps_in_one_call_equal_n_calls(case, n):
+    s, rho_star = case
+    for step in (so.pd_flow_step, so.relaxed_primal_step):
+        one = s
+        for _ in range(n):
+            one = step(one, rho_star)
+        out = step(s, rho_star, n)
+        assert same_bytes(out.phi, one.phi) and same_bytes(out.lam, one.lam)
+
+
+@st.composite
+def signed_zero_fluxes(draw):
+    """Grid edges of a random shape up to 12x12 and fluxes with +-0.0."""
+    edges = so.grid_edges(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+    return edges, draw(arrays(np.float64, len(edges), elements=values))
+
+
+@settings(deadline=None, max_examples=200)
+@given(signed_zero_fluxes())
+@example((so.grid_edges(3, 2), np.full(7, -0.0)))
+def test_grid_net_outflow_is_bincounts_bits_and_signs(case):
+    # a lam = 0 edge with phi_i < phi_j carries a -0.0 flux
+    edges, flux = case
+    n = edges.grid_shape[0] * edges.grid_shape[1]
+    stencil = _net_outflow(flux, edges, n)
+    index = _net_outflow(flux, np.asarray(edges), n)
+    assert same_bytes(stencil, index)
+    assert np.array_equal(np.signbit(stencil), np.signbit(index))
 
 
 def test_kkt_residual_at_the_hand_saddle():

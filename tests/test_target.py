@@ -24,6 +24,23 @@ def test_uniform_density_is_one_on_unit_square():
     assert field.values_on(q).sum() * q.cell_area == pytest.approx(1.0)
 
 
+def test_a_target_on_a_quadrature_over_another_domain_is_an_error():
+    # the unit-square uniform target on this quadrature ran, and its cell
+    # masses summed to 4.0 instead of 1
+    q = QuadratureGrid(Domain((-1.0, 2.0), (3.0, 3.0)), 32)
+    field = DensityField.uniform()
+    for evaluate in (field.values_on, field.normalize):
+        with pytest.raises(so.DomainMismatchError, match=r"\[0.0, 0.0\]-\[1.0, 1.0\]"):
+            evaluate(q)
+    positions = so.initial_positions(4, q.domain, seed=1)
+    cfg = so.TransportConfig(eps=0.05, tau=0.5, inner_iters=1, rounds=1)
+    with pytest.raises(so.DomainMismatchError):
+        so.run_experiment(positions, cfg, field, so.MetricCost(), q)
+    assert issubclass(so.DomainMismatchError, ValueError)  # the CLI reports it
+    # an equal domain built separately is the same domain
+    assert field.values_on(quad(8)).sum() * quad(8).cell_area == 1.0
+
+
 def test_uniform_density_respects_domain_area():
     dom = Domain((0.0, 0.0), (2.0, 0.5))
     field = DensityField.uniform(dom)
