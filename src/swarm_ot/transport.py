@@ -7,12 +7,24 @@ primal-dual (or primal-only) iterations and moves every agent by a
 proximal step in its eps-ball along a local gradient of its neighbors'
 potentials. Each agent keeps its own potential from round to round, and
 its multipliers with the neighbors that survive.
+
+The local gradients of a round are one batched fit: the agents of each
+degree share one call of the LAPACK gufunc behind `np.linalg.lstsq`, which
+solves each stacked design on its own with the inputs a per-agent
+`np.linalg.lstsq` would pass, so every gradient keeps that call's bits.
+
+A round is a nearest-neighbor protocol: with n inner iterations, an
+agent's new position and potential read only agents within n + 2 hops
+of it. `_dedupe` seeds each nudge by (seed, k, i), which an agent can do
+alone, and `is_connected` is a diagnostic that moves nobody.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .primal_dual import (
     PotentialState,
@@ -105,22 +117,41 @@ def initial_positions(n_agents, domain, seed):
 GRAD_RCOND = 1e-9
 
 
-def local_gradient(i, positions, phi, neighbors):
-    """Gradient of the least-squares affine fit of neighborhood potentials.
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
-    Fits phi over agent i and its neighbors; with a rank-deficient
-    (collinear) neighborhood the minimum-norm solution restricts the
-    gradient to the span of available directions. An isolated agent gets
-    the zero vector; callers flag that case in their diagnostics.
+
+def local_gradient(positions, phi, graph):
+    """Gradients of the least-squares affine fits of neighborhood potentials.
+
+    Row i fits phi over agent i and its neighbors on `graph`, in
+    ascending index order, and returns the fit's slope; with a
+    rank-deficient (collinear) neighborhood the minimum-norm solution
+    restricts the gradient to the span of available directions. An
+    isolated agent gets the zero vector; callers flag that case in their
+    diagnostics.
+
+    The agents of each degree d are fitted in one call of the gufunc
+    behind `np.linalg.lstsq`, on a stack of their (d + 1) x 3 designs
+    `[1, x_j - x_i]`, agent first. Each design reaches LAPACK's gelsd on
+    its own, with the inputs one `np.linalg.lstsq` call per agent would
+    pass it, so every row has that call's bits, whichever agents share
+    its degree. As in `np.linalg.lstsq`, a fit whose SVD does not
+    converge raises `LinAlgError`.
     """
-    neighbors = sorted(int(v) for v in neighbors)
-    if not neighbors:
-        return np.zeros(2)
-    idx = [int(i)] + neighbors
-    rel = positions[idx] - positions[int(i)]
-    design = np.column_stack([np.ones(len(idx)), rel])
-    coef, _, _, _ = np.linalg.lstsq(design, phi[idx], rcond=GRAD_RCOND)
-    return coef[1:]
+    offsets, neighbors = graph.adjacency()
+    degree = np.diff(offsets)
+    grads = np.zeros((graph.n, 2))
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        for d in np.unique(degree[degree > 0]).tolist():
+            agents = np.flatnonzero(degree == d)
+            idx = np.column_stack([agents, neighbors[offsets[agents, None] + np.arange(d)]])
+            design = np.ones((len(agents), d + 1, 3))
+            np.subtract(positions[idx], positions[agents, None], out=design[:, :, 1:])
+            coef = _gelsd(design, phi[idx, None], GRAD_RCOND, signature="ddd->ddid")[0]
+            grads[agents] = coef[:, 1:, 0]
+    return grads
 
 
 def _row_norms(v):
@@ -195,6 +226,8 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     steps with every multiplier at cfg.fixed_dual when that is set, and
     moves every agent by a proximal step. Returns (new_state, diagnostics);
     a disconnected graph is reported in the diagnostics rather than raised.
+    Potentials that diverge raise FloatingPointError, also when they are
+    still finite but a gradient's norm overflows.
     """
     n = len(state.positions)
     if n < 2:
@@ -218,13 +251,18 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     solve = run_primal if fixed else run_pd
     inner = solve(PotentialState(phi0, lam0, graph.edges), b, graph, cfg.tau, cfg.inner_iters)
 
-    lists = graph.neighbor_lists()
-    isolated = [i for i, l in enumerate(lists) if not l]
-    grads = np.array([local_gradient(i, positions, inner.phi, l) for i, l in enumerate(lists)])
+    grads = local_gradient(positions, inner.phi, graph)
+    with np.errstate(over="ignore"):
+        finite = np.all(np.isfinite(_row_norms(grads)))
+    if not finite:
+        # potentials so large that a gradient's norm overflows have diverged
+        kind = "primal" if fixed else "primal-dual"
+        raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
     new_positions = proximal_step(positions, grads, cfg.eps, metric, q.domain)
     # the bits of metric.distance(positions[i], new_positions[i]) per agent
     step_lengths = metric.xi * _row_norms(positions - new_positions)
 
+    isolated = np.flatnonzero(np.bincount(graph.edges.ravel(), minlength=n) == 0).tolist()
     carried = {} if fixed else dict(zip(edges, inner.lam.tolist()))
     new_state = SwarmState(
         positions=new_positions,

@@ -58,13 +58,15 @@ class NeighborGraph:
             np.ones(self.n, dtype=bool) if active is None else np.asarray(active, dtype=bool)
         )
 
-    def neighbor_lists(self):
-        """Per-node sorted neighbor index lists."""
+    def adjacency(self):
+        """CSR adjacency (offsets, neighbors) of both edge directions.
+
+        Agent i's neighbors, in ascending order, are
+        `neighbors[offsets[i]:offsets[i + 1]]`.
+        """
         ends = np.concatenate([self.edges, self.edges[:, ::-1]])
         ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-        cuts = np.searchsorted(ends[:, 0], np.arange(self.n + 1)).tolist()
-        neighbors = ends[:, 1].tolist()
-        return [neighbors[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        return np.searchsorted(ends[:, 0], np.arange(self.n + 1)), ends[:, 1]
 
 
 def build_partition(sites, q):
@@ -164,10 +166,10 @@ def neighbor_graph(p, metric, radius=None):
     """
     q = p.q
     own = p.owner.reshape(q.ny, q.nx)
-    a = np.concatenate([own[:, :-1].ravel(), own[:-1, :].ravel()])
-    b = np.concatenate([own[:, 1:].ravel(), own[1:, :].ravel()])
-    cut = a != b
-    a, b = a[cut], b[cut]
+    # owner pairs across the cell boundaries that differ, row then column
+    cut_x, cut_y = own[:, :-1] != own[:, 1:], own[:-1] != own[1:]
+    a = np.concatenate([own[:, :-1][cut_x], own[:-1][cut_y]])
+    b = np.concatenate([own[:, 1:][cut_x], own[1:][cut_y]])
     # one int64 key per unordered pair; sorted keys are lexicographic (lo, hi)
     keys = np.unique(np.minimum(a, b) * p.n + np.maximum(a, b))
     edges = np.column_stack([keys // p.n, keys % p.n])

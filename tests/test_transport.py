@@ -5,13 +5,16 @@ ball, and the local gradient against affine functions it must recover
 exactly. Round-level tests pin fixed points and the balancing trend.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import cli, transport
 from swarm_ot import Domain, MetricCost, QuadratureGrid, SwarmState, TransportConfig
+from swarm_ot.config import load_config
 
 
 def uniform_setup(n=64):
@@ -33,12 +36,19 @@ def test_config_validation():
     TransportConfig(inner_iters=0, rounds=0)  # both zero are legitimate
 
 
+def agent_gradient(i, positions, phi, neighbors):
+    """Agent i's row of the batched fit on the star of i and its neighbors."""
+    edges = [sorted((i, j)) for j in neighbors]
+    graph = so.NeighborGraph(len(positions), edges, np.ones(len(edges)))
+    return so.local_gradient(positions, phi, graph)[i]
+
+
 def test_local_gradient_recovers_affine_fields():
     gen = so.SplitMix64(31)
     positions = gen.uniforms(12).reshape(6, 2)
     a, bx, by = 0.7, -1.3, 2.1
     phi = a + bx * positions[:, 0] + by * positions[:, 1]
-    g = so.local_gradient(0, positions, phi, [1, 2, 3, 4, 5])
+    g = agent_gradient(0, positions, phi, [1, 2, 3, 4, 5])
     np.testing.assert_allclose(g, [bx, by], atol=1e-9)
 
 
@@ -46,13 +56,13 @@ def test_local_gradient_hand_case():
     # two neighbors straddling agent 0 along x with phi = x: slope (1, 0)
     positions = np.array([[0.5, 0.5], [0.3, 0.5], [0.8, 0.5]])
     phi = positions[:, 0].copy()
-    g = so.local_gradient(0, positions, phi, [1, 2])
+    g = agent_gradient(0, positions, phi, [1, 2])
     np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
 
 
 def test_local_gradient_constant_field_is_zero():
     positions = np.array([[0.5, 0.5], [0.2, 0.1], [0.9, 0.8]])
-    g = so.local_gradient(0, positions, np.full(3, 4.2), [1, 2])
+    g = agent_gradient(0, positions, np.full(3, 4.2), [1, 2])
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -60,14 +70,73 @@ def test_local_gradient_collinear_neighborhood_stays_in_span():
     # all neighbors along the x-axis: no information about the y slope
     positions = np.array([[0.5, 0.5], [0.3, 0.5], [0.7, 0.5]])
     phi = np.array([0.0, -0.2, 0.2])
-    g = so.local_gradient(0, positions, phi, [1, 2])
+    g = agent_gradient(0, positions, phi, [1, 2])
     assert g[1] == pytest.approx(0.0, abs=1e-12)
     assert g[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_local_gradient_isolated_agent_is_zero():
     positions = np.array([[0.5, 0.5]])
-    np.testing.assert_array_equal(so.local_gradient(0, positions, np.array([3.0]), []), 0.0)
+    np.testing.assert_array_equal(agent_gradient(0, positions, np.array([3.0]), []), 0.0)
+
+
+def lstsq_gradients(positions, phi, graph):
+    """Reference fit: one `np.linalg.lstsq` per agent over its sorted neighbors."""
+    lists = [[] for _ in range(graph.n)]
+    for a, b in graph.edges.tolist():
+        lists[a].append(b)
+        lists[b].append(a)
+    grads = np.zeros((graph.n, 2))
+    for i, neighbors in enumerate(lists):
+        if neighbors:
+            idx = [i] + sorted(neighbors)
+            design = np.column_stack([np.ones(len(idx)), positions[idx] - positions[i]])
+            grads[i] = np.linalg.lstsq(design, phi[idx], rcond=transport.GRAD_RCOND)[0][1:]
+    return grads
+
+
+@st.composite
+def fitted_graphs(draw):
+    """Random graphs on 2 to 40 agents in the plane, on one line (every
+    neighborhood collinear) or on a coarse lattice (some collinear, some
+    coincident), with potentials over several magnitudes."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["plane", "line", "lattice"]))
+    if layout == "plane":
+        positions = rng.uniform(size=(n, 2))
+    elif layout == "line":
+        positions = rng.uniform(size=2) + rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=2)
+    else:
+        positions = rng.integers(0, 4, size=(n, 2)) / 4.0
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    phi = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    return positions, phi, so.NeighborGraph(n, edges, np.ones(len(edges)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(fitted_graphs())
+def test_the_batched_fit_is_the_per_agent_lstsq_bit_for_bit(case):
+    positions, phi, graph = case
+    grads = so.local_gradient(positions, phi, graph)
+    assert grads.shape == (graph.n, 2)
+    np.testing.assert_array_equal(grads, lstsq_gradients(positions, phi, graph))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.floats(0.05, 0.5))
+def test_the_batched_fit_matches_on_measured_radius_graphs(seed, n, radius):
+    # a communication radius leaves some agents with few or no neighbors
+    rng = np.random.default_rng(seed)
+    dom, metric, q, _ = uniform_setup(32)
+    positions = rng.uniform(size=(n, 2))
+    graph = so.neighbor_graph(so.build_partition(positions, q), metric, radius)
+    phi = rng.normal(size=n)
+    grads = so.local_gradient(positions, phi, graph)
+    np.testing.assert_array_equal(grads, lstsq_gradients(positions, phi, graph))
+    isolated = np.bincount(graph.edges.ravel(), minlength=n) == 0
+    assert np.all(grads[isolated] == 0.0)
 
 
 def test_proximal_step_stays_for_subcritical_gradients():
@@ -541,3 +610,96 @@ def test_step_lengths_are_the_metric_distance_of_each_move():
         ref = [metric.distance(a, b) for a, b in zip(before, state.positions)]
         assert steps.tobytes() == np.array(ref).tobytes()
     assert np.count_nonzero(steps) > 0
+
+
+def hops(graph, source):
+    """Breadth-first hop counts from `source` on the graph; inf if unreached."""
+    offsets, neighbors = graph.adjacency()
+    dist = np.full(graph.n, np.inf)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in neighbors[offsets[u]:offsets[u + 1]].tolist():
+                if dist[v] == np.inf:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]),
+)
+def test_a_round_is_local(seed, n, use_radius, fixed, corner):
+    """With n inner iterations, agent i's new position and potential read
+    only agents within n + 2 hops: its imbalance reads its Voronoi
+    neighbors' sites, n Jacobi steps reach n hops further, and its
+    gradient reads its neighbors' potentials. Hops are counted on the
+    Voronoi graph without a radius, which holds every edge a radius keeps.
+    Moving an agent that stays farther than that leaves i's bits as they
+    are, also when the move changes which agents share a degree."""
+    rng = np.random.default_rng(seed)
+    dom, metric, q = Domain(), MetricCost(), QuadratureGrid(Domain(), 64)
+    target = so.DensityField.gaussian_mixture([[0.6, 0.4]], [0.05 * np.eye(2)], None, dom)
+    cfg = TransportConfig(eps=0.02, tau=0.5, inner_iters=n, radius=0.2 if use_radius else None,
+                          fixed_dual=1.0 if fixed else None)
+    state = SwarmState(rng.uniform(size=(60, 2)), seed=seed)
+    for _ in range(2):
+        state, _ = so.transport_round(state, cfg, target, metric, q)
+    m = int(np.argmin(((state.positions - corner) ** 2).sum(axis=1)))
+    moved = state.positions.copy()
+    angle = rng.uniform(0, 2 * np.pi)
+    moved[m] = dom.clamp(moved[m] + 0.03 * np.array([np.cos(angle), np.sin(angle)]))
+    far = np.ones(len(moved), dtype=bool)
+    for sites in (state.positions, moved):
+        far &= hops(so.neighbor_graph(so.build_partition(sites, q), metric), m) > n + 2
+    assume(far.any())
+    other = SwarmState(moved, state.k, state.cost, state.seed, state.prev_phi, state.prev_lam)
+    a, _ = so.transport_round(state, cfg, target, metric, q)
+    b, _ = so.transport_round(other, cfg, target, metric, q)
+    np.testing.assert_array_equal(a.positions[far], b.positions[far])
+    np.testing.assert_array_equal(a.prev_phi[far], b.prev_phi[far])
+    assert not np.array_equal(a.prev_phi, b.prev_phi)  # the move reached someone
+
+
+# N = 30 agents at the default tau on a concentrated target: the carried
+# multipliers grow round over round until the potentials run away
+CONCENTRATED = """\
+mode = agents
+transport.N = 30
+transport.K = 40
+transport.n = 1
+transport.eps = 0.02
+quadrature.resolution = 128
+target.means = 0.5 0.5
+target.covariances = 0.01 0 0 0.01
+"""
+
+
+def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
+    cfg = load_config(CONCENTRATED)
+    dom, metric = Domain(), MetricCost()
+    q = QuadratureGrid(dom, cfg.quad_resolution)
+    target = cli.build_target(cfg, dom, 0)
+    fit, largest = transport.local_gradient, []
+
+    def spy(positions, phi, graph):
+        largest.append(np.abs(phi).max())
+        return fit(positions, phi, graph)
+
+    monkeypatch.setattr(transport, "local_gradient", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^primal-dual iteration diverged; reduce tau$"):
+            so.run_experiment(so.initial_positions(30, dom, 0), cli.transport_config(cfg),
+                              target, metric, q)
+    # the round that raised still had finite potentials: its gradient
+    # norm overflowed before its inner iteration diverged
+    assert 1e200 < largest[-1] < np.inf

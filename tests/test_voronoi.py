@@ -82,7 +82,7 @@ def test_collinear_sites_form_a_path_not_a_clique():
     _, graph = setup([[0.1, 0.5], [0.5, 0.5], [0.9, 0.5]])
     assert graph.edges.tolist() == [[0, 1], [1, 2]]
     assert so.is_connected(graph)
-    assert graph.neighbor_lists() == [[1], [0, 2], [1]]
+    assert _adjacency_lists(graph) == [[1], [0, 2], [1]]
 
 
 def test_radius_limit_disconnects_far_agents():
@@ -326,12 +326,19 @@ def _loop_neighbor_lists(n, edges):
     return [sorted(l) for l in lists]
 
 
+def _adjacency_lists(graph):
+    """The CSR adjacency as one neighbor list per agent."""
+    offsets, neighbors = graph.adjacency()
+    assert offsets[0] == 0 and offsets[-1] == len(neighbors) == 2 * len(graph.edges)
+    return [neighbors[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
-def test_neighbor_lists_match_a_loop_over_the_edges(n, pairs):
+def test_adjacency_matches_a_loop_over_the_edges(n, pairs):
     edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n})
     graph = so.NeighborGraph(n, edges, np.ones(len(edges)))
-    assert graph.neighbor_lists() == _loop_neighbor_lists(n, edges)
+    assert _adjacency_lists(graph) == _loop_neighbor_lists(n, edges)
 
 
 def _csgraph_connected(g):
