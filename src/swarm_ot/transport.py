@@ -5,8 +5,8 @@ graph, cell masses) for both its record and the round that moves it.
 A round estimates the Kantorovich potentials by a fixed number of
 primal-dual (or primal-only) iterations and moves every agent by a
 proximal step in its eps-ball along a local gradient of its neighbors'
-potentials. Each agent keeps its own potential from round to round, and
-its multipliers with the neighbors that survive.
+potentials. One `PotentialState` carries each agent's potential to the next
+round, and each multiplier to the edge of the same ordered pair (i, j).
 
 The local gradients of a round are one batched fit: the agents of each
 degree share one call of the LAPACK gufunc behind `np.linalg.lstsq`, which
@@ -20,7 +20,7 @@ alone, and `is_connected` is a diagnostic that moves nobody.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -76,21 +76,24 @@ class TransportConfig:
 class SwarmState:
     """Agent positions plus what each agent carries across rounds.
 
-    prev_phi[i] is agent i's own potential from the last round, and
-    prev_lam maps an agent pair (i, j) to its last multiplier.
+    `inner` is the last round's `PotentialState`: agent i's own potential
+    inner.phi[i], and the multiplier of each agent pair in inner.edges. Its
+    edges join agents 0..N-1, so the key i * N + j names one pair alone.
     """
 
     positions: np.ndarray
     k: int = 0
     cost: float = 0.0
     seed: int = 0
-    prev_phi: np.ndarray | None = None
-    prev_lam: dict = field(default_factory=dict)
+    inner: PotentialState | None = None
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if self.prev_phi is not None and np.shape(self.prev_phi) != (len(self.positions),):
-            raise ValueError("prev_phi must hold one potential per agent")
+        n = len(self.positions)
+        if self.inner is not None and self.inner.phi.shape != (n,):
+            raise ValueError("inner must hold one potential per agent")
+        if self.inner is not None and np.any((self.inner.edges < 0) | (self.inner.edges >= n)):
+            raise ValueError("inner edges must join agents 0..N-1")
 
 
 @dataclass
@@ -187,21 +190,26 @@ def _dedupe(state, domain):
     would leave the domain is mirrored back in, so a duplicate on the
     boundary or at a corner still moves off the original.
     """
-    seen = {}
-    perturbed = []
     positions = domain.clamp(state.positions)
-    for i, pos in enumerate(positions):
-        key = (float(pos[0]), float(pos[1]))
-        if key in seen:
-            gen = SplitMix64(derive(state.seed, STREAM_PERTURB, state.k, i))
-            angle = 2.0 * np.pi * gen.next_float()
-            step = 1e-9 * np.array([np.cos(angle), np.sin(angle)])
-            outside = (pos + step < domain.lo) | (pos + step > domain.hi)
-            positions[i] = pos + np.where(outside, -step, step)
-            perturbed.append(i)
-        else:
-            seen[key] = i
+    # a stable sort puts equal points (0.0 and -0.0 alike) side by side, lowest index first
+    order = np.lexsort(positions.T)
+    same = np.all(positions[order[1:]] == positions[order[:-1]], axis=1)
+    perturbed = np.sort(order[1:][same]).tolist()
+    for i in perturbed:
+        angle = 2.0 * np.pi * SplitMix64(derive(state.seed, STREAM_PERTURB, state.k, i)).next_float()
+        step = 1e-9 * np.array([np.cos(angle), np.sin(angle)])
+        outside = (positions[i] + step < domain.lo) | (positions[i] + step > domain.hi)
+        positions[i] += np.where(outside, -step, step)
     return positions, perturbed
+
+
+def _carry(inner, edges, n):
+    """`inner`'s multipliers on `edges`, matched by ordered pair; new edges get 0."""
+    lam0 = np.zeros(len(edges))
+    if inner is not None:
+        _, at, src = np.intersect1d(edges @ [n, 1], inner.edges @ [n, 1], return_indices=True)
+        lam0[at] = inner.lam[src]
+    return lam0
 
 
 # one position set's measurement, shared by its record and its round;
@@ -241,13 +249,12 @@ def transport_round(state, cfg, target, metric, q, cells=None):
 
     # warm start: each agent starts from its own last potential (`_dedupe`
     # keeps agent order) and each surviving edge from its last multiplier
-    phi0 = np.zeros(n) if state.prev_phi is None else state.prev_phi
-    edges = [tuple(e) for e in graph.edges.tolist()]
+    phi0 = np.zeros(n) if state.inner is None else state.inner.phi
     fixed = cfg.fixed_dual is not None
     if fixed:
-        lam0 = np.full(len(edges), float(cfg.fixed_dual))
+        lam0 = np.full(len(graph.edges), float(cfg.fixed_dual))
     else:
-        lam0 = np.array([state.prev_lam.get(e, 0.0) for e in edges], dtype=float)
+        lam0 = _carry(state.inner, graph.edges, n)
     solve = run_primal if fixed else run_pd
     inner = solve(PotentialState(phi0, lam0, graph.edges), b, graph, cfg.tau, cfg.inner_iters)
 
@@ -262,23 +269,15 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     # the bits of metric.distance(positions[i], new_positions[i]) per agent
     step_lengths = metric.xi * _row_norms(positions - new_positions)
 
-    isolated = np.flatnonzero(np.bincount(graph.edges.ravel(), minlength=n) == 0).tolist()
-    carried = {} if fixed else dict(zip(edges, inner.lam.tolist()))
-    new_state = SwarmState(
-        positions=new_positions,
-        k=state.k + 1,
-        cost=state.cost + float(step_lengths.sum() / n),
-        seed=state.seed,
-        prev_phi=inner.phi,
-        prev_lam=carried,
-    )
+    cost = state.cost + float(step_lengths.sum() / n)
+    new_state = SwarmState(new_positions, state.k + 1, cost, state.seed, inner)
     diagnostics = {
         "masses": cells.masses,
         "imbalance": b,
         "dual_objective": dual_objective(inner.phi, b),
         "feasibility_violation": feasibility_violation(inner.phi, graph),
         "connected": is_connected(graph),
-        "isolated": isolated,
+        "isolated": np.flatnonzero(np.bincount(graph.edges.ravel(), minlength=n) == 0).tolist(),
         "perturbed": perturbed,
         "step_lengths": step_lengths,
     }

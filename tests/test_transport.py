@@ -15,6 +15,7 @@ import swarm_ot as so
 from swarm_ot import cli, transport
 from swarm_ot import Domain, MetricCost, QuadratureGrid, SwarmState, TransportConfig
 from swarm_ot.config import load_config
+from swarm_ot.rng import STREAM_PERTURB
 
 
 def uniform_setup(n=64):
@@ -238,6 +239,87 @@ def test_corner_duplicates_stay_in_the_domain():
             assert all(dom.contains(p) for p in state.positions)
 
 
+def loop_dedupe(state, domain):
+    """The duplicate scan as a loop over a dict of float pairs, as a reference."""
+    seen = {}
+    perturbed = []
+    positions = domain.clamp(state.positions)
+    for i, pos in enumerate(positions):
+        key = (float(pos[0]), float(pos[1]))
+        if key in seen:
+            gen = so.SplitMix64(so.derive(state.seed, STREAM_PERTURB, state.k, i))
+            angle = 2.0 * np.pi * gen.next_float()
+            step = 1e-9 * np.array([np.cos(angle), np.sin(angle)])
+            outside = (pos + step < domain.lo) | (pos + step > domain.hi)
+            positions[i] = pos + np.where(outside, -step, step)
+            perturbed.append(i)
+        else:
+            seen[key] = i
+    return positions, perturbed
+
+
+@st.composite
+def dedupe_cases(draw):
+    # on the unit square 0.0 and -0.0 clamp onto the boundary, on the wider
+    # box they stay inside; coordinates past the box clamp onto an edge or
+    # a corner
+    dom = draw(st.sampled_from([Domain(), Domain((-1.0, -1.0), (1.0, 1.0))]))
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, -3.0, 4.0]), st.floats(-2.0, 2.0)
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=20))
+    copies = draw(st.lists(st.sampled_from(points), max_size=20))
+    positions = np.array(draw(st.permutations(points + copies)))
+    k, seed = draw(st.integers(0, 10_000)), draw(st.integers(0, 2**64 - 1))
+    return SwarmState(positions, k=k, seed=seed), dom
+
+
+@settings(deadline=None, max_examples=300)
+@given(dedupe_cases())
+def test_the_sorted_duplicate_scan_is_the_dict_loop(case):
+    state, dom = case
+    positions, perturbed = transport._dedupe(state, dom)
+    ref_positions, ref_perturbed = loop_dedupe(state, dom)
+    assert perturbed == ref_perturbed
+    assert positions.tobytes() == ref_positions.tobytes()
+
+
+def dict_carry(inner, edges):
+    """The multiplier carry through a dict keyed by agent pair, as a reference."""
+    if inner is None:
+        return np.zeros(len(edges))
+    carried = dict(zip(map(tuple, inner.edges.tolist()), inner.lam.tolist()))
+    return np.array([carried.get(e, 0.0) for e in map(tuple, edges.tolist())], dtype=float)
+
+
+@st.composite
+def carry_cases(draw):
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    old = draw(st.lists(pair, unique=True, max_size=60))
+    kind = draw(st.sampled_from(["identical", "disjoint", "overlapping"]))
+    if kind == "identical":
+        new = list(old)
+    elif kind == "disjoint":
+        new = [p for p in draw(st.lists(pair, unique=True, max_size=60)) if p not in old]
+    else:
+        new = draw(st.lists(st.sampled_from(old) | pair if old else pair, unique=True, max_size=60))
+    # both lists in drawn order: unsorted, and with (i, j) apart from (j, i)
+    new = np.array(draw(st.permutations(new)), dtype=np.int64).reshape(-1, 2)
+    lam = st.one_of(st.just(-0.0), st.floats(0.0, 1e6, allow_subnormal=True))
+    inner = so.PotentialState(
+        np.zeros(n), draw(st.lists(lam, min_size=len(old), max_size=len(old))), old
+    )
+    return draw(st.sampled_from([inner, None])), new, n
+
+
+@settings(deadline=None, max_examples=300)
+@given(carry_cases())
+def test_the_array_carry_is_the_dict_carry(case):
+    inner, edges, n = case
+    assert transport._carry(inner, edges, n).tobytes() == dict_carry(inner, edges).tobytes()
+
+
 def test_single_agent_is_rejected():
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig()
@@ -245,12 +327,16 @@ def test_single_agent_is_rejected():
         so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, target, metric, q)
 
 
-def test_fixed_dual_round_keeps_multipliers_out_of_carryover():
+def test_a_fixed_dual_round_ignores_carried_multipliers():
+    # every multiplier of a fixed round is cfg.fixed_dual, whatever it was handed
     dom, metric, q, target = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, inner_iters=5)
-    state = SwarmState(np.array([[0.2, 0.5], [0.8, 0.5]]))
-    state, _ = so.transport_round(state, cfg, target, metric, q)
-    assert state.prev_lam == {}
+    positions = np.array([[0.2, 0.5], [0.8, 0.5]])
+    carried = so.PotentialState(np.zeros(2), [7.0], [[0, 1]])
+    handed = so.transport_round(SwarmState(positions, inner=carried), cfg, target, metric, q)
+    fresh = so.transport_round(SwarmState(positions), cfg, target, metric, q)
+    assert round_bits(handed) == round_bits(fresh)
+    assert handed[0].inner.lam.tolist() == [1.0]
 
 
 def test_transport_round_follows_cfg_fixed_dual():
@@ -263,7 +349,7 @@ def test_transport_round_follows_cfg_fixed_dual():
     graph = so.neighbor_graph(so.build_partition(positions, q), metric)
     start = so.PotentialState(np.zeros(2), np.ones(len(graph.edges)), graph.edges)
     ref = so.run_primal(start, diag["imbalance"], graph, cfg.tau, cfg.inner_iters)
-    np.testing.assert_array_equal(fixed.prev_phi, ref.phi)
+    np.testing.assert_array_equal(fixed.inner.phi, ref.phi)
 
 
 def inner_starts(monkeypatch):
@@ -285,21 +371,25 @@ def test_potentials_warm_start_from_previous_round(monkeypatch):
     positions = np.array([[0.25, 0.5], [0.85, 0.5]])
     cfg = TransportConfig(eps=0.01, tau=0.5, inner_iters=20)
     state, _ = so.transport_round(SwarmState(positions), cfg, target, metric, q)
-    assert state.prev_phi.shape == (2,) and np.any(state.prev_phi)
-    assert set(state.prev_lam) == {(0, 1)}
+    assert state.inner.phi.shape == (2,) and np.any(state.inner.phi)
+    assert state.inner.edges.tolist() == [[0, 1]]
     solves = inner_starts(monkeypatch)
     so.transport_round(state, cfg, target, metric, q)
     [((phi0, lam0), _)] = solves
-    assert phi0.tobytes() == state.prev_phi.tobytes()
-    assert lam0.tolist() == [state.prev_lam[(0, 1)]]
+    assert phi0.tobytes() == state.inner.phi.tobytes()
+    assert lam0.tobytes() == state.inner.lam.tobytes()
 
 
-def test_prev_phi_holds_one_potential_per_agent():
+def test_inner_holds_one_potential_per_agent_and_edges_between_agents():
     positions = np.array([[0.2, 0.5], [0.8, 0.5], [0.5, 0.1]])
-    SwarmState(positions, prev_phi=np.zeros(3))
+    SwarmState(positions, inner=so.PotentialState(np.zeros(3), [1.0, 2.0], [[0, 1], [1, 2]]))
     for phi in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
-        with pytest.raises(ValueError, match="prev_phi"):
-            SwarmState(positions, prev_phi=phi)
+        with pytest.raises(ValueError, match="inner must hold one potential per agent"):
+            SwarmState(positions, inner=so.PotentialState(phi, [], []))
+    # under the key i * N + j, edge (0, 5) would alias edge (1, 2) at N = 3
+    for edge in ([0, 5], [0, 3], [-1, 2]):
+        with pytest.raises(ValueError, match="inner edges must join agents"):
+            SwarmState(positions, inner=so.PotentialState(np.zeros(3), [1.0], [edge]))
 
 
 def test_variance_decreases_over_rounds():
@@ -434,12 +524,13 @@ def test_a_nudged_round_measures_its_cells_again(monkeypatch, tmp_path):
 
 def round_bits(result):
     state, diag = result
-    arrays = (state.positions, state.prev_phi, *(
+    inner = state.inner
+    arrays = (state.positions, inner.phi, inner.lam, inner.edges, *(
         np.asarray(v) for v in diag.values()
     ))
     return (
         [a.tobytes() for a in arrays],
-        (state.k, state.cost, state.seed, state.prev_lam),
+        (state.k, state.cost, state.seed),
         list(diag),
     )
 
@@ -661,12 +752,12 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
     for sites in (state.positions, moved):
         far &= hops(so.neighbor_graph(so.build_partition(sites, q), metric), m) > n + 2
     assume(far.any())
-    other = SwarmState(moved, state.k, state.cost, state.seed, state.prev_phi, state.prev_lam)
+    other = SwarmState(moved, state.k, state.cost, state.seed, state.inner)
     a, _ = so.transport_round(state, cfg, target, metric, q)
     b, _ = so.transport_round(other, cfg, target, metric, q)
     np.testing.assert_array_equal(a.positions[far], b.positions[far])
-    np.testing.assert_array_equal(a.prev_phi[far], b.prev_phi[far])
-    assert not np.array_equal(a.prev_phi, b.prev_phi)  # the move reached someone
+    np.testing.assert_array_equal(a.inner.phi[far], b.inner.phi[far])
+    assert not np.array_equal(a.inner.phi, b.inner.phi)  # the move reached someone
 
 
 # N = 30 agents at the default tau on a concentrated target: the carried
