@@ -17,6 +17,7 @@ from .target import (
 )
 from .voronoi import Partition, NeighborGraph, build_partition, neighbor_graph, is_connected
 from .primal_dual import (
+    DivergenceError,
     PotentialState,
     zero_state,
     mass_imbalance,

@@ -37,6 +37,8 @@ from .voronoi import build_partition, neighbor_graph
 AGENT_HEADER = ["k", "mass_variance", "net_cost", "dual_objective", "feasibility_violation", "connected"]
 POSITION_HEADER = ["k", "agent", "x", "y", "owner_mass"]
 PDE_HEADER = ["t", "V", "E", "kkt_stationarity", "kkt_feasibility", "kkt_slackness", "mass_error"]
+ORACLE_GAP_TOL = 1e-4  # largest |dual value - flow value| oracle_check accepts
+ORACLE_FEAS_TOL = 1e-6  # largest edge violation oracle_check accepts
 
 
 def write_csv(path, header, rows):
@@ -165,7 +167,7 @@ def run_pde(cfg, out_dir):
     return 0
 
 
-def oracle_check(cfg, n_instances=10, tol=1e-4, feas_tol=1e-6):
+def oracle_check(cfg, n_instances=10):
     """Converge the dual on random instances and compare with the flow value."""
     domain = Domain()
     metric = MetricCost()
@@ -188,14 +190,14 @@ def oracle_check(cfg, n_instances=10, tol=1e-4, feas_tol=1e-6):
         # iteration budget is sized for ill-conditioned instances whose
         # slowest mode needs several million steps.
         shortest = float(graph.costs.min()) if len(graph.costs) else 1.0
-        tol_r = min(1e-8, 0.5 * feas_tol * shortest)
+        tol_r = min(1e-8, 0.5 * ORACLE_FEAS_TOL * shortest)
         state, info = converge_pd(
             zero_state(graph), b, graph, tol=tol_r, max_iter=20_000_000
         )
         value, _ = min_cost_flow(FlowProblem(graph, b))
         gap = abs(dual_objective(state.phi, b) - value)
         feas = feasibility_violation(state.phi, graph)
-        ok = info["converged"] and gap <= tol and feas <= feas_tol
+        ok = info["converged"] and gap <= ORACLE_GAP_TOL and feas <= ORACLE_FEAS_TOL
         status = "ok" if ok else "FAIL"
         print(
             f"instance {r}: n={n} gap={gap:.3e} feasibility={feas:.3e} "

@@ -46,6 +46,8 @@ import numpy as np
 from .primal_dual import edge_diff, grid_edges, iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
 
+RASTER_FLOOR = 1e-6  # density_on_grid's lower bound on raster values
+
 
 class PositivityError(ValueError):
     """An explicit transport step would make the density nonpositive.
@@ -256,11 +258,11 @@ def random_density(nx, ny, seed):
     return u / u.sum()
 
 
-def density_on_grid(field, nx, ny, floor=1e-6):
+def density_on_grid(field, nx, ny):
     """Sample a density field onto an nx x ny grid of `field.domain`.
 
-    Returns node masses summing to one. Raster fields are floored before
-    normalization so the target stays strictly positive on the whole grid.
+    Returns node masses summing to one. Raster fields are floored at
+    RASTER_FLOOR first, so the target stays strictly positive on the grid.
     """
     lo, ext = field.domain.lo, field.domain.extent
     xs = lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
@@ -268,7 +270,7 @@ def density_on_grid(field, nx, ny, floor=1e-6):
     X, Y = np.meshgrid(xs, ys)
     vals = field._raw_many(np.column_stack([X.ravel(), Y.ravel()]))
     if field.kind == "raster":
-        vals = np.maximum(vals, floor)
+        vals = np.maximum(vals, RASTER_FLOOR)
     total = vals.sum()
     if total <= 0:
         raise ValueError("degenerate target on the grid")

@@ -21,6 +21,14 @@ The path follows from the edge list itself; nothing selects it.
 import numpy as np
 
 
+class DivergenceError(FloatingPointError):
+    """An iteration left the finite numbers; `of(dual)` names which one."""
+
+    @classmethod
+    def of(cls, dual):
+        return cls(f"{'primal-dual' if dual else 'primal'} iteration diverged; reduce tau")
+
+
 class PotentialState:
     """Per-agent potentials and per-edge multipliers tied to one edge list."""
 
@@ -139,10 +147,13 @@ def incidence(edges, n):
 def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
 
-    The one kernel behind the agents' inner loop and the grid flow.
-    Returns (phi, lam) and never writes its inputs. Divergence shows up as
-    non-finite values that callers check, so its warnings are noise: each
-    caller enters np.errstate(all="ignore") once around its calls.
+    The one kernel behind the agents' inner loop, the flow oracle and the
+    grid flow. Its callers are `_run` (so `run_pd`, `run_primal` and
+    `converge_pd`, which is `run_pd` in checked chunks) and the grid's
+    `pd_flow_step` and `relaxed_primal_step`. Returns (phi, lam) and never
+    writes its inputs. Divergence shows up as non-finite values that
+    callers check, so its warnings are noise: each caller enters
+    np.errstate(all="ignore") once around its calls.
 
     Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
     and phi' = phi + tau (b - L phi) in place, in the buffers of the flux
@@ -181,8 +192,7 @@ def _run(s, b, g, tau, n, dual):
     with np.errstate(all="ignore"):
         phi, lam = iterate(s.phi, s.lam, b, g.edges, 0.5 * g.costs**2, tau, n, dual)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(lam))):
-        kind = "primal-dual" if dual else "primal"
-        raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
+        raise DivergenceError.of(dual)
     return PotentialState(phi, lam, g.edges)
 
 
@@ -219,10 +229,11 @@ def pd_residual(s, b, g):
     """
     _check_edges(s, g)
     b = np.asarray(b, dtype=float)
-    primal = np.abs(b - laplacian(s.phi, s.lam, g.edges))
+    dphi = edge_diff(s.phi, g.edges)
+    primal = np.abs(b - laplacian(s.phi, s.lam, g.edges, dphi))
     res = float(primal.max()) if len(primal) else 0.0
     if len(g.edges):
-        grad = 0.5 * edge_diff(s.phi, g.edges) ** 2 - 0.5 * g.costs**2
+        grad = 0.5 * dphi**2 - 0.5 * g.costs**2
         projected = np.where(s.lam > 0, grad, np.maximum(grad, 0.0))
         res = max(res, float(np.abs(projected).max()))
     return res
@@ -234,61 +245,43 @@ CHECK_EVERY = 200  # iterations between converge_pd's residual checks
 def converge_pd(s, b, g, tau=0.2, tol=1e-8, max_iter=2_000_000):
     """Iterate the primal-dual step until the saddle residual drops below tol.
 
-    The step size is halved and the run restarted whenever the iteration
-    diverges, and halved in place when the residual flatlines, so the
-    whole procedure is deterministic. Slow but steady decay is left
-    alone: ill-conditioned instances creep at a rate proportional to the
-    step size, and damping them only makes the creep slower. Returns
-    (state, info) where info reports convergence, iterations used, the
-    final step size, and the residual.
+    `run_pd` in checked chunks of CHECK_EVERY steps. The step size is
+    halved and the run restarted from s whenever a chunk diverges, and
+    halved in place when the residual flatlines, so the whole procedure
+    is deterministic. Slow but steady decay is left alone: ill-conditioned
+    instances creep at a rate proportional to the step size, and damping
+    them only makes the creep slower. Returns (state, info) where info
+    reports convergence, iterations used, the final step size, and the
+    residual; state is s itself when no chunk was kept.
     """
     if not tau > 0:
         raise ValueError("step size tau must be positive")
-    _check_edges(s, g)
-    b = np.asarray(b, dtype=float)
-    half_c2 = 0.5 * g.costs**2
-    phi, lam = s.phi.copy(), s.lam.copy()
-    tau_cur = float(tau)
-    best = np.inf
-    stall = 0
-    used = 0
+    state, tau_cur, used = s, float(tau), 0
+    best, stall = np.inf, 0
     with np.errstate(all="ignore"):
         while used < max_iter and tau_cur > 1e-10:
             chunk = min(CHECK_EVERY, max_iter - used)
-            phi_new, lam_new = iterate(phi, lam, b, g.edges, half_c2, tau_cur, chunk)
             used += chunk
-            finite = np.all(np.isfinite(phi_new)) and np.all(np.isfinite(lam_new))
-            if finite:
-                state = PotentialState(phi_new, lam_new, g.edges)
-                res = pd_residual(state, b, g)
-            else:
+            try:
+                new = run_pd(state, b, g, tau_cur, chunk)
+                res = pd_residual(new, b, g)
+            except DivergenceError:
                 res = np.inf
-            if not finite or res > 1e8:
+            if res > 1e8:
                 # diverged: restart from the initial state with half the step
-                tau_cur *= 0.5
-                phi, lam = s.phi.copy(), s.lam.copy()
-                best = np.inf
-                stall = 0
+                state, tau_cur, best, stall = s, 0.5 * tau_cur, np.inf, 0
                 continue
-            phi, lam = phi_new, lam_new
+            state = new
             if res <= tol:
-                info = {"converged": True, "iterations": used, "tau": tau_cur, "residual": res}
-                return state, info
+                break
             if res < best * (1.0 - 1e-6):
-                best = res
-                stall = 0
+                best, stall = res, 0
             else:
                 stall += 1
                 if stall >= 50:
                     # no new best for a whole window: the iterate is orbiting
                     # the saddle rather than approaching it, so damp the step
-                    tau_cur *= 0.5
-                    stall = 0
-    state = PotentialState(phi, lam, g.edges)
-    res = pd_residual(state, b, g)
-    return state, {
-        "converged": bool(res <= tol),
-        "iterations": used,
-        "tau": tau_cur,
-        "residual": res,
-    }
+                    tau_cur, stall = 0.5 * tau_cur, 0
+        res = pd_residual(state, b, g)
+    info = {"converged": bool(res <= tol), "iterations": used, "tau": tau_cur, "residual": res}
+    return state, info

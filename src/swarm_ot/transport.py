@@ -27,6 +27,7 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .primal_dual import (
+    DivergenceError,
     PotentialState,
     dual_objective,
     feasibility_violation,
@@ -234,8 +235,8 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     steps with every multiplier at cfg.fixed_dual when that is set, and
     moves every agent by a proximal step. Returns (new_state, diagnostics);
     a disconnected graph is reported in the diagnostics rather than raised.
-    Potentials that diverge raise FloatingPointError, also when they are
-    still finite but a gradient's norm overflows.
+    Potentials that diverge raise DivergenceError (a FloatingPointError),
+    also when they are still finite but a gradient's norm overflows.
     """
     n = len(state.positions)
     if n < 2:
@@ -263,8 +264,7 @@ def transport_round(state, cfg, target, metric, q, cells=None):
         finite = np.all(np.isfinite(_row_norms(grads)))
     if not finite:
         # potentials so large that a gradient's norm overflows have diverged
-        kind = "primal" if fixed else "primal-dual"
-        raise FloatingPointError(f"{kind} iteration diverged; reduce tau")
+        raise DivergenceError.of(not fixed)
     new_positions = proximal_step(positions, grads, cfg.eps, metric, q.domain)
     # the bits of metric.distance(positions[i], new_positions[i]) per agent
     step_lengths = metric.xi * _row_norms(positions - new_positions)

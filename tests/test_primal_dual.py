@@ -6,6 +6,7 @@ lam * (phi_0 - phi_1) = b with |phi_0 - phi_1| = c whenever b != 0, so
 the potential gap saturates the constraint and lam = |b| / c.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 import swarm_ot as so
 from swarm_ot import NeighborGraph, PotentialState
 from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, incidence, iterate, laplacian
+from swarm_ot.rng import STREAM_ORACLE, derive
 
 
 def two_node_graph(cost=1.0):
@@ -102,6 +104,42 @@ def test_in_place_kernel_has_the_bits_of_the_expressions(case, n_steps, dual):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     for a, before in zip((phi, lam, b), inputs):  # the inputs are never written
         assert a.tobytes() == before.tobytes()
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph of 1-5 nodes whose edges may repeat or run both ways."""
+    n = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = np.array(draw(st.lists(pairs, max_size=8)) if n > 1 else [], dtype=np.int64)
+    edges = edges.reshape(-1, 2)
+    if len(edges) and draw(st.booleans()):  # one edge again, as given or reversed
+        k = draw(st.integers(0, len(edges) - 1))
+        edges = np.vstack([edges, edges[k][:: draw(st.sampled_from([1, -1]))]])
+    finite = st.floats(-10.0, 10.0)
+    phi = draw(arrays(float, n, elements=finite))
+    lam = draw(arrays(float, len(edges), elements=st.floats(0.0, 10.0)))
+    b = draw(arrays(float, n, elements=finite))
+    half_c2 = draw(arrays(float, len(edges), elements=st.floats(0.0, 2.0)))
+    return phi, lam, b, edges, half_c2
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(small_graphs(), min_size=2, max_size=4), st.floats(1e-4, 1.0),
+       st.integers(1, 4), st.booleans())
+def test_the_kernel_on_a_disjoint_union_is_the_kernel_on_each_graph(graphs, tau, n_steps, dual):
+    # a node's update reads only its own edges, so graphs run side by side
+    # in one call give each graph's bits: the base of a batched oracle
+    node_at = np.cumsum([0] + [len(phi) for phi, *_ in graphs])
+    edge_at = np.cumsum([0] + [len(lam) for _, lam, *_ in graphs])
+    phi, lam, b, _, half_c2 = (np.concatenate(parts) for parts in zip(*graphs))
+    edges = np.concatenate([graph[3] + k for graph, k in zip(graphs, node_at)])
+    with np.errstate(all="ignore"):
+        phi_u, lam_u = iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual)
+        for k, graph in enumerate(graphs):
+            phi, lam = iterate(*graph, tau, n_steps, dual)
+            assert phi.tobytes() == phi_u[node_at[k]:node_at[k + 1]].tobytes()
+            assert lam.tobytes() == lam_u[edge_at[k]:edge_at[k + 1]].tobytes()
 
 
 def test_second_step_uses_one_snapshot_for_both_updates():
@@ -193,10 +231,12 @@ def test_divergence_raises_floating_point_error(run):
     # error alone, never by a RuntimeWarning before it
     g = two_node_graph(cost=1.0)
     s = PotentialState([0.0, 0.0], [1.0], g.edges)
+    kind = "primal-dual" if run is so.run_pd else "primal"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(so.DivergenceError, match=f"^{kind} iteration diverged; reduce tau$") as exc:
             run(s, np.array([1.0, -1.0]), g, tau=5.0, n=2000)
+    assert isinstance(exc.value, FloatingPointError)  # `except FloatingPointError` still holds
 
 
 def test_converge_pd_recovers_from_oversized_tau():
@@ -206,6 +246,58 @@ def test_converge_pd_recovers_from_oversized_tau():
     assert info["converged"]
     assert info["tau"] < 8.0
     assert state.phi[0] - state.phi[1] == pytest.approx(1.0, abs=1e-4)
+
+
+def _oracle_instance(seed, r):
+    """Graph, imbalance and residual tolerance of `oracle-check` instance r."""
+    q = so.QuadratureGrid(so.Domain(), 64)
+    gen = so.SplitMix64(derive(seed, STREAM_ORACLE, r))
+    n = 5 + gen.next_u64() % 16
+    part = so.build_partition(gen.uniforms(2 * n).reshape(n, 2), q)
+    g = so.neighbor_graph(part, so.MetricCost())
+    b = so.mass_imbalance(so.cell_masses(part, so.DensityField.uniform().values_on(q)))
+    return g, b, min(1e-8, 0.5e-6 * float(g.costs.min()))
+
+
+def _converge_case(name):
+    if name == "restarts":  # four restarts take tau 8 -> 1/2, two stalls -> 1/8
+        g = two_node_graph(cost=1.0)
+        return g, np.array([0.2, -0.2]), {"tau": 8.0, "tol": 1e-8}
+    if name == "budget":  # three restarts take tau 4 -> 1/2, then 1000 steps run out
+        g = path_graph([1.0, 1.0, 1.0])
+        return g, np.array([0.3, -0.1, -0.1, -0.1]), {"tau": 4.0, "max_iter": 1000}
+    g, b, tol = _oracle_instance(0, 1)  # 11 nodes; one stall halving, 0.2 -> 0.1
+    return g, b, {"tol": tol, "max_iter": 20_000_000}
+
+
+# (converged, iterations, tau, residual, sha256 of phi and lam bytes)
+CONVERGE_EXITS = {
+    "restarts": (True, 33_600, 0.125, 7.724046069412793e-09,
+                 "4341c4d7817abcde905118fc4fa9c1f0d0b9183b0218594c0e6fc1d5ced30f60"),
+    "budget": (False, 1_000, 0.5, 0.4993327294532467,
+               "a83d7e40107c7a91d59059076227a479b152027ae11ee24bc900d1b51aebbc5e"),
+    "stall": (True, 19_600, 0.1, 5.766798261142014e-09,
+              "5e2e1384e30f07106c400f00f38db381f3e9993cdc998acecabf952f850ced39"),
+}
+
+
+@pytest.mark.parametrize("name", CONVERGE_EXITS)
+def test_converge_pd_exits_keep_their_bits(name):
+    g, b, kwargs = _converge_case(name)
+    state, info = so.converge_pd(so.zero_state(g), b, g, **kwargs)
+    converged, iterations, tau, residual, digest = CONVERGE_EXITS[name]
+    assert info == {"converged": converged, "iterations": iterations, "tau": tau, "residual": residual}
+    assert hashlib.sha256(state.phi.tobytes() + state.lam.tobytes()).hexdigest() == digest
+
+
+def test_converge_pd_without_a_kept_chunk_returns_the_input_state():
+    g = two_node_graph(cost=1.0)
+    s = PotentialState([0.0, 0.0], [1.0], g.edges)
+    b = np.array([1.0, -1.0])
+    state, info = so.converge_pd(s, b, g, max_iter=0)
+    assert state is s and info["iterations"] == 0 and not info["converged"]
+    state, info = so.converge_pd(s, b, g, tau=1e6, max_iter=2000)  # every chunk diverges
+    assert state is s and info["iterations"] == 2000 and info["tau"] == 1e6 / 2**10
 
 
 def test_feasibility_violation_measures_worst_edge():

@@ -757,7 +757,10 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
     b, _ = so.transport_round(other, cfg, target, metric, q)
     np.testing.assert_array_equal(a.positions[far], b.positions[far])
     np.testing.assert_array_equal(a.inner.phi[far], b.inner.phi[far])
-    assert not np.array_equal(a.inner.phi, b.inner.phi)  # the move reached someone
+    # a draw is evidence only if the move reached someone's potential; a
+    # move clamped at a corner can change no quadrature point's owner, and
+    # then one Jacobi step leaves every potential as it was
+    assume(not np.array_equal(a.inner.phi, b.inner.phi))
 
 
 # N = 30 agents at the default tau on a concentrated target: the carried
@@ -788,7 +791,7 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
     monkeypatch.setattr(transport, "local_gradient", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="^primal-dual iteration diverged; reduce tau$"):
+        with pytest.raises(so.DivergenceError, match="^primal-dual iteration diverged; reduce tau$"):
             so.run_experiment(so.initial_positions(30, dom, 0), cli.transport_config(cfg),
                               target, metric, q)
     # the round that raised still had finite potentials: its gradient
