@@ -239,13 +239,20 @@ def test_divergence_raises_floating_point_error(run):
     assert isinstance(exc.value, FloatingPointError)  # `except FloatingPointError` still holds
 
 
+def assert_exit(state, info, converged, iterations, tau, residual, digest):
+    """`converge_pd`'s info and the sha256 of its phi and lam bytes, pinned."""
+    assert info == {"converged": converged, "iterations": iterations, "tau": tau, "residual": residual}
+    assert hashlib.sha256(state.phi.tobytes() + state.lam.tobytes()).hexdigest() == digest
+
+
 def test_converge_pd_recovers_from_oversized_tau():
     g = two_node_graph(cost=1.0)
     b = np.array([0.2, -0.2])
     state, info = so.converge_pd(so.zero_state(g), b, g, tau=8.0, tol=1e-8)
-    assert info["converged"]
-    assert info["tau"] < 8.0
     assert state.phi[0] - state.phi[1] == pytest.approx(1.0, abs=1e-4)
+    # four restarts take tau 8 -> 1/2, two stalls -> 1/8
+    assert_exit(state, info, True, 33_600, 0.125, 7.724046069412793e-09,
+                "4341c4d7817abcde905118fc4fa9c1f0d0b9183b0218594c0e6fc1d5ced30f60")
 
 
 def _oracle_instance(seed, r):
@@ -260,9 +267,6 @@ def _oracle_instance(seed, r):
 
 
 def _converge_case(name):
-    if name == "restarts":  # four restarts take tau 8 -> 1/2, two stalls -> 1/8
-        g = two_node_graph(cost=1.0)
-        return g, np.array([0.2, -0.2]), {"tau": 8.0, "tol": 1e-8}
     if name == "budget":  # three restarts take tau 4 -> 1/2, then 1000 steps run out
         g = path_graph([1.0, 1.0, 1.0])
         return g, np.array([0.3, -0.1, -0.1, -0.1]), {"tau": 4.0, "max_iter": 1000}
@@ -272,8 +276,6 @@ def _converge_case(name):
 
 # (converged, iterations, tau, residual, sha256 of phi and lam bytes)
 CONVERGE_EXITS = {
-    "restarts": (True, 33_600, 0.125, 7.724046069412793e-09,
-                 "4341c4d7817abcde905118fc4fa9c1f0d0b9183b0218594c0e6fc1d5ced30f60"),
     "budget": (False, 1_000, 0.5, 0.4993327294532467,
                "a83d7e40107c7a91d59059076227a479b152027ae11ee24bc900d1b51aebbc5e"),
     "stall": (True, 19_600, 0.1, 5.766798261142014e-09,
@@ -285,9 +287,7 @@ CONVERGE_EXITS = {
 def test_converge_pd_exits_keep_their_bits(name):
     g, b, kwargs = _converge_case(name)
     state, info = so.converge_pd(so.zero_state(g), b, g, **kwargs)
-    converged, iterations, tau, residual, digest = CONVERGE_EXITS[name]
-    assert info == {"converged": converged, "iterations": iterations, "tau": tau, "residual": residual}
-    assert hashlib.sha256(state.phi.tobytes() + state.lam.tobytes()).hexdigest() == digest
+    assert_exit(state, info, *CONVERGE_EXITS[name])
 
 
 def test_converge_pd_without_a_kept_chunk_returns_the_input_state():

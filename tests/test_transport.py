@@ -746,21 +746,24 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
         state, _ = so.transport_round(state, cfg, target, metric, q)
     m = int(np.argmin(((state.positions - corner) ** 2).sum(axis=1)))
     moved = state.positions.copy()
-    angle = rng.uniform(0, 2 * np.pi)
-    moved[m] = dom.clamp(moved[m] + 0.03 * np.array([np.cos(angle), np.sin(angle)]))
+    # aim away from the corner, so the clamp cannot shrink the move
+    angle = rng.uniform(0, np.pi / 2)
+    inward = (1 - 2 * np.asarray(corner)) * np.array([np.cos(angle), np.sin(angle)])
+    moved[m] = dom.clamp(moved[m] + 0.03 * inward)
+    parts = [so.build_partition(sites, q) for sites in (state.positions, moved)]
+    # a draw is evidence only if the move hands some quadrature cell to
+    # another agent; otherwise no imbalance changes
+    assume(not np.array_equal(parts[0].owner, parts[1].owner))
     far = np.ones(len(moved), dtype=bool)
-    for sites in (state.positions, moved):
-        far &= hops(so.neighbor_graph(so.build_partition(sites, q), metric), m) > n + 2
+    for p in parts:
+        far &= hops(so.neighbor_graph(p, metric), m) > n + 2
     assume(far.any())
     other = SwarmState(moved, state.k, state.cost, state.seed, state.inner)
     a, _ = so.transport_round(state, cfg, target, metric, q)
     b, _ = so.transport_round(other, cfg, target, metric, q)
     np.testing.assert_array_equal(a.positions[far], b.positions[far])
     np.testing.assert_array_equal(a.inner.phi[far], b.inner.phi[far])
-    # a draw is evidence only if the move reached someone's potential; a
-    # move clamped at a corner can change no quadrature point's owner, and
-    # then one Jacobi step leaves every potential as it was
-    assume(not np.array_equal(a.inner.phi, b.inner.phi))
+    assert not np.array_equal(a.inner.phi, b.inner.phi)  # the move reached someone
 
 
 # N = 30 agents at the default tau on a concentrated target: the carried
