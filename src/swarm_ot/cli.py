@@ -39,6 +39,7 @@ POSITION_HEADER = ["k", "agent", "x", "y", "owner_mass"]
 PDE_HEADER = ["t", "V", "E", "kkt_stationarity", "kkt_feasibility", "kkt_slackness", "mass_error"]
 ORACLE_GAP_TOL = 1e-4  # largest |dual value - flow value| oracle_check accepts
 ORACLE_FEAS_TOL = 1e-6  # largest edge violation oracle_check accepts
+ORACLE_MAX_ITER = 20_000_000  # converge_pd budget: ill-conditioned instances need millions of steps
 
 
 def write_csv(path, header, rows):
@@ -167,40 +168,40 @@ def run_pde(cfg, out_dir):
     return 0
 
 
+def oracle_instance(seed, r):
+    """Graph, imbalance and residual tolerance of oracle instance r of a seed.
+
+    A violated edge contributes cost * violation to the saddle residual,
+    so the tolerance shrinks with the shortest edge or the feasibility
+    bar holds only by luck.
+    """
+    domain = Domain()
+    q = QuadratureGrid(domain, 64)
+    gen = SplitMix64(derive(seed, STREAM_ORACLE, r))
+    n = 5 + gen.next_u64() % 16  # 5..20 nodes
+    sites = domain.lo + gen.uniforms(2 * n).reshape(n, 2) * domain.extent
+    partition = build_partition(sites, q)
+    graph = neighbor_graph(partition, MetricCost())
+    b = mass_imbalance(cell_masses(partition, DensityField.uniform(domain).values_on(q)))
+    shortest = float(graph.costs.min()) if len(graph.costs) else 1.0
+    return graph, b, min(1e-8, 0.5 * ORACLE_FEAS_TOL * shortest)
+
+
 def oracle_check(cfg, n_instances=10):
     """Converge the dual on random instances and compare with the flow value."""
-    domain = Domain()
-    metric = MetricCost()
-    q = QuadratureGrid(domain, 64)
-    dens = DensityField.uniform(domain).values_on(q)
     worst_gap = 0.0
     worst_feas = 0.0
     failures = 0
     for r in range(n_instances):
-        inst_seed = derive(cfg.seed, STREAM_ORACLE, r)
-        gen = SplitMix64(inst_seed)
-        n = 5 + gen.next_u64() % 16  # 5..20 nodes
-        sites = domain.lo + gen.uniforms(2 * n).reshape(n, 2) * domain.extent
-        partition = build_partition(sites, q)
-        graph = neighbor_graph(partition, metric)
-        b = mass_imbalance(cell_masses(partition, dens))
-        # A violated edge contributes cost * violation to the saddle
-        # residual, so the residual tolerance must shrink with the
-        # shortest edge or the feasibility bar holds only by luck. The
-        # iteration budget is sized for ill-conditioned instances whose
-        # slowest mode needs several million steps.
-        shortest = float(graph.costs.min()) if len(graph.costs) else 1.0
-        tol_r = min(1e-8, 0.5 * ORACLE_FEAS_TOL * shortest)
-        state, info = converge_pd(
-            zero_state(graph), b, graph, tol=tol_r, max_iter=20_000_000
-        )
+        graph, b, tol = oracle_instance(cfg.seed, r)
+        state, info = converge_pd(zero_state(graph), b, graph, tol=tol, max_iter=ORACLE_MAX_ITER)
         value, _ = min_cost_flow(FlowProblem(graph, b))
         gap = abs(dual_objective(state.phi, b) - value)
         feas = feasibility_violation(state.phi, graph)
         ok = info["converged"] and gap <= ORACLE_GAP_TOL and feas <= ORACLE_FEAS_TOL
         status = "ok" if ok else "FAIL"
         print(
-            f"instance {r}: n={n} gap={gap:.3e} feasibility={feas:.3e} "
+            f"instance {r}: n={graph.n} gap={gap:.3e} feasibility={feas:.3e} "
             f"iterations={info['iterations']} {status}"
         )
         worst_gap = max(worst_gap, gap)

@@ -165,6 +165,15 @@ class LyapunovReport:
     mass_error: float
 
 
+def _flow_step(s, rho_star, n, dual):
+    out = copy.copy(s)
+    with np.errstate(all="ignore"):
+        out.phi, out.lam = iterate(
+            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual
+        )
+    return out
+
+
 def pd_flow_step(s, rho_star, n=1):
     """n explicit Euler steps, each of length s.dt, of the primal-dual flow (rho untouched).
 
@@ -173,22 +182,12 @@ def pd_flow_step(s, rho_star, n=1):
     multipliers never leave the nonnegative cone. rho - rho_star is
     constant over the steps, so one call gives the bits of n calls.
     """
-    out = copy.copy(s)
-    with np.errstate(all="ignore"):
-        out.phi, out.lam = iterate(
-            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n
-        )
-    return out
+    return _flow_step(s, rho_star, n, dual=True)
 
 
 def relaxed_primal_step(s, rho_star, n=1):
     """n primal flow steps with the multipliers held at s.lam."""
-    out = copy.copy(s)
-    with np.errstate(all="ignore"):
-        out.phi, _ = iterate(
-            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual=False
-        )
-    return out
+    return _flow_step(s, rho_star, n, dual=False)
 
 
 def transport_step(s):

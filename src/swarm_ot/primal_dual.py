@@ -150,10 +150,10 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     The one kernel behind the agents' inner loop, the flow oracle and the
     grid flow. Its callers are `_run` (so `run_pd`, `run_primal` and
     `converge_pd`, which is `run_pd` in checked chunks) and the grid's
-    `pd_flow_step` and `relaxed_primal_step`. Returns (phi, lam) and never
-    writes its inputs. Divergence shows up as non-finite values that
-    callers check, so its warnings are noise: each caller enters
-    np.errstate(all="ignore") once around its calls.
+    `_flow_step` (so `pd_flow_step` and `relaxed_primal_step`). Returns
+    (phi, lam) and never writes its inputs. Divergence shows up as
+    non-finite values that callers check, so its warnings are noise: each
+    caller enters np.errstate(all="ignore") once around its calls.
 
     Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
     and phi' = phi + tau (b - L phi) in place, in the buffers of the flux

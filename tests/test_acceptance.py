@@ -11,7 +11,8 @@ import numpy as np
 
 import swarm_ot as so
 from conftest import run_python
-from swarm_ot.rng import STREAM_ORACLE, STREAM_TARGET, derive
+from swarm_ot import cli
+from swarm_ot.rng import STREAM_TARGET, derive
 
 DOM = so.Domain()
 METRIC = so.MetricCost()
@@ -31,23 +32,13 @@ def _seeded_gaussian_target(seed, q=None):
 
 
 def test_criterion_1_dual_matches_flow_oracle():
-    q = so.QuadratureGrid(DOM, 64)
-    dens = so.DensityField.uniform(DOM).values_on(q)
     started = time.time()
     worst_gap = 0.0
     worst_feas = 0.0
     for r in range(10):
-        gen = so.SplitMix64(derive(0, STREAM_ORACLE, r))
-        n = 5 + gen.next_u64() % 16
-        sites = gen.uniforms(2 * n).reshape(n, 2)
-        part = so.build_partition(sites, q)
-        graph = so.neighbor_graph(part, METRIC)
+        graph, b, tol = cli.oracle_instance(0, r)
         assert so.is_connected(graph)
-        b = so.mass_imbalance(so.cell_masses(part, dens))
-        # Residual tolerance scaled to the shortest edge so the 1e-6
-        # feasibility bar is guaranteed, not a matter of which seed.
-        tol_r = min(1e-8, 0.5e-6 * float(graph.costs.min()))
-        state, info = so.converge_pd(so.zero_state(graph), b, graph, tol=tol_r)
+        state, info = so.converge_pd(so.zero_state(graph), b, graph, tol=tol)
         assert info["converged"]
         value, _ = so.min_cost_flow(so.FlowProblem(graph, b))
         worst_gap = max(worst_gap, abs(so.dual_objective(state.phi, b) - value))

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import swarm_ot as so
 from conftest import run_python
-from swarm_ot import FlowProblem, MetricCost, NeighborGraph
+from swarm_ot import FlowProblem, MetricCost, NeighborGraph, cli
+from swarm_ot.config import ExperimentConfig
 
 
 def path_graph(costs):
@@ -26,6 +27,21 @@ def test_the_cli_does_not_load_the_lp_solver_until_the_oracle_runs():
     result = run_python(["-c", check], timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_oracle_check_fails_an_instance_whose_flow_value_disagrees(monkeypatch, capsys):
+    # a flow value off by 1 leaves a gap far above the 1e-4 the check accepts
+    exact = cli.min_cost_flow
+
+    def off_by_one(problem):
+        value, flows = exact(problem)
+        return value + 1.0, flows
+
+    monkeypatch.setattr(cli, "min_cost_flow", off_by_one)
+    assert cli.oracle_check(ExperimentConfig(seed=0), n_instances=1) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("instance 0: ") and lines[0].endswith(" FAIL")
+    assert lines[-1] == "oracle check FAILED on 1/1 instances"
 
 
 def test_zero_supplies_cost_nothing():

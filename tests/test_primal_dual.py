@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
-from swarm_ot import NeighborGraph, PotentialState
+from swarm_ot import NeighborGraph, PotentialState, cli
 from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, incidence, iterate, laplacian
-from swarm_ot.rng import STREAM_ORACLE, derive
 
 
 def two_node_graph(cost=1.0):
@@ -255,39 +254,11 @@ def test_converge_pd_recovers_from_oversized_tau():
                 "4341c4d7817abcde905118fc4fa9c1f0d0b9183b0218594c0e6fc1d5ced30f60")
 
 
-def _oracle_instance(seed, r):
-    """Graph, imbalance and residual tolerance of `oracle-check` instance r."""
-    q = so.QuadratureGrid(so.Domain(), 64)
-    gen = so.SplitMix64(derive(seed, STREAM_ORACLE, r))
-    n = 5 + gen.next_u64() % 16
-    part = so.build_partition(gen.uniforms(2 * n).reshape(n, 2), q)
-    g = so.neighbor_graph(part, so.MetricCost())
-    b = so.mass_imbalance(so.cell_masses(part, so.DensityField.uniform().values_on(q)))
-    return g, b, min(1e-8, 0.5e-6 * float(g.costs.min()))
-
-
-def _converge_case(name):
-    if name == "budget":  # three restarts take tau 4 -> 1/2, then 1000 steps run out
-        g = path_graph([1.0, 1.0, 1.0])
-        return g, np.array([0.3, -0.1, -0.1, -0.1]), {"tau": 4.0, "max_iter": 1000}
-    g, b, tol = _oracle_instance(0, 1)  # 11 nodes; one stall halving, 0.2 -> 0.1
-    return g, b, {"tol": tol, "max_iter": 20_000_000}
-
-
-# (converged, iterations, tau, residual, sha256 of phi and lam bytes)
-CONVERGE_EXITS = {
-    "budget": (False, 1_000, 0.5, 0.4993327294532467,
-               "a83d7e40107c7a91d59059076227a479b152027ae11ee24bc900d1b51aebbc5e"),
-    "stall": (True, 19_600, 0.1, 5.766798261142014e-09,
-              "5e2e1384e30f07106c400f00f38db381f3e9993cdc998acecabf952f850ced39"),
-}
-
-
-@pytest.mark.parametrize("name", CONVERGE_EXITS)
-def test_converge_pd_exits_keep_their_bits(name):
-    g, b, kwargs = _converge_case(name)
-    state, info = so.converge_pd(so.zero_state(g), b, g, **kwargs)
-    assert_exit(state, info, *CONVERGE_EXITS[name])
+def test_converge_pd_stall_exit_keeps_its_bits():
+    g, b, tol = cli.oracle_instance(0, 1)  # 11 nodes; one stall halving, 0.2 -> 0.1
+    state, info = so.converge_pd(so.zero_state(g), b, g, tol=tol, max_iter=cli.ORACLE_MAX_ITER)
+    assert_exit(state, info, True, 19_600, 0.1, 5.766798261142014e-09,
+                "5e2e1384e30f07106c400f00f38db381f3e9993cdc998acecabf952f850ced39")
 
 
 def test_converge_pd_without_a_kept_chunk_returns_the_input_state():
