@@ -16,7 +16,6 @@ import numpy as np
 from swarm_ot import (
     DensityField,
     Domain,
-    MetricCost,
     QuadratureGrid,
     TransportConfig,
     initial_positions,
@@ -24,7 +23,6 @@ from swarm_ot import (
 )
 
 domain = Domain()
-metric = MetricCost()
 q = QuadratureGrid(domain, 256)
 target = DensityField.gaussian_mixture(
     means=[[0.3, 0.3], [0.7, 0.75]],
@@ -38,7 +36,7 @@ runs = {}
 for inner in (1, 10):
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=inner, rounds=rounds)
     positions = initial_positions(n_agents, domain, seed)
-    records, snapshots = run_experiment(positions, cfg, target, metric, q, seed=seed)
+    records, snapshots = run_experiment(positions, cfg, target, q, seed=seed)
     runs[inner] = (records, snapshots)
 
 print(f"{n_agents} agents, {rounds} rounds, eps=0.02, tau=1.0, seed={seed}")

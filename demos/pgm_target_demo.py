@@ -14,7 +14,6 @@ import numpy as np
 
 from swarm_ot import (
     Domain,
-    MetricCost,
     QuadratureGrid,
     TransportConfig,
     initial_positions,
@@ -53,7 +52,7 @@ print(f"mass outside:                       {masses[~inside].sum():.4f}")
 n_agents = 12
 cfg = TransportConfig(eps=0.02, tau=0.5, inner_iters=10, rounds=30)
 positions = initial_positions(n_agents, domain, seed=5)
-records, snapshots = run_experiment(positions, cfg, target, MetricCost(), q, seed=5)
+records, snapshots = run_experiment(positions, cfg, target, q, seed=5)
 
 print()
 print(f"{n_agents} agents, {cfg.rounds} rounds toward the disk")

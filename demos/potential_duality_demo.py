@@ -16,7 +16,6 @@ from swarm_ot import (
     DensityField,
     Domain,
     FlowProblem,
-    MetricCost,
     QuadratureGrid,
     SplitMix64,
     build_partition,
@@ -33,7 +32,6 @@ from swarm_ot import (
 )
 
 domain = Domain()
-metric = MetricCost()
 q = QuadratureGrid(domain, 64)
 dens = DensityField.uniform().values_on(q)
 
@@ -45,7 +43,7 @@ for n in (3, 5, 8, 12, 20):
     gen = SplitMix64(derive(0, 11, n))
     sites = gen.uniforms(2 * n).reshape(n, 2)
     partition = build_partition(sites, q)
-    graph = neighbor_graph(partition, metric)
+    graph = neighbor_graph(partition)
     assert is_connected(graph), "every site owns cells on a shared raster"
 
     b = mass_imbalance(cell_masses(partition, dens))

@@ -6,7 +6,7 @@ measure. A companion grid solver integrates the continuous-limit PDE
 system with Lyapunov and KKT diagnostics.
 """
 
-from .geometry import Domain, MetricCost
+from .geometry import Domain
 from .target import (
     DensityField,
     DomainMismatchError,

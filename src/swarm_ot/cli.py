@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .flow import FlowProblem, min_cost_flow
-from .geometry import Domain, MetricCost
+from .geometry import Domain
 from .grid import (
     GridState,
     PositivityError,
@@ -107,12 +107,11 @@ def _pde_rows(reports):
 
 def run_agents(cfg, out_dir):
     domain = Domain()
-    metric = MetricCost()
     q = QuadratureGrid(domain, cfg.quad_resolution)
     target = build_target(cfg, domain, cfg.seed)
     tcfg = transport_config(cfg)
     positions = initial_positions(cfg.n_agents, domain, cfg.seed)
-    records, snapshots = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
+    records, snapshots = run_experiment(positions, tcfg, target, q, cfg.seed)
     write_csv(out_dir / "metrics.csv", AGENT_HEADER, _agent_rows(records))
     write_csv(out_dir / "positions.csv", POSITION_HEADER, _position_rows(snapshots))
     last = records[-1]
@@ -181,7 +180,7 @@ def oracle_instance(seed, r):
     n = 5 + gen.next_u64() % 16  # 5..20 nodes
     sites = domain.lo + gen.uniforms(2 * n).reshape(n, 2) * domain.extent
     partition = build_partition(sites, q)
-    graph = neighbor_graph(partition, MetricCost())
+    graph = neighbor_graph(partition)
     b = mass_imbalance(cell_masses(partition, DensityField.uniform(domain).values_on(q)))
     shortest = float(graph.costs.min()) if len(graph.costs) else 1.0
     return graph, b, min(1e-8, 0.5 * ORACLE_FEAS_TOL * shortest)
@@ -216,7 +215,6 @@ def oracle_check(cfg, n_instances=10):
 
 def run_fig(cfg, number, out_dir):
     domain = Domain()
-    metric = MetricCost()
     if number in (2, 3):
         q = QuadratureGrid(domain, cfg.quad_resolution)
         target = build_target(cfg, domain, cfg.seed)
@@ -224,14 +222,14 @@ def run_fig(cfg, number, out_dir):
         if number == 2:
             for n in (1, 5, 10):
                 tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
+                records, _ = run_experiment(positions, tcfg, target, q, cfg.seed)
                 write_csv(out_dir / f"fig2_n{n}.csv", AGENT_HEADER, _agent_rows(records))
             print("fig 2: wrote fig2_n1.csv fig2_n5.csv fig2_n10.csv")
         else:
             rows = []
             for n in range(1, 11):
                 tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, metric, q, cfg.seed)
+                records, _ = run_experiment(positions, tcfg, target, q, cfg.seed)
                 rows.append([n, records[-1].net_cost])
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], rows)
             print("fig 3: wrote fig3.csv")

@@ -158,9 +158,11 @@ def _finish_vectors(cfg, line_of):
         "target.weights": None if cfg.target_weights is None else len(cfg.target_weights),
     }
     given = {k: v for k, v in counts.items() if v is not None}
-    if len(set(given.values())) > 1:
-        key = sorted(given)[0]
-        fail(key, f"mixture component counts disagree: {given}")
+    # without target.means, `cli.build_target` seeds one Gaussian mean
+    seeded = cfg.target_kind == "gaussian" and cfg.target_means is None
+    if len(set(given.values()) | ({1} if seeded else set())) > 1:
+        seeded_note = " and one seeded mean" if seeded else ""
+        fail(sorted(given)[0], f"mixture component counts disagree: {given}{seeded_note}")
 
 
 def load_config(text):

@@ -69,10 +69,10 @@ def min_cost_flow(p):
     return float(costs[used] @ x[used]), flows
 
 
-def discrete_ot_cost(src, dst, metric):
+def discrete_ot_cost(src, dst):
     """Optimal assignment cost between equal-size point sets.
 
-    min over pairings of (1/N) sum_i c(src_i, dst_sigma(i)), solved
+    min over pairings of (1/N) sum_i ||src_i - dst_sigma(i)||, solved
     exactly as an assignment problem.
     """
     from scipy.optimize import linear_sum_assignment
@@ -82,6 +82,6 @@ def discrete_ot_cost(src, dst, metric):
     if src.shape != dst.shape:
         raise ValueError(f"point sets differ in shape: {src.shape} vs {dst.shape}")
     diff = src[:, None, :] - dst[None, :, :]
-    costs = metric.xi * np.sqrt((diff**2).sum(axis=2))
+    costs = np.sqrt((diff**2).sum(axis=2))
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / len(src))

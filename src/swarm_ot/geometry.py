@@ -1,8 +1,8 @@
-"""Domain geometry and the transport ground metric.
+"""Domain geometry.
 
-The ground cost is c(x, y) = xi * ||x - y|| for a constant conformal
-factor xi > 0. Geodesics of such a metric are straight segments, and
-the closed eps-ball around x is the Euclidean ball of radius eps / xi.
+The transport ground cost is the Euclidean length c(x, y) = ||x - y||,
+so its geodesics are straight segments and the closed eps-ball around x
+is the Euclidean ball of radius eps.
 """
 
 import numpy as np
@@ -31,15 +31,3 @@ class Domain:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-
-class MetricCost:
-    """Transport ground cost c(x, y) = xi * ||x - y|| with xi > 0."""
-
-    def __init__(self, xi=1.0):
-        if not xi > 0:
-            raise ValueError("conformal factor xi must be positive")
-        self.xi = float(xi)
-
-    def distance(self, x, y):
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return self.xi * float(np.sqrt(np.dot(d, d)))

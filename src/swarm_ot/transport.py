@@ -44,11 +44,11 @@ from .voronoi import build_partition, is_connected, neighbor_graph
 class TransportConfig:
     """Knobs of the outer loop.
 
-    eps bounds each move in cost units; tau is the inner step size;
+    eps bounds each move's Euclidean length; tau is the inner step size;
     inner_iters is the number of potential-estimation iterations per
     round; rounds is the outer horizon. fixed_dual switches the inner
     loop to primal-only with that constant multiplier on every edge.
-    radius optionally limits communication range (metric cost units).
+    radius optionally limits communication range, as a Euclidean distance.
     """
 
     eps: float = 0.02
@@ -162,25 +162,26 @@ def _row_norms(v):
     """Euclidean norm of each row of an (N, 2) array.
 
     A stacked matmul of 1 x 2 by 2 x 1 runs numpy's vector dot, so every
-    norm has the bits of `np.sqrt(np.dot(row, row))`; an elementwise
+    norm has the bits of `np.sqrt(np.dot(row, row))`, which the recorded
+    output bytes pin (step lengths, the proximal stay test); an elementwise
     square-and-sum rounds differently where the dot fuses.
     """
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
-def proximal_step(x, g, eps, metric, domain):
-    """Minimize c(x, z) + g . (z - x) over the closed eps-ball at x.
+def proximal_step(x, g, eps, domain):
+    """Minimize ||z - x|| + g . (z - x) over the closed eps-ball at x.
 
     With the affine local model the minimizer is x itself while
-    ||g|| <= xi (moving cannot pay off), and otherwise the ball-boundary
+    ||g|| <= 1 (moving cannot pay off), and otherwise the ball-boundary
     point along -g, clamped into the domain. `x` and `g` are one (2,)
     point and gradient or (N, 2) batches of them.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     norm = _row_norms(np.atleast_2d(g)).reshape(g.shape[:-1] + (1,))
-    stay = norm <= metric.xi
-    step = (eps / metric.xi) * g / np.where(stay, 1.0, norm)
+    stay = norm <= 1.0
+    step = eps * g / np.where(stay, 1.0, norm)
     return np.where(stay, x, domain.clamp(x - step))
 
 
@@ -218,14 +219,14 @@ def _carry(inner, edges, n):
 Cells = namedtuple("Cells", "partition graph masses dens")
 
 
-def _measure(positions, metric, q, radius, dens):
+def _measure(positions, q, radius, dens):
     """Partition, neighbor graph and cell masses of one set of sites."""
     partition = build_partition(positions, q)
-    graph = neighbor_graph(partition, metric, radius)
+    graph = neighbor_graph(partition, radius)
     return Cells(partition, graph, cell_masses(partition, dens), dens)
 
 
-def transport_round(state, cfg, target, metric, q, cells=None):
+def transport_round(state, cfg, target, q, cells=None):
     """One synchronous round of potential estimation and proximal moves.
 
     Uses the caller's `cells` of the positions, which keep to `q.domain`,
@@ -244,7 +245,7 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     positions, perturbed = _dedupe(state, q.domain)
     if perturbed or cells is None or not np.array_equal(cells.partition.sites, positions):
         dens = target.values_on(q) if cells is None else cells.dens
-        cells = _measure(positions, metric, q, cfg.radius, dens)
+        cells = _measure(positions, q, cfg.radius, dens)
     graph = cells.graph
     b = mass_imbalance(cells.masses)
 
@@ -265,9 +266,8 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     if not finite:
         # potentials so large that a gradient's norm overflows have diverged
         raise DivergenceError.of(not fixed)
-    new_positions = proximal_step(positions, grads, cfg.eps, metric, q.domain)
-    # the bits of metric.distance(positions[i], new_positions[i]) per agent
-    step_lengths = metric.xi * _row_norms(positions - new_positions)
+    new_positions = proximal_step(positions, grads, cfg.eps, q.domain)
+    step_lengths = _row_norms(positions - new_positions)
 
     cost = state.cost + float(step_lengths.sum() / n)
     new_state = SwarmState(new_positions, state.k + 1, cost, state.seed, inner)
@@ -284,7 +284,7 @@ def transport_round(state, cfg, target, metric, q, cells=None):
     return new_state, diagnostics
 
 
-def run_experiment(positions, cfg, target, metric, q, seed=0):
+def run_experiment(positions, cfg, target, q, seed=0):
     """Run cfg.rounds transport rounds of agents in `q.domain`.
 
     Returns (records, snapshots): one MetricsRecord per round index
@@ -297,12 +297,12 @@ def run_experiment(positions, cfg, target, metric, q, seed=0):
     state = SwarmState(positions=q.domain.clamp(positions), seed=seed)
     records, snapshots = [], []
     for k in range(cfg.rounds + 1):
-        cells = _measure(state.positions, metric, q, cfg.radius, dens)
+        cells = _measure(state.positions, q, cfg.radius, dens)
         if k == 0:
             estimate = (0.0, 0.0, is_connected(cells.graph))
         records.append(MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
         snapshots.append((k, state.positions.copy(), cells.masses))
         if k < cfg.rounds:
-            state, diag = transport_round(state, cfg, target, metric, q, cells)
+            state, diag = transport_round(state, cfg, target, q, cells)
             estimate = (diag["dual_objective"], diag["feasibility_violation"], diag["connected"])
     return records, snapshots

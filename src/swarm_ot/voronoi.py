@@ -73,9 +73,7 @@ def build_partition(sites, q):
     """Assign every quadrature cell of `q` to its nearest site.
 
     Ties break to the lowest site index, so the scan order cannot change
-    the result. Sites must be finite and are clamped into `q.domain`
-    first. No metric is passed: its conformal factor scales all distances
-    alike, so the argmin does not depend on it.
+    the result. Sites must be finite and are clamped into `q.domain` first.
 
     The sites are scanned one at a time against a running minimum over
     the quadrature's tensor grid. A site takes a cell only when strictly
@@ -157,11 +155,11 @@ def _span(hit, size):
     return np.where(hit.any(axis=0), [first * TILE, stop], 0).T
 
 
-def neighbor_graph(p, metric, radius=None):
+def neighbor_graph(p, radius=None):
     """Edges between owners of 4-adjacent quadrature cells.
 
-    `radius` optionally drops edges between agents farther apart than the
-    communication range (measured in metric cost); the resulting graph
+    Each edge costs the Euclidean distance between its two sites. `radius`
+    optionally drops edges whose cost exceeds that range; the resulting graph
     may then be disconnected, which callers report rather than repair.
     """
     q = p.q
@@ -174,7 +172,7 @@ def neighbor_graph(p, metric, radius=None):
     keys = np.unique(np.minimum(a, b) * p.n + np.maximum(a, b))
     edges = np.column_stack([keys // p.n, keys % p.n])
     diffs = p.sites[edges[:, 0]] - p.sites[edges[:, 1]]
-    costs = metric.xi * np.sqrt((diffs**2).sum(axis=1))
+    costs = np.sqrt((diffs**2).sum(axis=1))
     if np.any(costs <= 0):
         raise ValueError("coincident sites share a cell boundary; perturb duplicates first")
     if radius is not None:

@@ -15,7 +15,6 @@ from swarm_ot import cli
 from swarm_ot.rng import STREAM_TARGET, derive
 
 DOM = so.Domain()
-METRIC = so.MetricCost()
 
 
 def _report(n, ok, detail):
@@ -129,8 +128,8 @@ def test_criterion_6_stage_cost_bounds():
         so.TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=12, fixed_dual=1.0),
     ):
         positions = so.initial_positions(12, DOM, seed=1)
-        records, snapshots = so.run_experiment(positions, cfg, target, METRIC, q, seed=1)
-        lower = so.discrete_ot_cost(snapshots[0][1], snapshots[-1][1], METRIC)
+        records, snapshots = so.run_experiment(positions, cfg, target, q, seed=1)
+        lower = so.discrete_ot_cost(snapshots[0][1], snapshots[-1][1])
         stage_cost = records[-1].net_cost
         steps = np.array([
             np.linalg.norm(b[1] - a[1], axis=1).max()
@@ -154,7 +153,7 @@ def test_criterion_7_inner_iterations_improve_balance():
         initial = None
         for n in (1, 10):
             cfg = so.TransportConfig(eps=0.02, tau=1.0, inner_iters=n, rounds=40)
-            records, _ = so.run_experiment(positions, cfg, target, METRIC, q, seed)
+            records, _ = so.run_experiment(positions, cfg, target, q, seed)
             initial = records[0].mass_variance
             final[n] = records[-1].mass_variance
         ok = ok and final[10] < 0.5 * initial and final[10] <= final[1]

@@ -141,6 +141,16 @@ def test_missing_assignment_and_comments():
 def test_mixture_component_counts_must_agree():
     with pytest.raises(ConfigError, match="component counts disagree"):
         load_config("target.means = 0.5 0.5\ntarget.weights = 0.5 0.5\n")
+    # without target.means a Gaussian target has one seeded mean, and the
+    # error names a key the file sets, with its line
+    mixtures = ["target.weights = 1 2\n", "target.covariances = 1 0 0 1; 2 0 0 2\n"]
+    for text in mixtures:
+        key = text.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"^line 2: key '{key}' mixture component counts "
+                                              "disagree: .* and one seeded mean$"):
+            load_config("seed = 1\n" + text)
+        # a uniform target reads no mixture, so the same keys still load
+        assert load_config("target.kind = uniform\n" + text).target_kind == "uniform"
     with pytest.raises(ConfigError, match="entries must be 2-vectors"):
         load_config("target.means = 0.5 0.5 0.5\n")
 

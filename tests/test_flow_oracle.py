@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import swarm_ot as so
 from conftest import run_python
-from swarm_ot import FlowProblem, MetricCost, NeighborGraph, cli
+from swarm_ot import FlowProblem, NeighborGraph, cli
 from swarm_ot.config import ExperimentConfig
 
 
@@ -141,7 +141,7 @@ def test_strong_duality_on_random_graphs():
         n = 4 + gen.next_u64() % 5
         sites = gen.uniforms(2 * n).reshape(n, 2)
         part = so.build_partition(sites, so.QuadratureGrid(so.Domain(), 48))
-        g = so.neighbor_graph(part, MetricCost())
+        g = so.neighbor_graph(part)
         masses = so.cell_masses(part, so.DensityField.uniform().values_on(part.q))
         b = so.mass_imbalance(masses)
         state, info = so.converge_pd(so.zero_state(g), b, g, tol=1e-9)
@@ -181,43 +181,31 @@ def test_flow_value_upper_bounds_every_feasible_potential():
 
 
 def test_discrete_ot_identity_and_known_pairing():
-    metric = MetricCost()
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert so.discrete_ot_cost(pts, pts, metric) == 0.0
+    assert so.discrete_ot_cost(pts, pts) == 0.0
     # translating both points by 0.5 means each moves 0.5 under the
     # identity pairing, and any other pairing only moves them farther
     shifted = pts + np.array([0.5, 0.0])
-    assert so.discrete_ot_cost(pts, shifted, metric) == pytest.approx(0.5)
+    assert so.discrete_ot_cost(pts, shifted) == pytest.approx(0.5)
 
 
 def test_discrete_ot_finds_the_crossing_free_matching():
-    metric = MetricCost()
     src = np.array([[0.0, 0.0], [1.0, 0.0]])
     dst = np.array([[1.1, 0.0], [0.1, 0.0]])
     # (0 -> 0.1, 1 -> 1.1) costs 0.1 each; the crossing costs 1.1 and 0.9
-    assert so.discrete_ot_cost(src, dst, metric) == pytest.approx(0.1)
+    assert so.discrete_ot_cost(src, dst) == pytest.approx(0.1)
 
 
 def test_discrete_ot_is_permutation_invariant_and_symmetric():
     gen = so.SplitMix64(17)
     src = gen.uniforms(10).reshape(5, 2)
     dst = gen.uniforms(10).reshape(5, 2)
-    metric = MetricCost(xi=1.3)
-    base = so.discrete_ot_cost(src, dst, metric)
+    base = so.discrete_ot_cost(src, dst)
     perm = np.array([3, 1, 4, 0, 2])
-    assert so.discrete_ot_cost(src[perm], dst, metric) == pytest.approx(base, rel=1e-12)
-    assert so.discrete_ot_cost(dst, src, metric) == pytest.approx(base, rel=1e-12)
-
-
-def test_discrete_ot_scales_with_xi():
-    gen = so.SplitMix64(23)
-    src = gen.uniforms(8).reshape(4, 2)
-    dst = gen.uniforms(8).reshape(4, 2)
-    v1 = so.discrete_ot_cost(src, dst, MetricCost(1.0))
-    v2 = so.discrete_ot_cost(src, dst, MetricCost(2.0))
-    assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+    assert so.discrete_ot_cost(src[perm], dst) == pytest.approx(base, rel=1e-12)
+    assert so.discrete_ot_cost(dst, src) == pytest.approx(base, rel=1e-12)
 
 
 def test_discrete_ot_rejects_mismatched_sets():
     with pytest.raises(ValueError):
-        so.discrete_ot_cost(np.zeros((3, 2)), np.zeros((4, 2)), MetricCost())
+        so.discrete_ot_cost(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
-from swarm_ot import Domain, MetricCost, QuadratureGrid
+from swarm_ot import Domain, QuadratureGrid
 from swarm_ot.voronoi import TILE
 
 
@@ -34,11 +34,9 @@ def _blocked_dense_owner(sites, domain, q):
 
 
 def setup(sites, n=64, radius=None):
-    dom = Domain()
-    metric = MetricCost()
-    q = QuadratureGrid(dom, n)
+    q = QuadratureGrid(Domain(), n)
     part = so.build_partition(np.asarray(sites, dtype=float), q)
-    graph = so.neighbor_graph(part, metric, radius=radius)
+    graph = so.neighbor_graph(part, radius=radius)
     return part, graph
 
 
@@ -92,6 +90,22 @@ def test_radius_limit_disconnects_far_agents():
     assert np.all(graph.active)
 
 
+def test_the_radius_keeps_an_edge_of_exactly_its_length():
+    # the two sites share one edge, whose cost is 0.5 exactly
+    sites = [[0.25, 0.5], [0.75, 0.5]]
+    assert setup(sites)[1].costs.tolist() == [0.5]
+    assert setup(sites, radius=0.5)[1].edges.tolist() == [[0, 1]]
+    assert len(setup(sites, radius=np.nextafter(0.5, 0))[1].edges) == 0
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30))
+def test_each_edge_costs_the_euclidean_distance_of_its_sites(seed, n):
+    part, graph = setup(np.random.default_rng(seed).uniform(size=(n, 2)), n=32)
+    ref = [np.linalg.norm(part.sites[i] - part.sites[j]) for i, j in graph.edges]
+    np.testing.assert_allclose(graph.costs, ref, rtol=1e-15, atol=0)
+
+
 def test_coincident_adjacent_sites_raise():
     # the tie rule keeps duplicates from owning cells, so force adjacency
     # with a hand-built ownership array to exercise the guard
@@ -100,7 +114,7 @@ def test_coincident_adjacent_sites_raise():
     owner = np.tile([0, 0, 1, 1], 4)
     part = so.Partition(sites, owner, q)
     with pytest.raises(ValueError, match="coincident"):
-        so.neighbor_graph(part, MetricCost())
+        so.neighbor_graph(part)
 
 
 def test_duplicate_sites_lose_every_tie_and_go_inactive():
