@@ -78,8 +78,10 @@ def _parse_bool(text):
 
 
 def _parse_vectors(text):
-    """Parse `a b; c d; ...` into a list of float arrays."""
+    """Parse `a b; c d; ...` into a nonempty list of float arrays."""
     items = [part.strip() for part in text.split(";") if part.strip()]
+    if not items:
+        raise ValueError(text)
     return [np.array([_parse_float(tok) for tok in item.split()]) for item in items]
 
 
@@ -107,7 +109,7 @@ _KEYS = {
     "target.means": ("target_means", _parse_vectors, None, None),
     "target.covariances": ("target_covariances", _parse_vectors, None, None),
     "target.weights": ("target_weights", _parse_vectors, None, None),
-    "target.pgm_path": ("target_pgm_path", str, None, None),
+    "target.pgm_path": ("target_pgm_path", str, bool, "a nonempty path"),
     "grid.nx": ("grid_nx", _parse_int, lambda v: v >= 1, "at least 1"),
     "grid.ny": ("grid_ny", _parse_int, lambda v: v >= 1, "at least 1"),
     "grid.dt": ("grid_dt", _parse_float, _positive, "positive"),

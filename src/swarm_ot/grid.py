@@ -11,17 +11,15 @@ grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
 transport and stationarity use its operator `laplacian`. The grid's edge
 list comes from `grid_edges` and knows its shape, so the kernel runs on
 it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
-agent graph. A state computes L phi at most once (`GridState.lap_phi`),
-and the record and the transport step share it.
+agent graph.
 
-A record reads the edge terms of the state's potential
-(`GridState.edge_terms`: phi_i - phi_j, its square, the slack
-| |phi_i - phi_j| - cost | and the largest excess). A state computes
-them once per potential, and L phi reads their edge differences. In
-inner_steady_state phi is fixed for the whole run, so the edge
-differences are taken once per run, not twice per step. The on-the-fly
-modes rebind phi at every outer step, and `coupled_states` drops the
-terms with each record there (its docstring says why). The record's sums
+A state holds its arrays and nothing else. The grid loop computes each
+outer step's L phi once, for the transport step and the record. A
+record reads the edge terms of the state's potential (`EdgeTerms.of`:
+phi_i - phi_j, its square, the slack | |phi_i - phi_j| - cost | and the
+largest excess), and L phi can read their edge differences. In
+inner_steady_state phi is fixed for the whole run, so the loop builds
+its edge terms once per run, not once per record. The record's sums
 are `einsum` reductions, which unlike BLAS dot products give the same
 bits under any thread count.
 
@@ -66,9 +64,6 @@ class GridState:
     and never written in place. The edge list is read-only.
     """
 
-    _lap_memo = None  # (phi, lam, L phi) of the last lap_phi() call
-    _edge_memo = None  # (phi, cost, EdgeTerms) of the last edge_terms() call
-
     def __init__(self, nx, ny, rho, phi=None, lam=None, cost=1.0, dt=1e-3, t=0.0):
         self.nx = int(nx)
         self.ny = int(ny)
@@ -101,39 +96,6 @@ class GridState:
     def node_xy(self, i):
         return int(i) % self.nx, int(i) // self.nx
 
-    def lap_phi(self):
-        """L phi = laplacian(phi, lam), computed once per (phi, lam) pair.
-
-        Keyed on the identity of the two arrays, which states never
-        write in place: rebinding either one recomputes it. It reads the
-        edge differences of `edge_terms` when the state holds them.
-        """
-        memo = self._lap_memo
-        if memo is None or memo[0] is not self.phi or memo[1] is not self.lam:
-            held = self._edge_memo
-            dphi = held[2].dphi if held is not None and held[0] is self.phi else None
-            lap = laplacian(self.phi, self.lam, self.edges, dphi)
-            memo = self._lap_memo = (self.phi, self.lam, lap)
-        return memo[2]
-
-    def edge_terms(self):
-        """The `EdgeTerms` of phi, computed once per potential.
-
-        Keyed on the identity of phi (and the cost), like `lap_phi`: a
-        state that rebinds phi computes them anew, and until then its
-        copy of the old terms is dead weight (see `coupled_states`).
-        Three edge-sized arrays and no temporary.
-        """
-        memo = self._edge_memo
-        if memo is None or memo[0] is not self.phi or memo[1] != self.cost:
-            dphi = edge_diff(self.phi, self.edges)
-            slack = np.abs(dphi)
-            slack -= self.cost
-            feasibility = float(slack.max(initial=0.0))
-            terms = EdgeTerms(dphi, dphi * dphi, np.abs(slack, out=slack), feasibility)
-            memo = self._edge_memo = (self.phi, self.cost, terms)
-        return memo[2]
-
 
 class EdgeTerms(NamedTuple):
     """What a record needs of a potential on the edges, lam aside."""
@@ -142,6 +104,15 @@ class EdgeTerms(NamedTuple):
     sq: np.ndarray  # dphi * dphi, the bits of |dphi| * |dphi|, for E
     slack: np.ndarray  # | |dphi| - cost |, for the slackness residual
     feasibility: float  # the largest excess |dphi| - cost, at least 0
+
+    @classmethod
+    def of(cls, s):
+        """The terms of s.phi at s.cost: three edge-sized arrays and no temporary."""
+        dphi = edge_diff(s.phi, s.edges)
+        slack = np.abs(dphi)
+        slack -= s.cost
+        feasibility = float(slack.max(initial=0.0))
+        return cls(dphi, dphi * dphi, np.abs(slack, out=slack), feasibility)
 
 
 @dataclass
@@ -190,15 +161,17 @@ def relaxed_primal_step(s, rho_star, n=1):
     return _flow_step(s, rho_star, n, dual=False)
 
 
-def transport_step(s):
+def transport_step(s, lap=None):
     """Advect the density by the edge fluxes lam (phi_j - phi_i).
 
     Antisymmetric per-edge fluxes keep the total mass exactly conserved.
     A step that would make any node nonpositive (or NaN) is an error
     naming the node (a PositivityError): reduce dt rather than clamping.
-    The new state keeps phi and lam, and with them the L phi computed here.
+    `lap` is the state's L phi, laplacian(s.phi, s.lam, s.edges), when
+    the caller holds it; without it the step computes it, to the same bits.
     """
-    lap = s.lap_phi()
+    if lap is None:
+        lap = laplacian(s.phi, s.lam, s.edges)
     out = copy.copy(s)
     out.rho = s.rho - s.dt * lap
     if not np.all(out.rho > 0):
@@ -213,7 +186,7 @@ def transport_step(s):
 
 def stationarity(s, rho_star):
     """Largest node residual of rho - div(lam grad phi) = rho_star."""
-    return float(np.abs(s.rho - s.lap_phi() - rho_star).max())
+    return lyapunov(s, rho_star).kkt.stationarity
 
 
 def kkt_residual(s, rho_star):
@@ -221,21 +194,27 @@ def kkt_residual(s, rho_star):
     return lyapunov(s, rho_star).kkt
 
 
-def lyapunov(s, rho_star):
+def lyapunov(s, rho_star, terms=None, lap=None):
     """V, E, KKT residuals, and the mass conservation error of a state.
 
-    The state's `edge_terms`, taken once per potential, give E,
-    feasibility and slackness, and the stationarity's L phi reads their
-    edge differences. dual_feasibility reports the smallest multiplier:
-    unlike the other KKT fields it is a position, not a violation
-    magnitude.
+    The `EdgeTerms` of the state's potential give E, feasibility and
+    slackness, and the stationarity reads its L phi. A caller that holds
+    them passes `terms` (`EdgeTerms.of(s)`) and `lap` (laplacian(s.phi,
+    s.lam, s.edges)); the record computes what it is not given, L phi
+    from the edge differences of its terms, to the same bits.
+    dual_feasibility reports the smallest multiplier: unlike the other
+    KKT fields it is a position, not a violation magnitude.
     """
     err = s.rho - rho_star
     V = 0.5 * float(np.einsum("i,i->", err, err))
-    terms = s.edge_terms()
+    del err  # freed before the terms take their memory: see `coupled_states`
+    if terms is None:
+        terms = EdgeTerms.of(s)
     E = 0.5 * float(np.einsum("i,i->", s.lam, terms.sq)) + V
+    if lap is None:
+        lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
     kkt = KKTResidual(
-        stationarity(s, rho_star),
+        float(np.abs(s.rho - lap - rho_star).max()),
         terms.feasibility,
         float((s.lam * terms.slack).max(initial=0.0)),
         float(s.lam.min()) if len(s.lam) else 0.0,
@@ -380,22 +359,24 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
 
     The generator's value (StopIteration.value) is the final state, so
     a consumer need not hold a state across `next`. The previous state
-    lives until just before the record, whose temporaries then reuse its
-    memory, provided the consumer has dropped it (`run_coupled` does).
+    lives until its transport step is taken, just before the record,
+    whose temporaries then reuse its memory, provided the consumer has
+    dropped it (`run_coupled` does).
     Freed any earlier, or held through the record, a large grid's arrays
     go back to the system and are faulted in again every step: on a 256²
     `on_the_fly_pd` run, 17 times the page faults and about 9% more time
     (2-core x86-64 VM).
 
-    A record leaves the state holding the edge terms of its phi
-    (`GridState.edge_terms`). inner_steady_state keeps them: its phi never
-    changes, so every later record and L phi reads them. The on-the-fly
-    modes drop them with the record. Their next inner steps rebind phi,
-    and the recorded state lives on as the previous state through those
-    steps, so kept terms would hold three dead edge-sized arrays at the
-    run's peak: on the 256² `pde_pd256` run, 3.4 MiB more peak RSS
-    (48.8 against 45.4 MiB), where dropping them keeps the peak within
-    0.2 MiB of computing every record from scratch (2-core x86-64 VM).
+    Each outer step computes L phi once, and its transport step and its
+    record both read it. An inner_steady_state run builds the `EdgeTerms`
+    of its phi once, since phi never changes, and every L phi and record
+    reads them. An on-the-fly record builds its own terms after the
+    previous state is freed and drops them when it returns. Kept through
+    the next inner steps, which rebind phi, they would hold three dead
+    edge-sized arrays at the run's peak: on the 256² `pde_pd256` run,
+    3.4 MiB more peak RSS (48.8 against 45.4 MiB, 2-core x86-64 VM). The
+    record also frees its density residual before it builds the terms:
+    with both alive, that run's peak RSS read 45.7 against 45.3 MiB.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -413,28 +394,27 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
         if not lam_fixed > 0:
             raise ValueError("fixed dual weight must be positive")
         s.lam = np.full(len(s.edges), float(lam_fixed))
+    terms = lap = None  # on the fly, phi is new at every outer step
     if steady:
         s.phi, s.lam = steady_potentials(s, rho_star)
+        terms = EdgeTerms.of(s)  # phi is fixed for the whole run
+        lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
     inner_step = pd_flow_step if mode == "on_the_fly_pd" else relaxed_primal_step
 
-    def record(s):
-        report = lyapunov(s, rho_star)
-        if not steady:
-            s._edge_memo = None  # the next inner steps rebind phi: see the docstring
-        return report
-
-    yield s, record(s)
+    yield s, lyapunov(s, rho_star, terms, lap)
     for step in range(1, steps + 1):
-        prev = s  # released just before the record: see the docstring
+        prev = s  # released once transported: see the docstring
         with np.errstate(all="ignore"):
             if not steady:
                 s = inner_step(s, rho_star, inner_n)
-            s = transport_step(s)
+                lap = laplacian(s.phi, s.lam, s.edges)
+            s = transport_step(s, lap)
+            del prev
             if steady:
                 s.lam = s.lam * (1.0 - s.dt)
-            del prev
+                lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
             recorded = step % record_every == 0 or step == steps
-            report = record(s) if recorded else None
+            report = lyapunov(s, rho_star, terms, lap) if recorded else None
         yield s, report
     return s
 

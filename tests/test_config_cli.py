@@ -119,6 +119,19 @@ def test_non_finite_floats_are_malformed_for_every_key(key):
         load_config("target.covariances = 0.05 0 0 inf\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        *((key, value) for key in ("target.means", "target.covariances", "target.weights")
+          for value in ("", ";")),
+        ("target.pgm_path", ""),
+    ],
+)
+def test_an_empty_value_names_its_key_and_line(key, value):
+    with pytest.raises(ConfigError, match=f"^line 3: key '{key}' "):
+        load_config(f"seed = 1\ntarget.kind = pgm\n{key} = {value}\n")
+
+
 @pytest.mark.parametrize("command", [["pde"], ["fig", "4"]])
 def test_an_infinite_horizon_is_an_error_not_a_traceback(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"

@@ -209,20 +209,6 @@ def test_one_laplacian_per_outer_step(monkeypatch, mode):
     assert len(calls) == steps + 1
 
 
-def test_lap_phi_is_recomputed_when_phi_or_lam_is_rebound():
-    s = GridState(3, 2, so.random_density(3, 2, seed=5), phi=np.arange(6.0), lam=np.full(7, 0.5))
-    first = s.lap_phi()
-    assert s.lap_phi() is first
-    assert same_bytes(first, laplacian(s.phi, s.lam, s.edges))
-    s.phi = s.phi[::-1].copy()
-    assert same_bytes(s.lap_phi(), laplacian(s.phi, s.lam, s.edges))
-    assert not same_bytes(s.lap_phi(), first)
-    before = s.lap_phi()
-    s.lam = 2.0 * s.lam
-    assert same_bytes(s.lap_phi(), laplacian(s.phi, s.lam, s.edges))
-    assert same_bytes(s.lap_phi(), 2.0 * before)
-
-
 def test_inner_steady_state_rejects_dt_above_one():
     s = GridState(2, 1, np.array([0.3, 0.7]), dt=1.5)
     with pytest.raises(ValueError, match="dt <= 1"):
@@ -275,6 +261,24 @@ def test_one_pass_record_equals_the_two_pass_record_bitwise(case):
     assert bits(vars(so.kkt_residual(s, rho_star)).values()) == bits(vars(report.kkt).values())
 
 
+def transported(s, *lap):
+    """The transported density's bytes, or the positivity stop's message."""
+    try:
+        return so.transport_step(s, *lap).rho.tobytes()
+    except so.PositivityError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(grid_cases())
+def test_precomputed_operands_change_no_bits(case):
+    s, rho_star = case
+    lap = laplacian(s.phi, s.lam, s.edges)
+    held = so.lyapunov(s, rho_star, grid.EdgeTerms.of(s), lap)
+    assert record_bits(held) == record_bits(so.lyapunov(s, rho_star))
+    assert transported(s, lap) == transported(s)
+
+
 def test_a_record_takes_the_edge_differences_once(monkeypatch):
     calls, edge_diff = [], grid.edge_diff
 
@@ -284,7 +288,6 @@ def test_a_record_takes_the_edge_differences_once(monkeypatch):
 
     s = GridState(5, 4, so.random_density(5, 4, seed=2), phi=0.1 * np.arange(20.0),
                   lam=np.full(31, 0.3))
-    s.lap_phi()  # memoized, as a transported state carries it
     monkeypatch.setattr(grid, "edge_diff", counted)
     so.lyapunov(s, np.full(20, 1.0 / 20))
     assert len(calls) == 1
@@ -338,25 +341,14 @@ def test_edge_terms_are_computed_once_per_potential(monkeypatch, mode):
     assert len(calls) == (1 if mode == "inner_steady_state" else len(reports))
 
 
-@pytest.mark.parametrize("mode", ["on_the_fly_pd", "on_the_fly_fixed"])
-def test_no_state_alive_at_an_on_the_fly_record_holds_edge_terms(monkeypatch, mode):
-    # phi is rebound at every outer step; terms carried past that would
-    # pin three edge-sized arrays through the next inner steps
-    real, seen, held = grid.lyapunov, [], []
-
-    def checked(s, rho_star):
-        alive = [ref() for ref in seen if ref() is not None] + [s]
-        held.append(sum(state._edge_memo is not None for state in alive))
-        seen.append(weakref.ref(s))
-        return real(s, rho_star)
-
-    monkeypatch.setattr(grid, "lyapunov", checked)
+@pytest.mark.parametrize("mode", grid.MODES)
+def test_a_state_holds_its_fields_alone(mode):
+    # states are values: the loop, not a state, holds L phi and edge terms
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    fields = set(vars(s))
     states = so.coupled_states(s, np.full(16, 1.0 / 16), mode, inner_n=2, horizon=0.05)
-    for state, report in states:
-        assert state._edge_memo is None  # dropped with the record
-        del state
-    assert held == [0] * 6
+    for state, _ in states:
+        assert set(vars(state)) == fields
 
 
 @settings(deadline=None, max_examples=100)
@@ -616,11 +608,11 @@ def test_run_coupled_rejects_horizons_without_a_step_count(horizon):
 def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
     real, calls = grid.transport_step, []
 
-    def fail_fifth_step(s):
+    def fail_fifth_step(*args):
         calls.append(None)
         if len(calls) == 5:
             raise so.PositivityError("injected stop")
-        return real(s)
+        return real(*args)
 
     monkeypatch.setattr(grid, "transport_step", fail_fifth_step)
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
@@ -631,15 +623,33 @@ def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
     assert [r.t for r in info.value.reports] == pytest.approx([0.0, 0.03])
 
 
+def test_a_diverging_run_stops_at_its_first_transport_step(monkeypatch):
+    # dt = 5 blows the inner flow up: the first transport step meets a
+    # non-finite phi and lam, under the loop's errstate, and stops
+    real, finite = grid.transport_step, []
+
+    def checked(s, *args):
+        finite.append((np.isfinite(s.phi).all(), np.isfinite(s.lam).all()))
+        return real(s, *args)
+
+    monkeypatch.setattr(grid, "transport_step", checked)
+    s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=5.0)
+    with pytest.raises(so.PositivityError, match=r"node \(0,0\)") as info:
+        so.run_coupled(s, np.full(16, 1 / 16), "on_the_fly_pd", inner_n=20, horizon=15.0)
+    assert finite == [(False, False)]
+    assert info.value.t == 0.0
+    assert len(info.value.reports) == 1
+
+
 def test_run_coupled_frees_each_state_before_the_next_record(monkeypatch):
     # a state that outlives the next record pins its arrays while the
     # record allocates, and a large grid then faults pages in every step
     real, seen, alive = grid.lyapunov, [], []
 
-    def checked(s, rho_star):
+    def checked(s, *args):
         alive.append(sum(ref() is not None for ref in seen))
         seen.append(weakref.ref(s))
-        return real(s, rho_star)
+        return real(s, *args)
 
     monkeypatch.setattr(grid, "lyapunov", checked)
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
