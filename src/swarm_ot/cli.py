@@ -45,16 +45,24 @@ ORACLE_MAX_ITER = 20_000_000  # converge_pd budget: ill-conditioned instances ne
 def write_csv(path, header, rows):
     """Write rows of Python ints and floats (flags as 0/1) by their repr.
 
-    The row builders convert numpy values to Python ones, once per array
+    Each row is formatted and written as the iterable yields it, so the
+    rows may come from a generator and no line outlives its write. The
+    row builders convert numpy values to Python ones, once per array
     where they can, so formatting needs no per-value type checks.
     """
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def build_target(cfg, domain, seed):
-    """Target density from config; a missing Gaussian mean is seeded."""
+def build_target(cfg, seed, q=None):
+    """Target density over q's domain (the default one without q).
+
+    A missing Gaussian mean is seeded. A Gaussian mixture is normalized
+    on q; without q it is left unnormalized, which is all a grid command
+    needs, since `density_on_grid` divides by its own node sum.
+    """
+    domain = Domain() if q is None else q.domain
     if cfg.target_kind == "uniform":
         return DensityField.uniform(domain)
     if cfg.target_kind == "pgm":
@@ -69,7 +77,7 @@ def build_target(cfg, domain, seed):
         covs = np.repeat(2.0 * np.eye(2)[None, :, :], len(means), axis=0)
     weights = cfg.target_weights
     field = DensityField.gaussian_mixture(means, covs, weights, domain)
-    return field.normalize(QuadratureGrid(domain, cfg.quad_resolution))
+    return field if q is None else field.normalize(q)
 
 
 def transport_config(cfg, inner_iters=None):
@@ -83,32 +91,28 @@ def transport_config(cfg, inner_iters=None):
     )
 
 
+# The row builders are generators: `write_csv` formats each row as it
+# is made, so a command holds its records but never their CSV text.
 def _agent_rows(records):
-    return [
-        [r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)]
-        for r in records
-    ]
+    for r in records:
+        yield r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)
 
 
 def _position_rows(snapshots):
-    rows = []
     for k, positions, masses in snapshots:
         for a, ((x, y), mass) in enumerate(zip(positions.tolist(), masses.tolist())):
-            rows.append([k, a, x, y, mass])
-    return rows
+            yield k, a, x, y, mass
 
 
 def _pde_rows(reports):
-    return [
-        [r.t, r.V, r.E, r.kkt.stationarity, r.kkt.feasibility, r.kkt.slackness, r.mass_error]
-        for r in reports
-    ]
+    for r in reports:
+        yield r.t, r.V, r.E, r.kkt.stationarity, r.kkt.feasibility, r.kkt.slackness, r.mass_error
 
 
 def run_agents(cfg, out_dir):
     domain = Domain()
     q = QuadratureGrid(domain, cfg.quad_resolution)
-    target = build_target(cfg, domain, cfg.seed)
+    target = build_target(cfg, cfg.seed, q)
     tcfg = transport_config(cfg)
     positions = initial_positions(cfg.n_agents, domain, cfg.seed)
     records, snapshots = run_experiment(positions, tcfg, target, q, cfg.seed)
@@ -124,8 +128,7 @@ def run_agents(cfg, out_dir):
 
 def _pde_state(cfg, warm_start=None):
     """Initial grid state and target masses; warm_start defaults to cfg's."""
-    target = build_target(cfg, Domain(), cfg.seed)
-    rho_star = density_on_grid(target, cfg.grid_nx, cfg.grid_ny)
+    rho_star = density_on_grid(build_target(cfg, cfg.seed), cfg.grid_nx, cfg.grid_ny)
     if cfg.grid_rho0 == "target":
         zero = np.flatnonzero(~(rho_star > 0))
         if len(zero):
@@ -217,7 +220,7 @@ def run_fig(cfg, number, out_dir):
     domain = Domain()
     if number in (2, 3):
         q = QuadratureGrid(domain, cfg.quad_resolution)
-        target = build_target(cfg, domain, cfg.seed)
+        target = build_target(cfg, cfg.seed, q)
         positions = initial_positions(cfg.n_agents, domain, cfg.seed)
         if number == 2:
             for n in (1, 5, 10):
@@ -243,16 +246,19 @@ def run_fig(cfg, number, out_dir):
         states = coupled_states(
             state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
         )
-        reports, snap_rows = [], []
+        reports, snaps = [], []
         for step, (s, report) in enumerate(states):
             if report is not None:
                 reports.append(report)
             if step in snap_steps:
-                snap_rows += [
-                    [s.t, *s.node_xy(i), rho, star]
-                    for i, (rho, star) in enumerate(zip(s.rho.tolist(), rho_star.tolist()))
-                ]
+                snaps.append((s.t, s.rho))  # states never write their arrays
             del s  # dropped before the next step and record: see grid.coupled_states
+        star = rho_star.tolist()
+        snap_rows = (
+            (t, *state.node_xy(i), r, r_star)
+            for t, rho in snaps
+            for i, (r, r_star) in enumerate(zip(rho.tolist(), star))
+        )
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
         write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports))
         print("fig 4: wrote fig4_density.csv fig4_metrics.csv")
@@ -273,7 +279,7 @@ def run_fig(cfg, number, out_dir):
             print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
             reports, halted = exc.reports, True
         name = f"fig{number}_n{n}.csv"
-        rows = [[r.t, float(np.sqrt(2.0 * r.V))] + _pde_rows([r])[0][1:] for r in reports]
+        rows = ((t, float(np.sqrt(2.0 * V)), V, *rest) for t, V, *rest in _pde_rows(reports))
         write_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:], rows)
         written.append(name + (" (partial)" if halted else ""))
     print(f"fig {number}: wrote " + " ".join(written))

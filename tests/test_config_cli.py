@@ -7,6 +7,7 @@ byte-level determinism.
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +415,46 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "r1" / "metrics.csv").read_bytes() == (
         tmp_path / "r2" / "metrics.csv"
     ).read_bytes()
+
+
+def test_write_csv_memory_does_not_grow_with_its_rows(tmp_path):
+    # rows are formatted and written one at a time, so neither the lines
+    # nor the joined text of a long run are ever held
+    path = tmp_path / "rows.csv"
+
+    def peak(n):
+        rows = ((i / 3, i / 7, i / 11, i / 13, i / 17, i / 19, i / 23) for i in range(n))
+        tracemalloc.start()
+        try:
+            cli.write_csv(path, cli.PDE_HEADER, rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(1_000)
+    assert peak(50_000) - small < 64 * 2**10
+    assert path.read_bytes().count(b"\n") == 50_001
+
+
+@pytest.mark.parametrize(
+    "command, config, built",
+    [("agents", AGENTS_CFG, 1), ("pde", PDE_CFG.replace("target.kind = uniform\n", ""), 0)],
+    ids=["agents", "pde"],
+)
+def test_a_run_builds_the_quadratures_it_uses(tmp_path, monkeypatch, command, config, built):
+    # the agents normalize their Gaussian target on the quadrature they
+    # run on; a grid command samples it on its grid and needs none
+    real, calls = cli.QuadratureGrid, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "QuadratureGrid", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == built
 
 
 def test_pgm_target_flows_through_the_cli(tmp_path):

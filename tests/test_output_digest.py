@@ -8,9 +8,11 @@ digests also catch a refactor that changes output bytes without
 meaning to.
 
 The digests pin the numpy they were recorded with (numpy 2.4 on
-x86-64): a numpy whose reductions round differently changes them. An
-intended output change updates the digests in the same change and
-names itself, with the size of the deviation, in CHANGES.md.
+x86-64), and with it numpy's AVX-512 loops and OpenBLAS's SkylakeX
+kernel: a numpy whose reductions round differently, or a CPU without
+AVX-512, changes them (ROADMAP item 7). An intended output change
+updates the digests in the same change and names itself, with the size
+of the deviation, in CHANGES.md.
 """
 
 import hashlib

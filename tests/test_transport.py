@@ -776,7 +776,7 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
     cfg = load_config(CONCENTRATED)
     dom = Domain()
     q = QuadratureGrid(dom, cfg.quad_resolution)
-    target = cli.build_target(cfg, dom, 0)
+    target = cli.build_target(cfg, 0, q)
     fit, largest = transport.local_gradient, []
 
     def spy(positions, phi, graph):
