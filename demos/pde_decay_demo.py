@@ -62,11 +62,11 @@ runs = {
 }
 results = {}
 for label, (mode, warm, inner_n) in runs.items():
-    reports, final = run_coupled(
-        fresh_state(warm), rho_star, mode, inner_n=inner_n,
+    reports = results[label] = []
+    run_coupled(
+        fresh_state(warm), rho_star, mode, reports.append, inner_n=inner_n,
         horizon=horizon, record_every=100,
     )
-    results[label] = reports
 
 print(f"{nx}x{ny} grid, dt={dt}, horizon={horizon}, same rho(0) everywhere")
 print(f"{'t':>5} " + " ".join(f"{label:>14}" for label in results))

@@ -10,6 +10,7 @@ otherwise unused, so it never changes results.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +43,40 @@ ORACLE_FEAS_TOL = 1e-6  # largest edge violation oracle_check accepts
 ORACLE_MAX_ITER = 20_000_000  # converge_pd budget: ill-conditioned instances need millions of steps
 
 
-def write_csv(path, header, rows):
-    """Write rows of Python ints and floats (flags as 0/1) by their repr.
+def csv_line(row):
+    """One CSV line of Python ints and floats (flags as 0/1), by their repr.
 
-    Each row is formatted and written as the iterable yields it, so the
-    rows may come from a generator and no line outlives its write. The
-    row builders convert numpy values to Python ones, once per array
+    The row builders convert numpy values to Python ones, once per array
     where they can, so formatting needs no per-value type checks.
     """
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return ",".join(map(repr, row)) + "\n"
+
+
+@contextmanager
+def open_csv(path, header):
+    """Open a CSV file, write its header line and yield the file.
+
+    The caller writes `csv_line`s as its rows arrive, so no line
+    outlives its write. A grid command writes each record inside its
+    run, and a positivity stop leaves the records taken before it in the
+    file; any other error removes the file, so a failed command leaves
+    no output of it.
+    """
+    try:
+        with open(path, "w", newline="\n") as f:
+            f.write(",".join(header) + "\n")
+            yield f
+    except PositivityError:
+        raise
+    except Exception:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows):
+    """Write the rows of an iterable, each formatted as it is yielded."""
+    with open_csv(path, header) as f:
+        f.writelines(map(csv_line, rows))
 
 
 def build_target(cfg, seed, q=None):
@@ -91,8 +115,9 @@ def transport_config(cfg, inner_iters=None):
     )
 
 
-# The row builders are generators: `write_csv` formats each row as it
-# is made, so a command holds its records but never their CSV text.
+# The agent row builders are generators: `write_csv` formats each row
+# as it is made, so a command holds its records but never their CSV
+# text. A grid run's sink formats and writes each record as it is taken.
 def _agent_rows(records):
     for r in records:
         yield r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)
@@ -104,9 +129,13 @@ def _position_rows(snapshots):
             yield k, a, x, y, mass
 
 
-def _pde_rows(reports):
-    for r in reports:
-        yield r.t, r.V, r.E, r.kkt.stationarity, r.kkt.feasibility, r.kkt.slackness, r.mass_error
+def _pde_row(r):
+    return r.t, r.V, r.E, r.kkt.stationarity, r.kkt.feasibility, r.kkt.slackness, r.mass_error
+
+
+def _density_error_row(r):
+    """A fig 5/6 row: the `pde` row with the density error sqrt(2V) after t."""
+    return r.t, float(np.sqrt(2.0 * r.V)), *_pde_row(r)[1:]
 
 
 def run_agents(cfg, out_dir):
@@ -158,13 +187,25 @@ def _grid_loop_args(cfg):
 
 
 def run_pde(cfg, out_dir):
+    """Write each record of the run to metrics.csv as the loop takes it.
+
+    A positivity stop leaves the rows recorded before it and fails the
+    command (`main` reports the error).
+    """
     state, rho_star = _pde_state(cfg)
-    reports, final = run_coupled(
-        state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
-    )
-    write_csv(out_dir / "metrics.csv", PDE_HEADER, _pde_rows(reports))
+    last = [None]  # the latest record, for the summary line
+
+    with open_csv(out_dir / "metrics.csv", PDE_HEADER) as f:
+
+        def record(report):
+            f.write(csv_line(_pde_row(report)))
+            last[0] = report
+
+        final = run_coupled(
+            state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
+        )
     print(
-        f"pde[{cfg.grid_mode}]: t={final.t:.3f}, V={reports[-1].V:.3e}, "
+        f"pde[{cfg.grid_mode}]: t={final.t:.3f}, V={last[0].V:.3e}, "
         f"density error {density_error(final, rho_star):.3e}"
     )
     return 0
@@ -246,13 +287,14 @@ def run_fig(cfg, number, out_dir):
         states = coupled_states(
             state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
         )
-        reports, snaps = [], []
-        for step, (s, report) in enumerate(states):
-            if report is not None:
-                reports.append(report)
-            if step in snap_steps:
-                snaps.append((s.t, s.rho))  # states never write their arrays
-            del s  # dropped before the next step and record: see grid.coupled_states
+        snaps = []
+        with open_csv(out_dir / "fig4_metrics.csv", PDE_HEADER) as f:
+            for step, (s, report) in enumerate(states):
+                if report is not None:
+                    f.write(csv_line(_pde_row(report)))
+                if step in snap_steps:
+                    snaps.append((s.t, s.rho))  # states never write their arrays
+                del s  # dropped before the next step and record: see grid.coupled_states
         star = rho_star.tolist()
         snap_rows = (
             (t, *state.node_xy(i), r, r_star)
@@ -260,28 +302,28 @@ def run_fig(cfg, number, out_dir):
             for i, (r, r_star) in enumerate(zip(rho.tolist(), star))
         )
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
-        write_csv(out_dir / "fig4_metrics.csv", PDE_HEADER, _pde_rows(reports))
         print("fig 4: wrote fig4_density.csv fig4_metrics.csv")
         return 0
     # figures 5 and 6: density error vs time for several inner step counts.
     # fig 5 warm-starts the potentials at the saturated stationary pair;
     # from the cold default the multiplier threshold keeps the density
-    # frozen on any usable horizon. A positivity stop still yields the
-    # rows recorded up to the stop.
+    # frozen on any usable horizon. A positivity stop keeps the rows
+    # recorded up to the stop, and the next curve runs.
     mode = "on_the_fly_pd" if number == 5 else "on_the_fly_fixed"
     state, rho_star = _pde_state(cfg, warm_start=(number == 5))
     written = []
     for n in (1, 2, 5, 10):
-        halted = False
+        name = f"fig{number}_n{n}.csv"
         try:
-            reports, _ = run_coupled(state, rho_star, mode, inner_n=n, **_grid_loop_args(cfg))
+            with open_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:]) as f:
+                run_coupled(
+                    state, rho_star, mode, lambda r: f.write(csv_line(_density_error_row(r))),
+                    inner_n=n, **_grid_loop_args(cfg),
+                )
         except PositivityError as exc:
             print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
-            reports, halted = exc.reports, True
-        name = f"fig{number}_n{n}.csv"
-        rows = ((t, float(np.sqrt(2.0 * V)), V, *rest) for t, V, *rest in _pde_rows(reports))
-        write_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:], rows)
-        written.append(name + (" (partial)" if halted else ""))
+            name += " (partial)"
+        written.append(name)
     print(f"fig {number}: wrote " + " ".join(written))
     return 0
 

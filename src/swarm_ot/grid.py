@@ -25,8 +25,9 @@ bits under any thread count.
 
 `coupled_states` is the one time loop: it counts a run's steps
 (`step_count`), steps every mode and takes the `lyapunov` records;
-`run_coupled` (the `pde` command, figs 5 and 6) collects them, and
-fig 4 reads its density snapshots off the same loop.
+`run_coupled` (the `pde` command, figs 5 and 6) hands each record to a
+sink as it is taken and keeps none, and fig 4 reads its density
+snapshots off the same loop.
 
 The stationary solve with unit multipliers needs no sparse solver: the
 2-D DCT-II diagonalizes the grid's Laplacian (Neumann boundary), so it
@@ -51,8 +52,9 @@ class PositivityError(ValueError):
     """An explicit transport step would make the density nonpositive.
 
     `transport_step` raises it bare. Leaving `run_coupled`, it also
-    carries `reports`, the records taken before the stop, and `t`, the
-    time of the last completed step, so a caller can keep a partial run.
+    carries `t`, the time of the last completed step; the records taken
+    before the stop have already gone to the run's sink, so a caller
+    keeps a partial run by keeping what its sink was given.
     """
 
 
@@ -419,13 +421,16 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
     return s
 
 
-def run_coupled(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
-    """Run `coupled_states` to the horizon and collect its reports.
+def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
+    """Run `coupled_states` to the horizon and return the final state.
 
-    Returns (reports, final_state): one LyapunovReport at t = 0, at
-    every record_every-th step and at the last. A PositivityError that
-    stops the run leaves with two attributes: `reports`, the records
-    taken before the stop, and `t`, the time of the last completed step.
+    `sink(report)` is called with each LyapunovReport as the loop takes
+    it: at t = 0, at every record_every-th step and at the last. No
+    record is kept here, so a run's memory does not grow with its
+    horizon; a caller that wants a list passes `reports.append`. A
+    PositivityError that stops the run leaves with `t`, the time of the
+    last completed step, set; the records before the stop are the ones
+    the sink was given.
     """
     states = coupled_states(
         s,
@@ -436,16 +441,15 @@ def run_coupled(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record
         lam_fixed=lam_fixed,
         record_every=record_every,
     )
-    reports = []
     try:
         while True:
             state, report = next(states)
             t = state.t
             del state  # held across next(), it would outlive the next record
             if report is not None:
-                reports.append(report)
+                sink(report)
     except StopIteration as stop:
-        return reports, stop.value
+        return stop.value
     except PositivityError as exc:
-        exc.reports, exc.t = reports, t
+        exc.t = t
         raise

@@ -148,7 +148,8 @@ def local_gradient(positions, phi, graph):
     grads = np.zeros((graph.n, 2))
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        for d in np.unique(degree[degree > 0]).tolist():
+        # the distinct positive degrees, ascending (np.unique would import numpy.ma)
+        for d in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
             agents = np.flatnonzero(degree == d)
             idx = np.column_stack([agents, neighbors[offsets[agents, None] + np.arange(d)]])
             design = np.ones((len(agents), d + 1, 3))
@@ -209,7 +210,10 @@ def _carry(inner, edges, n):
     """`inner`'s multipliers on `edges`, matched by ordered pair; new edges get 0."""
     lam0 = np.zeros(len(edges))
     if inner is not None:
-        _, at, src = np.intersect1d(edges @ [n, 1], inner.edges @ [n, 1], return_indices=True)
+        # a graph's edges are distinct pairs, so its keys are unique
+        _, at, src = np.intersect1d(
+            edges @ [n, 1], inner.edges @ [n, 1], assume_unique=True, return_indices=True
+        )
         lam0[at] = inner.lam[src]
     return lam0
 

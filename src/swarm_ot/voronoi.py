@@ -168,8 +168,14 @@ def neighbor_graph(p, radius=None):
     cut_x, cut_y = own[:, :-1] != own[:, 1:], own[:-1] != own[1:]
     a = np.concatenate([own[:, :-1][cut_x], own[:-1][cut_y]])
     b = np.concatenate([own[:, 1:][cut_x], own[1:][cut_y]])
-    # one int64 key per unordered pair; sorted keys are lexicographic (lo, hi)
-    keys = np.unique(np.minimum(a, b) * p.n + np.maximum(a, b))
+    # one int64 key per unordered pair; sorted keys are lexicographic (lo, hi).
+    # The first of each run of equal sorted keys is np.unique's result,
+    # without the numpy.ma import that np.unique makes on its first call.
+    keys = np.minimum(a, b) * p.n + np.maximum(a, b)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     edges = np.column_stack([keys // p.n, keys % p.n])
     diffs = p.sites[edges[:, 0]] - p.sites[edges[:, 1]]
     costs = np.sqrt((diffs**2).sum(axis=1))

@@ -73,7 +73,9 @@ def test_criterion_3_exponential_decay_slope():
     started = time.time()
     rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
-    reports, _ = so.run_coupled(s, rho_star, "inner_steady_state", horizon=2.0, record_every=100)
+    reports = []
+    so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=2.0,
+                   record_every=100)
     ts = np.array([r.t for r in reports])
     vs = np.array([r.V for r in reports])
     slope = float(np.polyfit(ts, np.log(vs), 1)[0])
@@ -86,8 +88,9 @@ def test_criterion_4_fixed_dual_lyapunov():
     started = time.time()
     rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
-    reports, final = so.run_coupled(
-        s, rho_star, "on_the_fly_fixed", inner_n=1, horizon=50.0,
+    reports = []
+    final = so.run_coupled(
+        s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=50.0,
         lam_fixed=1.0, record_every=1,
     )
     worst_rise = float(np.diff([r.E for r in reports]).max())
@@ -106,8 +109,9 @@ def test_criterion_5_conservation_and_positivity_soak():
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     # transport_step raises on any nonpositive density, so completing the
     # run certifies positivity at every one of the 10,000 steps
-    reports, final = so.run_coupled(
-        s, rho_star, "on_the_fly_fixed", inner_n=1, horizon=10.0,
+    reports = []
+    final = so.run_coupled(
+        s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=10.0,
         lam_fixed=1.0, record_every=1,
     )
     worst_mass = max(r.mass_error for r in reports)

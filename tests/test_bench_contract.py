@@ -59,15 +59,15 @@ TRACED_RUNS = {
     }),
     "pde_on_the_fly_pd": ("pde", PDE.format("on_the_fly_pd"), {
         "cli.main", "grid.run_coupled", "grid.pd_flow_step", "grid.transport_step",
-        "grid.lyapunov", "cli.write_csv",
+        "grid.lyapunov",
     }),
     "pde_on_the_fly_fixed": ("pde", PDE.format("on_the_fly_fixed"), {
         "cli.main", "grid.run_coupled", "grid.relaxed_primal_step", "grid.transport_step",
-        "grid.lyapunov", "cli.write_csv",
+        "grid.lyapunov",
     }),
     "pde_inner_steady_state": ("pde", PDE.format("inner_steady_state"), {
         "cli.main", "grid.run_coupled", "grid.steady_potentials", "grid.transport_step",
-        "grid.lyapunov", "cli.write_csv",
+        "grid.lyapunov",
     }),
 }
 

@@ -271,6 +271,23 @@ def test_an_agent_run_never_imports_scipy(tmp_path, command):
     assert res.stdout.splitlines()[-1] == "[]"
 
 
+def test_an_agent_run_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call: about 14 ms and 1.3 MiB of
+    # peak RSS that an agent run's pair keys and degrees do not need
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(AGENTS_CFG)
+    argv = ["agents", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from swarm_ot import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    res = run_python(["-c", script])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_starting_at_the_target_keeps_v_at_zero(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(PDE_CFG + "grid.rho0 = target\n")
@@ -434,6 +451,29 @@ def test_write_csv_memory_does_not_grow_with_its_rows(tmp_path):
     small = peak(1_000)
     assert peak(50_000) - small < 64 * 2**10
     assert path.read_bytes().count(b"\n") == 50_001
+
+
+def test_pde_memory_does_not_grow_with_its_horizon(tmp_path):
+    # each record goes to the CSV as the loop takes it, so ten times the
+    # records take no more memory; kept in a list they would take 0.4 KiB each
+    cfg = tmp_path / "run.cfg"
+
+    def peak(horizon):
+        cfg.write_text(
+            "mode = pde\ngrid.nx = 6\ngrid.ny = 6\ngrid.dt = 1e-3\n"
+            f"grid.T = {horizon}\ngrid.mode = inner_steady_state\n"
+        )
+        tracemalloc.start()
+        try:
+            assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.001)  # a first run takes the lazy imports, such as numpy.fft
+    small = peak(1)
+    assert abs(peak(10) - small) < 64 * 2**10
+    assert (tmp_path / "metrics.csv").read_bytes().count(b"\n") == 1 + 10_001
 
 
 @pytest.mark.parametrize(
@@ -603,6 +643,24 @@ def test_fig5_and_fig6_curves_are_pde_runs(tmp_path, number, mode):
     without_error = "".join(",".join(row[:1] + row[2:]) + "\n" for row in rows)
     assert without_error == (tmp_path / "pde" / "metrics.csv").read_text()
     assert len(rows) == 1 + 73
+
+
+def test_a_pde_positivity_stop_keeps_its_rows_and_fails(tmp_path, capsys):
+    # the pde run of fig 5's n = 1 curve: its records stream to the CSV,
+    # so the stop leaves the partial curve's rows, and the command fails
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        PARTIAL_CFG.replace("grid.n = 2", "grid.n = 1")
+        + "grid.mode = on_the_fly_pd\ngrid.warm_start = true\n"
+    )
+    assert cli.main(["pde", "--config", str(cfg), "--out", str(tmp_path / "pde")]) == 1
+    assert "error: transport step made the density nonpositive" in capsys.readouterr().err
+    assert cli.main(["fig", "5", "--config", str(cfg), "--out", str(tmp_path / "fig")]) == 0
+    assert "fig5_n1.csv (partial)" in capsys.readouterr().out
+    rows = [line.split(",") for line in (tmp_path / "fig" / "fig5_n1.csv").read_text().splitlines()]
+    without_error = "".join(",".join(row[:1] + row[2:]) + "\n" for row in rows)
+    assert without_error == (tmp_path / "pde" / "metrics.csv").read_text()
+    assert len(rows) == 1 + 68
 
 
 @pytest.mark.parametrize("number", [5, 6])

@@ -26,6 +26,10 @@ def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
 RHO_STAR_2 = np.array([0.5, 0.5])
 
 
+def discard(report):
+    """A `run_coupled` sink that keeps no record."""
+
+
 def test_grid_edges_four_neighbor_structure():
     edges = so.grid_edges(3, 2)
     expected = {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
@@ -67,7 +71,7 @@ def test_states_are_values_and_steps_share_what_they_do_not_compute():
         for name in ("rho", "phi", "lam"):
             assert (getattr(out, name) is getattr(s, name)) == (name not in computed)
     for mode in ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state"):
-        so.run_coupled(s, rho_star, mode, inner_n=2, horizon=0.05)
+        so.run_coupled(s, rho_star, mode, discard, inner_n=2, horizon=0.05)
     assert [a.tobytes() for a in (s.rho, s.phi, s.lam)] == before
 
 
@@ -205,7 +209,8 @@ def test_one_laplacian_per_outer_step(monkeypatch, mode):
     steps = 20
     # a record at every state: the record and the transport step share
     # one L phi per state
-    reports, _ = so.run_coupled(s, rho_star, mode, inner_n=2, horizon=steps * s.dt)
+    reports = []
+    so.run_coupled(s, rho_star, mode, reports.append, inner_n=2, horizon=steps * s.dt)
     assert len(reports) == steps + 1
     assert len(calls) == steps + 1
 
@@ -213,10 +218,11 @@ def test_one_laplacian_per_outer_step(monkeypatch, mode):
 def test_inner_steady_state_rejects_dt_above_one():
     s = GridState(2, 1, np.array([0.3, 0.7]), dt=1.5)
     with pytest.raises(ValueError, match="dt <= 1"):
-        so.run_coupled(s, RHO_STAR_2, "inner_steady_state", horizon=6.0)
+        so.run_coupled(s, RHO_STAR_2, "inner_steady_state", discard, horizon=6.0)
     # dt = 1 is an exact step: it lands on the target
     s.dt = 1.0
-    reports, _ = so.run_coupled(s, RHO_STAR_2, "inner_steady_state", horizon=1.0)
+    reports = []
+    so.run_coupled(s, RHO_STAR_2, "inner_steady_state", reports.append, horizon=1.0)
     assert reports[-1].V < 1e-30 and reports[-1].kkt.dual_feasibility >= 0
 
 
@@ -336,8 +342,9 @@ def test_edge_terms_are_computed_once_per_potential(monkeypatch, mode):
 
     monkeypatch.setattr(grid, "edge_diff", counted)
     s = GridState(5, 4, so.random_density(5, 4, seed=6), dt=0.01)
-    reports, _ = so.run_coupled(s, np.full(20, 1.0 / 20), mode, inner_n=2, horizon=0.1,
-                                record_every=3)
+    reports = []
+    so.run_coupled(s, np.full(20, 1.0 / 20), mode, reports.append, inner_n=2, horizon=0.1,
+                   record_every=3)
     # phi is fixed for the whole steady run, and new at every on-the-fly record
     assert len(calls) == (1 if mode == "inner_steady_state" else len(reports))
 
@@ -539,8 +546,9 @@ def test_warm_started_coupled_pd_run_reduces_v():
     rho_star = so.density_on_grid(target, 20, 20)
     s = GridState(20, 20, so.random_density(20, 20, seed=0), dt=1e-3)
     s.phi, s.lam = so.saturated_potentials(s, rho_star)
-    reports, final = so.run_coupled(
-        s, rho_star, "on_the_fly_pd", inner_n=2, horizon=1.0, record_every=250
+    reports = []
+    final = so.run_coupled(
+        s, rho_star, "on_the_fly_pd", reports.append, inner_n=2, horizon=1.0, record_every=250
     )
     # completion certifies positivity at every step; the multiplier flow
     # must also respect the nonnegative cone throughout
@@ -564,7 +572,8 @@ def test_energy_decreases_in_fixed_dual_mode():
     rho = so.random_density(5, 5, seed=8)
     s = GridState(5, 5, rho, dt=1e-3)
     rho_star = np.full(25, 1.0 / 25)
-    reports, _ = so.run_coupled(s, rho_star, "on_the_fly_fixed", inner_n=1, horizon=0.5)
+    reports = []
+    so.run_coupled(s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=0.5)
     energies = [r.E for r in reports]
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10)
@@ -575,25 +584,27 @@ def test_run_coupled_reports_and_mode_validation():
     rho = so.random_density(4, 4, seed=1)
     rho_star = np.full(16, 1.0 / 16)
     s = GridState(4, 4, rho, dt=0.01)
-    reports, final = so.run_coupled(s, rho_star, "on_the_fly_pd", horizon=0.1, record_every=2)
+    reports = []
+    final = so.run_coupled(s, rho_star, "on_the_fly_pd", reports.append, horizon=0.1,
+                           record_every=2)
     # one report at t = 0, then every other step of the ten
     assert len(reports) == 6
     assert reports[0].t == 0.0
     assert final.t == pytest.approx(0.1)
     assert all(r.mass_error <= 1e-12 for r in reports)
     with pytest.raises(ValueError):
-        so.run_coupled(s, rho_star, "nonsense")
+        so.run_coupled(s, rho_star, "nonsense", discard)
     with pytest.raises(ValueError):
-        so.run_coupled(s, rho_star, "on_the_fly_pd", inner_n=0)
+        so.run_coupled(s, rho_star, "on_the_fly_pd", discard, inner_n=0)
     with pytest.raises(ValueError):
-        so.run_coupled(s, rho_star, "on_the_fly_fixed", lam_fixed=0.0)
+        so.run_coupled(s, rho_star, "on_the_fly_fixed", discard, lam_fixed=0.0)
 
 
 @pytest.mark.parametrize("record_every", [0, -1, -3])
 def test_run_coupled_rejects_record_every_below_one(record_every):
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
     with pytest.raises(ValueError, match="record_every"):
-        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1,
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", discard, horizon=0.1,
                        record_every=record_every)
 
 
@@ -603,7 +614,7 @@ def test_run_coupled_rejects_horizons_without_a_step_count(horizon):
     # a run without even its t = 0 record
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
     with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
-        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=horizon)
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", discard, horizon=horizon)
 
 
 def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
@@ -617,11 +628,13 @@ def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
 
     monkeypatch.setattr(grid, "transport_step", fail_fifth_step)
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
+    reports = []
     with pytest.raises(so.PositivityError) as info:
-        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1, record_every=3)
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", reports.append, horizon=0.1,
+                       record_every=3)
     # steps 1-4 completed; records at steps 0 and 3
     assert info.value.t == pytest.approx(0.04)
-    assert [r.t for r in info.value.reports] == pytest.approx([0.0, 0.03])
+    assert [r.t for r in reports] == pytest.approx([0.0, 0.03])
 
 
 def test_a_diverging_run_stops_at_its_first_transport_step(monkeypatch):
@@ -635,11 +648,13 @@ def test_a_diverging_run_stops_at_its_first_transport_step(monkeypatch):
 
     monkeypatch.setattr(grid, "transport_step", checked)
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=5.0)
+    reports = []
     with pytest.raises(so.PositivityError, match=r"node \(0,0\)") as info:
-        so.run_coupled(s, np.full(16, 1 / 16), "on_the_fly_pd", inner_n=20, horizon=15.0)
+        so.run_coupled(s, np.full(16, 1 / 16), "on_the_fly_pd", reports.append, inner_n=20,
+                       horizon=15.0)
     assert finite == [(False, False)]
     assert info.value.t == 0.0
-    assert len(info.value.reports) == 1
+    assert len(reports) == 1
 
 
 def test_run_coupled_frees_each_state_before_the_next_record(monkeypatch):
@@ -654,13 +669,13 @@ def test_run_coupled_frees_each_state_before_the_next_record(monkeypatch):
 
     monkeypatch.setattr(grid, "lyapunov", checked)
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
-    so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", inner_n=2, horizon=0.05)
+    so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", discard, inner_n=2, horizon=0.05)
     assert alive == [0] * 6
 
 
 # traced peak of a 64x64 run_coupled after its set-up, in 32 KiB node
-# arrays (an edge-sized array is about two), reports list included
-LOOP_PEAK_NODE_ARRAYS = {"on_the_fly_pd": 16.19, "on_the_fly_fixed": 15.17, "inner_steady_state": 16.12}
+# arrays (an edge-sized array is about two), with a sink that keeps no record
+LOOP_PEAK_NODE_ARRAYS = {"on_the_fly_pd": 16.02, "on_the_fly_fixed": 14.99, "inner_steady_state": 15.96}
 
 
 @pytest.mark.parametrize("mode", grid.MODES)
@@ -681,10 +696,11 @@ def test_the_grid_loop_keeps_its_memory_order(monkeypatch, mode):
     n = 64
     rho_star = grid.density_on_grid(DensityField.gaussian_mixture([0.4, 0.6], 0.05 * np.eye(2)), n, n)
     s = GridState(n, n, so.random_density(n, n, seed=0))
-    so.run_coupled(s, rho_star, mode, inner_n=5, horizon=0.02)  # untraced: numpy.fft's lazy import
+    # untraced first: numpy.fft's lazy import
+    so.run_coupled(s, rho_star, mode, discard, inner_n=5, horizon=0.02)
     tracemalloc.start()
     try:
-        so.run_coupled(s, rho_star, mode, inner_n=5, horizon=0.02)
+        so.run_coupled(s, rho_star, mode, discard, inner_n=5, horizon=0.02)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -727,7 +743,8 @@ def test_inner_steady_state_keeps_stationarity_machine_small(nx, ny, seed, dt, s
     with pytest.MonkeyPatch.context() as mp:
         for name in ("pd_flow_step", "relaxed_primal_step"):
             mp.setattr(grid, name, lambda *args, name=name: inner.append(name))
-        reports, _ = so.run_coupled(s, rho_star, "inner_steady_state", horizon=steps * dt)
+        reports = []
+        so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=steps * dt)
     assert len(reports) == steps + 1
     assert max(r.kkt.stationarity for r in reports) <= 1e-13
     assert inner == []
@@ -737,7 +754,9 @@ def test_inner_steady_state_contracts_v_at_its_exact_rate():
     rho = so.random_density(6, 6, seed=3)
     rho_star = np.full(36, 1.0 / 36)
     s = GridState(6, 6, rho, dt=1e-3)
-    reports, _ = so.run_coupled(s, rho_star, "inner_steady_state", horizon=0.05, record_every=10)
+    reports = []
+    so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=0.05,
+                   record_every=10)
     # V contracts by (1 - dt)^2 per step, i.e. slope 2 ln(1 - dt) / dt
     v0, v1 = reports[0].V, reports[-1].V
     expected = np.exp(2.0 * np.log(1.0 - 1e-3) / 1e-3 * 0.05)
