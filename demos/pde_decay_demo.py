@@ -63,8 +63,13 @@ runs = {
 results = {}
 for label, (mode, warm, inner_n) in runs.items():
     reports = results[label] = []
+
+    def keep(state, report):  # the grid loop's sink: report is None between records
+        if report is not None:
+            reports.append(report)
+
     run_coupled(
-        fresh_state(warm), rho_star, mode, reports.append, inner_n=inner_n,
+        fresh_state(warm), rho_star, mode, keep, inner_n=inner_n,
         horizon=horizon, record_every=100,
     )
 

@@ -11,6 +11,7 @@ otherwise unused, so it never changes results.
 import argparse
 import sys
 from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .geometry import Domain
 from .grid import (
     GridState,
     PositivityError,
-    coupled_states,
     density_error,
     density_on_grid,
     random_density,
@@ -177,8 +177,8 @@ def _pde_state(cfg, warm_start=None):
 
 
 def _grid_loop_args(cfg):
-    """Keywords of the grid loop (`run_coupled`, `coupled_states`) that
-    every grid command takes from the config."""
+    """Keywords of the grid loop `run_coupled` that every grid command
+    takes from the config."""
     return dict(
         horizon=cfg.grid_horizon,
         lam_fixed=cfg.grid_lam_fixed,
@@ -197,9 +197,10 @@ def run_pde(cfg, out_dir):
 
     with open_csv(out_dir / "metrics.csv", PDE_HEADER) as f:
 
-        def record(report):
-            f.write(csv_line(_pde_row(report)))
-            last[0] = report
+        def record(state, report):
+            if report is not None:
+                f.write(csv_line(_pde_row(report)))
+                last[0] = report
 
         final = run_coupled(
             state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
@@ -284,17 +285,19 @@ def run_fig(cfg, number, out_dir):
         state, rho_star = _pde_state(cfg)
         steps = step_count(cfg.grid_horizon, state.dt)
         snap_steps = {round(k * steps / 4) for k in range(5)}
-        states = coupled_states(
-            state, rho_star, cfg.grid_mode, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
-        )
-        snaps = []
+        snaps, calls = [], count()
         with open_csv(out_dir / "fig4_metrics.csv", PDE_HEADER) as f:
-            for step, (s, report) in enumerate(states):
+
+            def record(s, report):
                 if report is not None:
                     f.write(csv_line(_pde_row(report)))
-                if step in snap_steps:
+                if next(calls) in snap_steps:
                     snaps.append((s.t, s.rho))  # states never write their arrays
-                del s  # dropped before the next step and record: see grid.coupled_states
+
+            run_coupled(
+                state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
+                **_grid_loop_args(cfg),
+            )
         star = rho_star.tolist()
         snap_rows = (
             (t, *state.node_xy(i), r, r_star)
@@ -316,10 +319,12 @@ def run_fig(cfg, number, out_dir):
         name = f"fig{number}_n{n}.csv"
         try:
             with open_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:]) as f:
-                run_coupled(
-                    state, rho_star, mode, lambda r: f.write(csv_line(_density_error_row(r))),
-                    inner_n=n, **_grid_loop_args(cfg),
-                )
+
+                def record(s, report):
+                    if report is not None:
+                        f.write(csv_line(_density_error_row(report)))
+
+                run_coupled(state, rho_star, mode, record, inner_n=n, **_grid_loop_args(cfg))
         except PositivityError as exc:
             print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
             name += " (partial)"

@@ -23,11 +23,10 @@ its edge terms once per run, not once per record. The record's sums
 are `einsum` reductions, which unlike BLAS dot products give the same
 bits under any thread count.
 
-`coupled_states` is the one time loop: it counts a run's steps
-(`step_count`), steps every mode and takes the `lyapunov` records;
-`run_coupled` (the `pde` command, figs 5 and 6) hands each record to a
-sink as it is taken and keeps none, and fig 4 reads its density
-snapshots off the same loop.
+`run_coupled` is the one time loop, which every grid command drives
+(`pde` and figs 4-6): it counts a run's steps (`step_count`), steps
+every mode, takes the `lyapunov` records and hands each state with its
+record, if any, to the caller's sink, keeping none.
 
 The stationary solve with unit multipliers needs no sparse solver: the
 2-D DCT-II diagonalizes the grid's Laplacian (Neumann boundary), so it
@@ -52,9 +51,9 @@ class PositivityError(ValueError):
     """An explicit transport step would make the density nonpositive.
 
     `transport_step` raises it bare. Leaving `run_coupled`, it also
-    carries `t`, the time of the last completed step; the records taken
-    before the stop have already gone to the run's sink, so a caller
-    keeps a partial run by keeping what its sink was given.
+    carries `t`, the time of the last completed step; the states and
+    records before the stop have already gone to the run's sink, so a
+    caller keeps a partial run by keeping what its sink was given.
     """
 
 
@@ -186,13 +185,11 @@ def transport_step(s, lap=None):
     return out
 
 
-def stationarity(s, rho_star):
-    """Largest node residual of rho - div(lam grad phi) = rho_star."""
-    return lyapunov(s, rho_star).kkt.stationarity
-
-
 def kkt_residual(s, rho_star):
-    """Residuals of stationarity, feasibility, and slackness (see `lyapunov`)."""
+    """Residuals of stationarity, feasibility, and slackness (see `lyapunov`).
+
+    Kept while `bench/child.py` patches it; ROADMAP item 1 removes it with its metric.
+    """
     return lyapunov(s, rho_star).kkt
 
 
@@ -209,7 +206,7 @@ def lyapunov(s, rho_star, terms=None, lap=None):
     """
     err = s.rho - rho_star
     V = 0.5 * float(np.einsum("i,i->", err, err))
-    del err  # freed before the terms take their memory: see `coupled_states`
+    del err  # freed before the terms take their memory: see `run_coupled`
     if terms is None:
         terms = EdgeTerms.of(s)
     E = 0.5 * float(np.einsum("i,i->", s.lam, terms.sq)) + V
@@ -325,16 +322,20 @@ def step_count(horizon, dt):
     return int(round(steps))
 
 
-MODES = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")  # of coupled_states, grid.mode
+MODES = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")  # of run_coupled, grid.mode
 
 
-def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
-    """The one grid loop: (state, report) from t = 0 to the horizon.
+def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
+    """The one grid loop: step from t = 0 to the horizon and return the final state.
 
-    Yields the initialized state, then the state after each of
-    `step_count(horizon, dt)` outer steps. `report` is the state's
-    `lyapunov` record at t = 0, at every record_every-th step and at the
-    last step, and None for every other state.
+    `sink(state, report)` is called with the initialized state, then
+    with the state after each of `step_count(horizon, dt)` outer steps.
+    `report` is the state's `lyapunov` record at t = 0, at every
+    record_every-th step and at the last step, and None for every other
+    state. No record is kept here, so a run's memory does not grow with
+    its horizon. A PositivityError that stops the run leaves with `t`,
+    the time of the last completed step, set; the records before the
+    stop are the ones the sink was given.
 
     Modes:
       on_the_fly_pd     - inner_n primal-dual flow steps per transport step
@@ -354,20 +355,15 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
 
     A diverging run shows up as a non-finite density, which the
     positivity check of `transport_step` stops, so each outer step and
-    its record run with numpy's floating-point warnings off. The setting
-    is entered once per outer step and left before every yield: numpy's
-    errstate is a context variable, and a suspended generator holding it
-    would silence its consumer too.
+    its record run with numpy's floating-point warnings off. The sink
+    runs outside that setting, under its caller's.
 
-    The generator's value (StopIteration.value) is the final state, so
-    a consumer need not hold a state across `next`. The previous state
-    lives until its transport step is taken, just before the record,
-    whose temporaries then reuse its memory, provided the consumer has
-    dropped it (`run_coupled` does).
-    Freed any earlier, or held through the record, a large grid's arrays
-    go back to the system and are faulted in again every step: on a 256²
-    `on_the_fly_pd` run, 17 times the page faults and about 9% more time
-    (2-core x86-64 VM).
+    The previous state lives until its transport step is taken, just
+    before the record, whose temporaries then reuse its memory; a sink
+    must not keep the state it is given. Freed any earlier, or held
+    through the record, a large grid's arrays go back to the system and
+    are faulted in again every step: on a 256² `on_the_fly_pd` run, 17
+    times the page faults and about 9% more time (2-core x86-64 VM).
 
     Each outer step computes L phi once, and its transport step and its
     record both read it. An inner_steady_state run builds the `EdgeTerms`
@@ -403,53 +399,23 @@ def coupled_states(s, rho_star, mode, inner_n=1, horizon=1.0, lam_fixed=1.0, rec
         lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
     inner_step = pd_flow_step if mode == "on_the_fly_pd" else relaxed_primal_step
 
-    yield s, lyapunov(s, rho_star, terms, lap)
+    sink(s, lyapunov(s, rho_star, terms, lap))
     for step in range(1, steps + 1):
         prev = s  # released once transported: see the docstring
         with np.errstate(all="ignore"):
             if not steady:
                 s = inner_step(s, rho_star, inner_n)
                 lap = laplacian(s.phi, s.lam, s.edges)
-            s = transport_step(s, lap)
+            try:
+                s = transport_step(s, lap)
+            except PositivityError as exc:
+                exc.t = prev.t
+                raise
             del prev
             if steady:
                 s.lam = s.lam * (1.0 - s.dt)
                 lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
             recorded = step % record_every == 0 or step == steps
             report = lyapunov(s, rho_star, terms, lap) if recorded else None
-        yield s, report
+        sink(s, report)
     return s
-
-
-def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
-    """Run `coupled_states` to the horizon and return the final state.
-
-    `sink(report)` is called with each LyapunovReport as the loop takes
-    it: at t = 0, at every record_every-th step and at the last. No
-    record is kept here, so a run's memory does not grow with its
-    horizon; a caller that wants a list passes `reports.append`. A
-    PositivityError that stops the run leaves with `t`, the time of the
-    last completed step, set; the records before the stop are the ones
-    the sink was given.
-    """
-    states = coupled_states(
-        s,
-        rho_star,
-        mode,
-        inner_n=inner_n,
-        horizon=horizon,
-        lam_fixed=lam_fixed,
-        record_every=record_every,
-    )
-    try:
-        while True:
-            state, report = next(states)
-            t = state.t
-            del state  # held across next(), it would outlive the next record
-            if report is not None:
-                sink(report)
-    except StopIteration as stop:
-        return stop.value
-    except PositivityError as exc:
-        exc.t = t
-        raise

@@ -1,5 +1,7 @@
 """Shared test helpers.
 
+`collect` makes a grid-loop sink that keeps the records in a list.
+
 `run_python` starts a Python subprocess that imports swarm_ot from this
 checkout's src/ directory, so the suite needs no installed package and
 no PYTHONPATH of its own. The subprocess turns warnings into errors
@@ -26,3 +28,13 @@ def run_python(args, cwd=None, env=None, timeout=300):
         env={**env, "PYTHONPATH": pythonpath},
         timeout=timeout,
     )
+
+
+def collect(reports):
+    """A `run_coupled` sink that appends each record to the list `reports`."""
+
+    def sink(state, report):
+        if report is not None:
+            reports.append(report)
+
+    return sink

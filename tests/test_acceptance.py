@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import swarm_ot as so
-from conftest import run_python
+from conftest import collect, run_python
 from swarm_ot import cli
 from swarm_ot.rng import STREAM_TARGET, derive
 
@@ -74,7 +74,7 @@ def test_criterion_3_exponential_decay_slope():
     rho_star = so.density_on_grid(_seeded_gaussian_target(0), 20, 20)
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     reports = []
-    so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=2.0,
+    so.run_coupled(s, rho_star, "inner_steady_state", collect(reports), horizon=2.0,
                    record_every=100)
     ts = np.array([r.t for r in reports])
     vs = np.array([r.V for r in reports])
@@ -90,7 +90,7 @@ def test_criterion_4_fixed_dual_lyapunov():
     s = so.GridState(20, 20, so.random_density(20, 20, 0), dt=1e-3)
     reports = []
     final = so.run_coupled(
-        s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=50.0,
+        s, rho_star, "on_the_fly_fixed", collect(reports), inner_n=1, horizon=50.0,
         lam_fixed=1.0, record_every=1,
     )
     worst_rise = float(np.diff([r.E for r in reports]).max())
@@ -111,7 +111,7 @@ def test_criterion_5_conservation_and_positivity_soak():
     # run certifies positivity at every one of the 10,000 steps
     reports = []
     final = so.run_coupled(
-        s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=10.0,
+        s, rho_star, "on_the_fly_fixed", collect(reports), inner_n=1, horizon=10.0,
         lam_fixed=1.0, record_every=1,
     )
     worst_mass = max(r.mass_error for r in reports)

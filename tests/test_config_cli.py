@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import collect, run_python
 from swarm_ot import ConfigError, PositivityError, cli, config, grid, load_config
 
 AGENTS_CFG = """\
@@ -192,11 +192,11 @@ def test_the_config_and_the_grid_loop_share_one_list_of_modes():
     rho = np.full(4, 0.25)
     for mode in grid.MODES:
         assert load_config(f"grid.mode = {mode}\n").grid_mode == mode
-        next(grid.coupled_states(grid.GridState(2, 2, rho), rho, mode, horizon=0.0))
+        grid.run_coupled(grid.GridState(2, 2, rho), rho, mode, collect([]), horizon=0.0)
     with pytest.raises(ConfigError, match="key 'grid.mode' must be one of"):
         load_config("grid.mode = steady\n")
     with pytest.raises(ValueError, match="mode must be one of"):
-        next(grid.coupled_states(grid.GridState(2, 2, rho), rho, "steady"))
+        grid.run_coupled(grid.GridState(2, 2, rho), rho, "steady", collect([]))
 
 
 def test_agents_cli_writes_both_csvs(tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
+from conftest import collect
 from swarm_ot import DensityField, GridState, NeighborGraph, PotentialState, grid
 from swarm_ot.primal_dual import _net_outflow, incidence, iterate, laplacian
 
@@ -26,8 +27,8 @@ def two_node_state(rho=(0.3, 0.7), phi=None, lam=None, dt=0.1):
 RHO_STAR_2 = np.array([0.5, 0.5])
 
 
-def discard(report):
-    """A `run_coupled` sink that keeps no record."""
+def discard(state, report):
+    """A `run_coupled` sink that keeps nothing."""
 
 
 def test_grid_edges_four_neighbor_structure():
@@ -210,7 +211,7 @@ def test_one_laplacian_per_outer_step(monkeypatch, mode):
     # a record at every state: the record and the transport step share
     # one L phi per state
     reports = []
-    so.run_coupled(s, rho_star, mode, reports.append, inner_n=2, horizon=steps * s.dt)
+    so.run_coupled(s, rho_star, mode, collect(reports), inner_n=2, horizon=steps * s.dt)
     assert len(reports) == steps + 1
     assert len(calls) == steps + 1
 
@@ -222,7 +223,7 @@ def test_inner_steady_state_rejects_dt_above_one():
     # dt = 1 is an exact step: it lands on the target
     s.dt = 1.0
     reports = []
-    so.run_coupled(s, RHO_STAR_2, "inner_steady_state", reports.append, horizon=1.0)
+    so.run_coupled(s, RHO_STAR_2, "inner_steady_state", collect(reports), horizon=1.0)
     assert reports[-1].V < 1e-30 and reports[-1].kkt.dual_feasibility >= 0
 
 
@@ -239,7 +240,7 @@ def record_by_two_passes(s, rho_star):
     once for E and once for the KKT residuals."""
     gaps = np.abs(grid.edge_diff(s.phi, s.edges))
     kkt = so.KKTResidual(
-        so.stationarity(s, rho_star),
+        float(np.abs(s.rho - laplacian(s.phi, s.lam, s.edges) - rho_star).max()),
         float(np.maximum(0.0, gaps - s.cost).max()) if len(gaps) else 0.0,
         float((s.lam * np.abs(gaps - s.cost)).max()) if len(gaps) else 0.0,
         float(s.lam.min()) if len(s.lam) else 0.0,
@@ -318,18 +319,19 @@ def test_every_record_equals_the_record_of_a_fresh_state(nx, ny, seed, mode, eve
     dt = 0.01
     s = GridState(nx, ny, so.random_density(nx, ny, seed), dt=dt)
     rho_star = so.random_density(nx, ny, seed + 1)
-    states = so.coupled_states(
-        s, rho_star, mode, inner_n=inner_n, horizon=steps * dt, record_every=every
-    )
-    records = 0
-    for state, report in states:
+    records = []
+
+    def check(state, report):
         if report is None:
-            continue
+            return
         fresh = GridState(nx, ny, state.rho, phi=state.phi, lam=state.lam, cost=state.cost,
                           dt=state.dt, t=state.t)
         assert record_bits(report) == record_bits(so.lyapunov(fresh, rho_star))
-        records += 1
-    assert records == 1 + steps // every + (steps % every != 0)
+        records.append(report)
+
+    so.run_coupled(s, rho_star, mode, check, inner_n=inner_n, horizon=steps * dt,
+                   record_every=every)
+    assert len(records) == 1 + steps // every + (steps % every != 0)
 
 
 @pytest.mark.parametrize("mode", grid.MODES)
@@ -343,7 +345,7 @@ def test_edge_terms_are_computed_once_per_potential(monkeypatch, mode):
     monkeypatch.setattr(grid, "edge_diff", counted)
     s = GridState(5, 4, so.random_density(5, 4, seed=6), dt=0.01)
     reports = []
-    so.run_coupled(s, np.full(20, 1.0 / 20), mode, reports.append, inner_n=2, horizon=0.1,
+    so.run_coupled(s, np.full(20, 1.0 / 20), mode, collect(reports), inner_n=2, horizon=0.1,
                    record_every=3)
     # phi is fixed for the whole steady run, and new at every on-the-fly record
     assert len(calls) == (1 if mode == "inner_steady_state" else len(reports))
@@ -354,9 +356,11 @@ def test_a_state_holds_its_fields_alone(mode):
     # states are values: the loop, not a state, holds L phi and edge terms
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
     fields = set(vars(s))
-    states = so.coupled_states(s, np.full(16, 1.0 / 16), mode, inner_n=2, horizon=0.05)
-    for state, _ in states:
+
+    def check(state, report):
         assert set(vars(state)) == fields
+
+    so.run_coupled(s, np.full(16, 1.0 / 16), mode, check, inner_n=2, horizon=0.05)
 
 
 @settings(deadline=None, max_examples=100)
@@ -396,7 +400,6 @@ def test_kkt_residual_at_the_hand_saddle():
     s = two_node_state(phi=np.array([0.0, 1.0]), lam=np.array([0.2]))
     kkt = so.kkt_residual(s, RHO_STAR_2)
     assert kkt.stationarity == pytest.approx(0.0, abs=1e-15)
-    assert so.stationarity(s, RHO_STAR_2) == kkt.stationarity
     assert kkt.feasibility == 0.0
     assert kkt.slackness == pytest.approx(0.0, abs=1e-15)
     assert kkt.dual_feasibility == pytest.approx(0.2)
@@ -489,7 +492,7 @@ def check_steady_solve(s, rho_star):
         + 32 * eps * np.abs(phi).max()
         + 2 * eps * max(s.rho.max(), rho_star.max())
     )
-    assert so.stationarity(s, rho_star) <= 1e-12 * np.abs(b).max() + floor
+    assert so.lyapunov(s, rho_star).kkt.stationarity <= 1e-12 * np.abs(b).max() + floor
     ref = sparse_steady_phi(s, rho_star)
     # max|b| joins the scale for an imbalance that is all mean: its phi is
     # 0 up to rounding
@@ -548,7 +551,7 @@ def test_warm_started_coupled_pd_run_reduces_v():
     s.phi, s.lam = so.saturated_potentials(s, rho_star)
     reports = []
     final = so.run_coupled(
-        s, rho_star, "on_the_fly_pd", reports.append, inner_n=2, horizon=1.0, record_every=250
+        s, rho_star, "on_the_fly_pd", collect(reports), inner_n=2, horizon=1.0, record_every=250
     )
     # completion certifies positivity at every step; the multiplier flow
     # must also respect the nonnegative cone throughout
@@ -573,7 +576,7 @@ def test_energy_decreases_in_fixed_dual_mode():
     s = GridState(5, 5, rho, dt=1e-3)
     rho_star = np.full(25, 1.0 / 25)
     reports = []
-    so.run_coupled(s, rho_star, "on_the_fly_fixed", reports.append, inner_n=1, horizon=0.5)
+    so.run_coupled(s, rho_star, "on_the_fly_fixed", collect(reports), inner_n=1, horizon=0.5)
     energies = [r.E for r in reports]
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10)
@@ -585,7 +588,7 @@ def test_run_coupled_reports_and_mode_validation():
     rho_star = np.full(16, 1.0 / 16)
     s = GridState(4, 4, rho, dt=0.01)
     reports = []
-    final = so.run_coupled(s, rho_star, "on_the_fly_pd", reports.append, horizon=0.1,
+    final = so.run_coupled(s, rho_star, "on_the_fly_pd", collect(reports), horizon=0.1,
                            record_every=2)
     # one report at t = 0, then every other step of the ten
     assert len(reports) == 6
@@ -630,7 +633,7 @@ def test_a_positivity_stop_carries_the_records_before_it(monkeypatch):
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
     reports = []
     with pytest.raises(so.PositivityError) as info:
-        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", reports.append, horizon=0.1,
+        so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", collect(reports), horizon=0.1,
                        record_every=3)
     # steps 1-4 completed; records at steps 0 and 3
     assert info.value.t == pytest.approx(0.04)
@@ -650,7 +653,7 @@ def test_a_diverging_run_stops_at_its_first_transport_step(monkeypatch):
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=5.0)
     reports = []
     with pytest.raises(so.PositivityError, match=r"node \(0,0\)") as info:
-        so.run_coupled(s, np.full(16, 1 / 16), "on_the_fly_pd", reports.append, inner_n=20,
+        so.run_coupled(s, np.full(16, 1 / 16), "on_the_fly_pd", collect(reports), inner_n=20,
                        horizon=15.0)
     assert finite == [(False, False)]
     assert info.value.t == 0.0
@@ -679,20 +682,18 @@ LOOP_PEAK_NODE_ARRAYS = {"on_the_fly_pd": 16.02, "on_the_fly_fixed": 14.99, "inn
 
 
 @pytest.mark.parametrize("mode", grid.MODES)
-def test_the_grid_loop_keeps_its_memory_order(monkeypatch, mode):
+def test_the_grid_loop_keeps_its_memory_order(mode):
     # a state or EdgeTerms kept one step longer holds two or more node
     # arrays through the next record; the bound allows half of one. In
     # on_the_fly_fixed the inner step peaks above the record, so there
     # a state held through the record leaves the peak where it is.
-    real = grid.coupled_states
+    calls = []
 
-    def peak_after_setup(*args, **kwargs):
-        states = real(*args, **kwargs)
-        yield next(states)  # inner_steady_state's stationary solve peaks higher
-        tracemalloc.reset_peak()
-        return (yield from states)
+    def peak_after_setup(state, report):
+        if not calls:
+            tracemalloc.reset_peak()  # inner_steady_state's stationary solve peaks higher
+        calls.append(None)
 
-    monkeypatch.setattr(grid, "coupled_states", peak_after_setup)
     n = 64
     rho_star = grid.density_on_grid(DensityField.gaussian_mixture([0.4, 0.6], 0.05 * np.eye(2)), n, n)
     s = GridState(n, n, so.random_density(n, n, seed=0))
@@ -700,7 +701,7 @@ def test_the_grid_loop_keeps_its_memory_order(monkeypatch, mode):
     so.run_coupled(s, rho_star, mode, discard, inner_n=5, horizon=0.02)
     tracemalloc.start()
     try:
-        so.run_coupled(s, rho_star, mode, discard, inner_n=5, horizon=0.02)
+        so.run_coupled(s, rho_star, mode, peak_after_setup, inner_n=5, horizon=0.02)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -708,19 +709,22 @@ def test_the_grid_loop_keeps_its_memory_order(monkeypatch, mode):
 
 
 def test_the_grid_loop_records_by_its_rule_and_keeps_errstate_to_itself():
-    # numpy's errstate is a context variable: one held across a yield
-    # would silence the code that iterates the loop
+    # the loop steps with numpy's warnings off, and its sink runs under
+    # the caller's errstate
     s = GridState(4, 4, so.random_density(4, 4, seed=1), dt=0.01)
-    states = so.coupled_states(
-        s, np.full(16, 1.0 / 16), "on_the_fly_pd", horizon=0.1, record_every=4
-    )
-    recorded = []
+    calls, recorded = [], []
+
+    def check(state, report):
+        assert set(np.geterr().values()) == {"raise"}
+        if report is not None:
+            assert report.t == state.t
+            recorded.append(len(calls))
+        calls.append(None)
+
     with np.errstate(all="raise"):
-        for step, (state, report) in enumerate(states):
-            assert set(np.geterr().values()) == {"raise"}
-            if report is not None:
-                assert report.t == state.t
-                recorded.append(step)
+        state = so.run_coupled(s, np.full(16, 1.0 / 16), "on_the_fly_pd", check, horizon=0.1,
+                               record_every=4)
+    assert len(calls) == 11
     assert recorded == [0, 4, 8, 10]
     assert state.t == pytest.approx(0.1)
 
@@ -744,7 +748,7 @@ def test_inner_steady_state_keeps_stationarity_machine_small(nx, ny, seed, dt, s
         for name in ("pd_flow_step", "relaxed_primal_step"):
             mp.setattr(grid, name, lambda *args, name=name: inner.append(name))
         reports = []
-        so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=steps * dt)
+        so.run_coupled(s, rho_star, "inner_steady_state", collect(reports), horizon=steps * dt)
     assert len(reports) == steps + 1
     assert max(r.kkt.stationarity for r in reports) <= 1e-13
     assert inner == []
@@ -755,7 +759,7 @@ def test_inner_steady_state_contracts_v_at_its_exact_rate():
     rho_star = np.full(36, 1.0 / 36)
     s = GridState(6, 6, rho, dt=1e-3)
     reports = []
-    so.run_coupled(s, rho_star, "inner_steady_state", reports.append, horizon=0.05,
+    so.run_coupled(s, rho_star, "inner_steady_state", collect(reports), horizon=0.05,
                    record_every=10)
     # V contracts by (1 - dt)^2 per step, i.e. slope 2 ln(1 - dt) / dt
     v0, v1 = reports[0].V, reports[-1].V
