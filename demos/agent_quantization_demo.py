@@ -32,12 +32,18 @@ target = DensityField.gaussian_mixture(
 seed = 1
 n_agents = 30
 rounds = 60
-runs = {}
+runs = {}  # inner budget -> (every round's record, the last round's cell masses)
 for inner in (1, 10):
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=inner, rounds=rounds)
     positions = initial_positions(n_agents, domain, seed)
-    records, snapshots = run_experiment(positions, cfg, target, q, seed=seed)
-    runs[inner] = (records, snapshots)
+    records = []
+
+    def keep(state, cells, record):
+        # the loop hands over every round; keep its record and its masses
+        records.append(record)
+        runs[inner] = (records, cells.masses)
+
+    run_experiment(positions, cfg, target, q, keep, seed=seed)
 
 print(f"{n_agents} agents, {rounds} rounds, eps=0.02, tau=1.0, seed={seed}")
 print(f"{'round':>6} {'variance n=1':>14} {'variance n=10':>14} "
@@ -48,9 +54,8 @@ for k in range(0, rounds + 1, 5):
           f"{r1.net_cost:>10.5f} {r10.net_cost:>10.5f}")
 
 for inner in (1, 10):
-    records, snapshots = runs[inner]
+    records, masses = runs[inner]
     first, last = records[0], records[-1]
-    _, positions, masses = snapshots[-1]
     print()
     print(f"n={inner}: variance {first.mass_variance:.3e} -> "
           f"{last.mass_variance:.3e} "

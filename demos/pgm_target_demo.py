@@ -52,17 +52,23 @@ print(f"mass outside:                       {masses[~inside].sum():.4f}")
 n_agents = 12
 cfg = TransportConfig(eps=0.02, tau=0.5, inner_iters=10, rounds=30)
 positions = initial_positions(n_agents, domain, seed=5)
-records, snapshots = run_experiment(positions, cfg, target, q, seed=5)
+owned = [None]  # the last round's cell masses
+
+
+def report(state, cells, record):
+    """Print every fifth round as the loop hands it over."""
+    owned[0] = cells.masses
+    if record.k % 5 == 0:
+        pos = state.positions
+        in_disk = int(np.sum(np.hypot(pos[:, 0] - 0.5, pos[:, 1] - 0.5) <= 0.25))
+        print(f"{record.k:>6} {record.mass_variance:>14.3e} {in_disk:>15}")
+
 
 print()
 print(f"{n_agents} agents, {cfg.rounds} rounds toward the disk")
 print(f"{'round':>6} {'mass variance':>14} {'agents in disk':>15}")
-for k in range(0, cfg.rounds + 1, 5):
-    _, pos, _ = snapshots[k]
-    in_disk = int(np.sum(np.hypot(pos[:, 0] - 0.5, pos[:, 1] - 0.5) <= 0.25))
-    print(f"{k:>6} {records[k].mass_variance:>14.3e} {in_disk:>15}")
+run_experiment(positions, cfg, target, q, report, seed=5)
 
-_, pos, owned = snapshots[-1]
 print()
-print(f"final owned-mass spread: [{owned.min():.4f}, {owned.max():.4f}] "
+print(f"final owned-mass spread: [{owned[0].min():.4f}, {owned[0].max():.4f}] "
       f"(ideal 1/{n_agents} = {1 / n_agents:.4f})")

@@ -3,9 +3,9 @@
 Subcommands: `agents` (transport rounds), `pde` (grid solver),
 `oracle-check` (primal-dual vs. min-cost-flow agreement), and `fig N`
 (N in 2..6, emits the data behind the standard figures). All output is
-CSV; re-running a config with the same seed is byte-identical. Every
-command computes sequentially: --threads is validated (at least 1) and
-otherwise unused, so it never changes results.
+CSV, written row by row from the sink of each run's loop; re-running a
+config with the same seed is byte-identical. Every command computes
+sequentially: --threads is validated (at least 1) and otherwise unused.
 """
 
 import argparse
@@ -115,18 +115,8 @@ def transport_config(cfg, inner_iters=None):
     )
 
 
-# The agent row builders are generators: `write_csv` formats each row
-# as it is made, so a command holds its records but never their CSV
-# text. A grid run's sink formats and writes each record as it is taken.
-def _agent_rows(records):
-    for r in records:
-        yield r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)
-
-
-def _position_rows(snapshots):
-    for k, positions, masses in snapshots:
-        for a, ((x, y), mass) in enumerate(zip(positions.tolist(), masses.tolist())):
-            yield k, a, x, y, mass
+def _agent_row(r):
+    return r.k, r.mass_variance, r.net_cost, r.dual_objective, r.feasibility_violation, int(r.connected)
 
 
 def _pde_row(r):
@@ -138,19 +128,32 @@ def _density_error_row(r):
     return r.t, float(np.sqrt(2.0 * r.V)), *_pde_row(r)[1:]
 
 
+def _agent_setup(cfg):
+    """Quadrature, target and initial positions of an agent command."""
+    q = QuadratureGrid(Domain(), cfg.quad_resolution)
+    return q, build_target(cfg, cfg.seed, q), initial_positions(cfg.n_agents, q.domain, cfg.seed)
+
+
 def run_agents(cfg, out_dir):
-    domain = Domain()
-    q = QuadratureGrid(domain, cfg.quad_resolution)
-    target = build_target(cfg, cfg.seed, q)
-    tcfg = transport_config(cfg)
-    positions = initial_positions(cfg.n_agents, domain, cfg.seed)
-    records, snapshots = run_experiment(positions, tcfg, target, q, cfg.seed)
-    write_csv(out_dir / "metrics.csv", AGENT_HEADER, _agent_rows(records))
-    write_csv(out_dir / "positions.csv", POSITION_HEADER, _position_rows(snapshots))
-    last = records[-1]
+    """Write each round's metrics row and position rows as the loop hands them over."""
+    q, target, positions = _agent_setup(cfg)
+    last = [None]  # the latest record, for the summary line
+
+    with (
+        open_csv(out_dir / "metrics.csv", AGENT_HEADER) as metrics,
+        open_csv(out_dir / "positions.csv", POSITION_HEADER) as agents,
+    ):
+
+        def record(state, cells, r):
+            metrics.write(csv_line(_agent_row(r)))
+            rows = zip(state.positions.tolist(), cells.masses.tolist())
+            agents.writelines(csv_line((r.k, a, x, y, mass)) for a, ((x, y), mass) in enumerate(rows))
+            last[0] = r
+
+        run_experiment(positions, transport_config(cfg), target, q, record, cfg.seed)
     print(
-        f"agents: {cfg.rounds} rounds, final mass variance {last.mass_variance:.3e}, "
-        f"net cost {last.net_cost:.6f}"
+        f"agents: {cfg.rounds} rounds, final mass variance {last[0].mass_variance:.3e}, "
+        f"net cost {last[0].net_cost:.6f}"
     )
     return 0
 
@@ -259,25 +262,21 @@ def oracle_check(cfg, n_instances=10):
 
 
 def run_fig(cfg, number, out_dir):
-    domain = Domain()
     if number in (2, 3):
-        q = QuadratureGrid(domain, cfg.quad_resolution)
-        target = build_target(cfg, cfg.seed, q)
-        positions = initial_positions(cfg.n_agents, domain, cfg.seed)
-        if number == 2:
-            for n in (1, 5, 10):
-                tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, q, cfg.seed)
-                write_csv(out_dir / f"fig2_n{n}.csv", AGENT_HEADER, _agent_rows(records))
-            print("fig 2: wrote fig2_n1.csv fig2_n5.csv fig2_n10.csv")
-        else:
-            rows = []
-            for n in range(1, 11):
-                tcfg = transport_config(cfg, inner_iters=n)
-                records, _ = run_experiment(positions, tcfg, target, q, cfg.seed)
-                rows.append([n, records[-1].net_cost])
-            write_csv(out_dir / "fig3.csv", ["n", "net_cost"], rows)
+        q, target, positions = _agent_setup(cfg)
+
+        def run(n, sink=lambda *_: None):
+            """Run the config's agents at n inner iterations per round; return the final state."""
+            return run_experiment(positions, transport_config(cfg, n), target, q, sink, cfg.seed)
+
+        if number == 3:
+            write_csv(out_dir / "fig3.csv", ["n", "net_cost"], [[n, run(n).cost] for n in range(1, 11)])
             print("fig 3: wrote fig3.csv")
+            return 0
+        for n in (1, 5, 10):
+            with open_csv(out_dir / f"fig2_n{n}.csv", AGENT_HEADER) as f:
+                run(n, lambda state, cells, r: f.write(csv_line(_agent_row(r))))
+        print("fig 2: wrote fig2_n1.csv fig2_n5.csv fig2_n10.csv")
         return 0
     # figures 4-6 record through the grid loop of `pde`: fig 4 is one
     # `pde` run plus density snapshots, figs 5 and 6 one run per curve
@@ -360,12 +359,7 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
-        if args.config is not None:
-            cfg = load_config(Path(args.config).read_text())
-        else:
-            cfg = ExperimentConfig()
-            if args.command == "pde":
-                cfg.mode = "pde"
+        cfg = ExperimentConfig() if args.config is None else load_config(Path(args.config).read_text())
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:
                 raise ConfigError("--seed must be a 64-bit unsigned integer")
@@ -374,11 +368,11 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "agents":
-            if cfg.mode not in ("agents", "agents_fixed_dual"):
+            if cfg.mode not in (None, "agents", "agents_fixed_dual"):
                 raise ConfigError(f"config mode '{cfg.mode}' does not match command 'agents'")
             return run_agents(cfg, out_dir)
         if args.command == "pde":
-            if cfg.mode != "pde":
+            if cfg.mode not in (None, "pde"):
                 raise ConfigError(f"config mode '{cfg.mode}' does not match command 'pde'")
             return run_pde(cfg, out_dir)
         if args.command == "oracle-check":

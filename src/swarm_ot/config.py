@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Validated experiment parameters with documented defaults."""
 
-    mode: str = "agents"
+    mode: str | None = None  # None: the command's mode
     seed: int = 0
     # agent transport
     n_agents: int = 30

@@ -288,25 +288,25 @@ def transport_round(state, cfg, target, q, cells=None):
     return new_state, diagnostics
 
 
-def run_experiment(positions, cfg, target, q, seed=0):
-    """Run cfg.rounds transport rounds of agents in `q.domain`.
+def run_experiment(positions, cfg, target, q, sink, seed=0):
+    """Run cfg.rounds transport rounds of agents in `q.domain`; return the final state.
 
-    Returns (records, snapshots): one MetricsRecord per round index
-    0..rounds, and per-round (k, positions, masses) tuples for position
-    dumps. Row 0 describes the initial state; row k's dual objective and
-    feasibility refer to the estimate computed during round k, and its
-    connected flag to the communication graph that round used.
+    Calls `sink(state, cells, record)` for round 0 and after every round,
+    as `grid.run_coupled` does, and keeps no list: `cells` is the state's
+    measurement and `record` its MetricsRecord. Record 0 describes the
+    initial state; record k's dual objective and feasibility refer to the
+    estimate computed during round k, and its connected flag to the graph
+    that round used. A sink may keep the state and `cells.masses`, but
+    not `cells`, whose partition is quadrature-sized.
     """
     dens = target.values_on(q)
     state = SwarmState(positions=q.domain.clamp(positions), seed=seed)
-    records, snapshots = [], []
     for k in range(cfg.rounds + 1):
         cells = _measure(state.positions, q, cfg.radius, dens)
         if k == 0:
             estimate = (0.0, 0.0, is_connected(cells.graph))
-        records.append(MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
-        snapshots.append((k, state.positions.copy(), cells.masses))
+        sink(state, cells, MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
         if k < cfg.rounds:
             state, diag = transport_round(state, cfg, target, q, cells)
             estimate = (diag["dual_objective"], diag["feasibility_violation"], diag["connected"])
-    return records, snapshots
+    return state

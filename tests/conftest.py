@@ -1,6 +1,7 @@
 """Shared test helpers.
 
-`collect` makes a grid-loop sink that keeps the records in a list.
+`collect` makes a grid-loop sink that keeps the records in a list, and
+`keep_records` its agent-loop twin.
 
 `run_python` starts a Python subprocess that imports swarm_ot from this
 checkout's src/ directory, so the suite needs no installed package and
@@ -36,5 +37,14 @@ def collect(reports):
     def sink(state, report):
         if report is not None:
             reports.append(report)
+
+    return sink
+
+
+def keep_records(records):
+    """A `run_experiment` sink that appends each round's record to the list `records`."""
+
+    def sink(state, cells, record):
+        records.append(record)
 
     return sink

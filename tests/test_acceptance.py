@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import swarm_ot as so
-from conftest import collect, run_python
+from conftest import collect, keep_records, run_python
 from swarm_ot import cli
 from swarm_ot.rng import STREAM_TARGET, derive
 
@@ -132,13 +132,14 @@ def test_criterion_6_stage_cost_bounds():
         so.TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=12, fixed_dual=1.0),
     ):
         positions = so.initial_positions(12, DOM, seed=1)
-        records, snapshots = so.run_experiment(positions, cfg, target, q, seed=1)
-        lower = so.discrete_ot_cost(snapshots[0][1], snapshots[-1][1])
-        stage_cost = records[-1].net_cost
-        steps = np.array([
-            np.linalg.norm(b[1] - a[1], axis=1).max()
-            for a, b in zip(snapshots, snapshots[1:])
-        ])
+        path = []
+
+        def keep(state, cells, record):
+            path.append(state.positions)
+
+        stage_cost = so.run_experiment(positions, cfg, target, q, keep, seed=1).cost
+        lower = so.discrete_ot_cost(path[0], path[-1])
+        steps = np.array([np.linalg.norm(b - a, axis=1).max() for a, b in zip(path, path[1:])])
         mode = "pd" if cfg.fixed_dual is None else "fixed"
         ok = ok and stage_cost >= lower - 1e-9 and float(steps.max()) <= 0.02 + 1e-12
         details.append(f"{mode}: cost {stage_cost:.5f} >= {lower:.5f}, max step {steps.max():.5f}")
@@ -157,7 +158,8 @@ def test_criterion_7_inner_iterations_improve_balance():
         initial = None
         for n in (1, 10):
             cfg = so.TransportConfig(eps=0.02, tau=1.0, inner_iters=n, rounds=40)
-            records, _ = so.run_experiment(positions, cfg, target, q, seed)
+            records = []
+            so.run_experiment(positions, cfg, target, q, keep_records(records), seed)
             initial = records[0].mass_variance
             final[n] = records[-1].mass_variance
         ok = ok and final[10] < 0.5 * initial and final[10] <= final[1]

@@ -55,7 +55,6 @@ TRACED_RUNS = {
         "cli.main", "transport.run_experiment", "transport.transport_round",
         "voronoi.build_partition", "voronoi.neighbor_graph", "target.cell_masses",
         "primal_dual.run_pd", "transport.local_gradient", "transport.proximal_step",
-        "cli.write_csv",
     }),
     "pde_on_the_fly_pd": ("pde", PDE.format("on_the_fly_pd"), {
         "cli.main", "grid.run_coupled", "grid.pd_flow_step", "grid.transport_step",

@@ -50,7 +50,7 @@ def run_cli(*args, cwd=None, env=None):
 
 def test_defaults_cover_the_standard_experiment():
     cfg = load_config("")
-    assert cfg.mode == "agents"
+    assert cfg.mode is None  # each command runs its own mode
     assert cfg.n_agents == 30
     assert cfg.rounds == 40
     assert cfg.eps == 0.02
@@ -474,6 +474,66 @@ def test_pde_memory_does_not_grow_with_its_horizon(tmp_path):
     small = peak(1)
     assert abs(peak(10) - small) < 64 * 2**10
     assert (tmp_path / "metrics.csv").read_bytes().count(b"\n") == 1 + 10_001
+
+
+def test_agents_memory_does_not_grow_with_its_rounds(tmp_path):
+    # each round's rows go to the CSVs as the loop hands the round over,
+    # so ten times the rounds take no more memory
+    cfg = tmp_path / "run.cfg"
+
+    def peak(rounds):
+        cfg.write_text(
+            f"transport.N = 8\ntransport.K = {rounds}\ntransport.n = 2\nquadrature.resolution = 32\n"
+        )
+        tracemalloc.start()
+        try:
+            assert cli.main(["agents", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # a first run takes the lazy imports
+    small = peak(40)
+    assert abs(peak(400) - small) < 64 * 2**10
+    assert (tmp_path / "metrics.csv").read_bytes().count(b"\n") == 1 + 401
+    assert (tmp_path / "positions.csv").read_bytes().count(b"\n") == 1 + 401 * 8
+
+
+def test_pde_on_the_empty_config_runs_the_default_pde(tmp_path, capsys):
+    # an empty config leaves the mode to the command, as no config does
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    assert cli.main(["pde", "--out", str(tmp_path / "none")]) == 0
+    assert cli.main(["pde", "--config", str(empty), "--out", str(tmp_path / "empty")]) == 0
+    assert (tmp_path / "empty" / "metrics.csv").read_bytes() == (
+        tmp_path / "none" / "metrics.csv"
+    ).read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+
+
+def test_positivity_stops_that_dt_does_not_move(tmp_path):
+    # 32x32, seed 15, one inner step: the stop time converges as dt halves
+    # and the stop stays at one node, so a smaller dt does not avoid it
+    stops = []
+    for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
+        cfg = load_config(
+            f"seed = 15\ngrid.nx = 32\ngrid.ny = 32\ngrid.dt = {dt}\ngrid.T = 1.0\n"
+            "grid.mode = on_the_fly_pd\ngrid.warm_start = true\ngrid.n = 1\n"
+        )
+        state, rho_star = cli._pde_state(cfg)
+        with pytest.raises(PositivityError) as stop:
+            # records play no part in the stop, so the run takes only the first
+            grid.run_coupled(state, rho_star, cfg.grid_mode, lambda s, r: None, inner_n=1,
+                             horizon=cfg.grid_horizon, record_every=10**9)
+        stops.append((stop.value.t, str(stop.value)))
+    times = [t for t, _ in stops]
+    rises = np.diff(times)
+    assert np.all(rises > 0) and np.all(np.diff(rises) < 0), times
+    assert 0.63 < times[0] and times[-1] < 0.64
+    assert {message for _, message in stops} == {
+        "transport step made the density nonpositive or NaN at node (31,19); reduce dt"
+    }
 
 
 @pytest.mark.parametrize(

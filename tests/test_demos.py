@@ -1,8 +1,8 @@
 """Smoke test: every script in demos/ and README's library example runs.
 
-Each demo goes through the primal-dual kernel (via run_experiment,
-run_coupled or converge_pd), so a demo that no longer runs is a broken
-public entry point. They run in a subprocess against the checkout's
+Each demo goes through the primal-dual kernel (via run_experiment or
+run_coupled, whose sinks the demos print from, or via converge_pd), so a
+demo that no longer runs is a broken public entry point. They run in a subprocess against the checkout's
 src/ directory, as their docstrings tell a reader to run them.
 """
 

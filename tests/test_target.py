@@ -35,7 +35,7 @@ def test_a_target_on_a_quadrature_over_another_domain_is_an_error():
     positions = so.initial_positions(4, q.domain, seed=1)
     cfg = so.TransportConfig(eps=0.05, tau=0.5, inner_iters=1, rounds=1)
     with pytest.raises(so.DomainMismatchError):
-        so.run_experiment(positions, cfg, field, q)
+        so.run_experiment(positions, cfg, field, q, lambda *_: None)
     assert issubclass(so.DomainMismatchError, ValueError)  # the CLI reports it
     # an equal domain built separately is the same domain
     assert field.values_on(quad(8)).sum() * quad(8).cell_area == 1.0

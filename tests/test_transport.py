@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import swarm_ot as so
+from conftest import keep_records
 from swarm_ot import cli, transport
 from swarm_ot import Domain, QuadratureGrid, SwarmState, TransportConfig
 from swarm_ot.config import load_config
@@ -394,8 +395,10 @@ def test_variance_decreases_over_rounds():
     dom, q, target = uniform_setup(128)
     positions = so.initial_positions(16, dom, seed=4)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=15)
-    records, snapshots = so.run_experiment(positions, cfg, target, q, seed=4)
-    assert len(records) == 16 and len(snapshots) == 16
+    records = []
+    final = so.run_experiment(positions, cfg, target, q, keep_records(records), seed=4)
+    assert len(records) == 16 and final.k == 15
+    assert final.cost == records[-1].net_cost
     assert records[-1].mass_variance < 0.5 * records[0].mass_variance
     # net cost accumulates monotonically
     costs = [r.net_cost for r in records]
@@ -406,22 +409,38 @@ def test_zero_rounds_yield_only_the_initial_record():
     dom, q, target = uniform_setup()
     positions = np.array([[0.2, 0.4], [0.8, 0.6]])
     cfg = TransportConfig(rounds=0)
-    records, snapshots = so.run_experiment(positions, cfg, target, q)
-    assert len(records) == 1 and len(snapshots) == 1
+    records = []
+    final = so.run_experiment(positions, cfg, target, q, keep_records(records))
+    assert len(records) == 1 and final.k == 0
     assert records[0].k == 0 and records[0].net_cost == 0.0
+    assert final.positions.tolist() == positions.tolist()
+
+
+def run_rounds(positions, cfg, target, q, seed):
+    """A run's records, and its positions and cell masses stacked by round."""
+    records, path, masses = [], [], []
+
+    def keep(state, cells, record):
+        records.append(record)
+        path.append(state.positions)
+        masses.append(cells.masses)
+
+    so.run_experiment(positions, cfg, target, q, keep, seed)
+    return records, np.array(path), np.array(masses)
+
+
+def same_runs(a, b):
+    (r1, p1, m1), (r2, p2, m2) = a, b
+    return r1 == r2 and p1.tobytes() == p2.tobytes() and m1.tobytes() == m2.tobytes()
 
 
 def test_runs_are_deterministic():
     dom, q, target = uniform_setup()
     positions = so.initial_positions(8, dom, seed=12)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
-    r1, s1 = so.run_experiment(positions, cfg, target, q, seed=12)
-    r2, s2 = so.run_experiment(positions, cfg, target, q, seed=12)
-    assert r1 == r2
-    for (k1, p1, m1), (k2, p2, m2) in zip(s1, s2):
-        assert k1 == k2
-        np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(m1, m2)
+    run = run_rounds(positions, cfg, target, q, seed=12)
+    assert run[1].shape == (7, 8, 2) and run[2].shape == (7, 8)
+    assert same_runs(run, run_rounds(positions, cfg, target, q, seed=12))
 
 
 def test_an_agent_run_keeps_to_a_domain_off_the_unit_square():
@@ -432,15 +451,12 @@ def test_an_agent_run_keeps_to_a_domain_off_the_unit_square():
     positions = so.initial_positions(12, dom, seed=2)
     positions[0] = [5.0, 0.0]  # outside: clamped to the corner (3, 2)
     cfg = TransportConfig(eps=0.05, tau=0.05, inner_iters=10, rounds=15)
-    r1, s1 = so.run_experiment(positions, cfg, target, q, seed=2)
-    r2, s2 = so.run_experiment(positions, cfg, target, q, seed=2)
-    assert s1[0][1][0].tolist() == [3.0, 2.0]
-    assert all(dom.contains(p) for _, pos, _ in s1 for p in pos)
-    assert r1 == r2
-    assert [(p.tobytes(), m.tobytes()) for _, p, m in s1] == [
-        (p.tobytes(), m.tobytes()) for _, p, m in s2
-    ]
-    assert r1[-1].mass_variance < r1[0].mass_variance
+    run = run_rounds(positions, cfg, target, q, seed=2)
+    records, path, _ = run
+    assert path[0, 0].tolist() == [3.0, 2.0]
+    assert dom.contains(path)
+    assert same_runs(run, run_rounds(positions, cfg, target, q, seed=2))
+    assert records[-1].mass_variance < records[0].mass_variance
 
 
 def test_seeded_positions_are_reproducible_and_in_domain():
@@ -505,7 +521,7 @@ def test_each_position_set_is_measured_once(monkeypatch):
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
     counts = count_calls(monkeypatch, transport, MEASURES)
     nudged = nudged_rounds(monkeypatch)
-    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, q, seed=3)
+    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, q, lambda *_: None, seed=3)
     assert nudged == [False] * cfg.rounds
     assert counts == dict.fromkeys(MEASURES, cfg.rounds + 1)
 
@@ -788,7 +804,19 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(so.DivergenceError, match="^primal-dual iteration diverged; reduce tau$"):
             so.run_experiment(so.initial_positions(30, dom, 0), cli.transport_config(cfg),
-                              target, q)
+                              target, q, lambda *_: None)
     # the round that raised still had finite potentials: its gradient
     # norm overflowed before its inner iteration diverged
     assert 1e200 < largest[-1] < np.inf
+
+
+def test_a_diverging_agents_run_leaves_no_csv(tmp_path, capsys):
+    # `agents` writes its rows as the rounds arrive; a run that raises
+    # mid-way removes both files, so a failed command leaves no output
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONCENTRATED)
+    out = tmp_path / "out"
+    assert cli.main(["agents", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "primal-dual iteration diverged" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "positions.csv").exists()
