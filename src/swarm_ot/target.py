@@ -13,6 +13,10 @@ from .geometry import Domain
 
 _WS = frozenset(b" \t\r\n\x0b\x0c")
 
+# quadrature cells whose temporaries `DensityField.values_on` holds at one
+# time, rounded to whole grid rows
+BLOCK = 4096
+
 
 class PgmParseError(ValueError):
     """Malformed PGM input; carries the byte offset of the problem."""
@@ -42,12 +46,21 @@ class QuadratureGrid:
         self.cell_area = float(ext[0] * ext[1] / (nx * ny))
         self.xs = domain.lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
         self.ys = domain.lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
-        X, Y = np.meshgrid(self.xs, self.ys)  # row-major: cell j*nx + i sits at (xs[i], ys[j])
-        self.centers = np.column_stack([X.ravel(), Y.ravel()])
 
     @property
     def n_cells(self):
         return self.nx * self.ny
+
+    @property
+    def centers(self):
+        """(M, 2) cell centers, built on each access; row-major: cell
+        j*nx + i sits at (xs[i], ys[j])."""
+        return self.row_centers(0, self.ny)
+
+    def row_centers(self, start, stop):
+        """Cell centers of the grid rows [start, stop), in `centers` order."""
+        X, Y = np.meshgrid(self.xs, self.ys[start:stop])
+        return np.column_stack([X.ravel(), Y.ravel()])
 
 
 class DensityField:
@@ -144,7 +157,9 @@ class DensityField:
         """Normalized density at every quadrature cell center.
 
         A DomainMismatchError unless q covers the field's own domain:
-        elsewhere the values would not integrate to one.
+        elsewhere the values would not integrate to one. The field is
+        evaluated a block of grid rows at a time, so no (M, 2) table of
+        centers is built; each value has the bits of one pass over them.
         """
         mine, theirs = self.domain, q.domain
         if not (np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)):
@@ -152,7 +167,13 @@ class DensityField:
                 f"the target's domain {mine.lo.tolist()}-{mine.hi.tolist()} is not "
                 f"the quadrature's {theirs.lo.tolist()}-{theirs.hi.tolist()}"
             )
-        return self._raw_many(q.centers) / self.normalizer
+        values = np.empty(q.n_cells)
+        step = max(1, BLOCK // q.nx)
+        for start in range(0, q.ny, step):
+            stop = start + step
+            values[start * q.nx : stop * q.nx] = self._raw_many(q.row_centers(start, stop))
+        values /= self.normalizer
+        return values
 
     def normalize(self, q):
         """Return a copy rescaled so quadrature over the domain equals one.

@@ -13,10 +13,12 @@ site's largest. Both bounds are sums of the scan's own squared offsets,
 and rounded addition is monotone, so a culled site loses every cell of
 the tile strictly; a site whose bound ties is kept (`<=`), and the scan
 gives ties to the lowest index. The owners are therefore those of the
-dense N x M argmin bit for bit. For N sites on M = nx * ny cells the
-scan needs O(M + N * (nx + ny) + N * M / TILE**2) memory, never an
-N x M table. Spread-out sites scan a few tiles each; a tight cluster,
-whose windows span the grid, costs what the full O(N * M) scan costs.
+dense N x M argmin bit for bit. The bounds are taken over chunks of
+CHUNK sites at a time, so for N sites on M = nx * ny cells the scan
+needs O(M + N) memory: O(CHUNK * (nx + ny + M / TILE**2)) for one
+chunk's offsets and bounds, never a table over all N sites. Spread-out
+sites scan a few tiles each; a tight cluster, whose windows span the
+grid, costs what the full O(N * M) scan costs.
 
 Connectivity is plain numpy label propagation, so an agent run never
 imports scipy.
@@ -26,6 +28,8 @@ import numpy as np
 
 # cells per side of the tiles on which `build_partition` culls sites
 TILE = 16
+# sites whose tile bounds `build_partition` holds at one time
+CHUNK = 64
 
 
 class Partition:
@@ -99,10 +103,23 @@ def build_partition(sites, q):
     of its candidate tiles, in index order with the others, so the owners
     equal those of the full scan bit for bit, ties included.
 
+    The sites are taken in chunks of CHUNK, in two passes. The first
+    keeps each tile's smallest upper bound over all chunks, reading each
+    site's largest `dy**2` and `dx**2` from the tile's two end rows and
+    columns alone: rounded subtraction and squaring are monotone, so a
+    squared offset falls up to the site and rises beyond it, and its
+    largest value on a run of cells is at one end, bit for bit. The
+    second pass takes each chunk's squared offsets and lower bounds, its
+    candidates and windows, and scans its sites against the shared
+    running minimum. min and `<=` are exact, so the chunks change no
+    candidate and no owner.
+
     For N sites on M = nx * ny cells, the bounds take O(N * M / TILE**2)
-    time and memory and the squared offsets O(N * (nx + ny)). The scan
-    takes O(M) memory and time proportional to the windows' total area:
-    a few tiles per site when sites are spread out, up to the full
+    time and the squared offsets O(N * (nx + ny)), but only one chunk's
+    are held at a time: O(CHUNK * (nx + ny + M / TILE**2)) memory. With
+    the O(M) running minimum and owners, and the O(N) sites, memory is
+    O(M + N). The scan takes time proportional to the windows' total
+    area: a few tiles per site when sites are spread out, up to the full
     O(N * M) for a tight cluster, whose windows span the grid.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -114,34 +131,58 @@ def build_partition(sites, q):
         raise ValueError("sites must be finite")
     sites = q.domain.clamp(sites)
     ty, tx = -(-q.ny // TILE), -(-q.nx // TILE)
-    # squared offsets of every site, one column each, over whole tiles: the
-    # far edge tiles repeat their last row or column, which leaves every
-    # tile's minimum and maximum as they are
-    dy2 = (q.ys[np.minimum(np.arange(ty * TILE), q.ny - 1), None] - sites[:, 1]) ** 2
-    dx2 = (q.xs[np.minimum(np.arange(tx * TILE), q.nx - 1), None] - sites[:, 0]) ** 2
-    dy2t, dx2t = dy2.reshape(ty, TILE, -1), dx2.reshape(tx, TILE, -1)
-    # (ty, tx, N) bounds on the sums dy**2 + dx**2 over each tile's cells
-    lower = dy2t.min(axis=1)[:, None] + dx2t.min(axis=1)[None, :]
-    upper = dy2t.max(axis=1)[:, None] + dx2t.max(axis=1)[None, :]
-    candidate = lower <= upper.min(axis=2, keepdims=True)
-    windows = np.column_stack([_span(candidate.any(axis=1), q.ny), _span(candidate.any(axis=0), q.nx)])
+    # cell centers over whole tiles, (tiles, TILE, 1): the far edge tiles
+    # repeat their last row or column, which leaves every tile's minimum
+    # and maximum as they are
+    ys = q.ys[np.minimum(np.arange(ty * TILE), q.ny - 1)].reshape(ty, TILE, 1)
+    xs = q.xs[np.minimum(np.arange(tx * TILE), q.nx - 1)].reshape(tx, TILE, 1)
+    starts = range(0, len(sites), CHUNK)
+
+    def offsets(k, y, x):
+        """Squared offsets of the chunk's sites, one column each."""
+        chunk = sites[k : k + CHUNK]
+        return (y - chunk[:, 1]) ** 2, (x - chunk[:, 0]) ** 2
+
+    # pass 1: each tile's smallest upper bound over all sites, from the
+    # tiles' end rows and columns
+    cap = np.full((ty, tx, 1), np.inf)
+    ends = ys[:, [0, -1]], xs[:, [0, -1]]
+    for k in starts:
+        upper = _tile_bound(*offsets(k, *ends), np.max)
+        np.minimum(cap, upper.min(axis=2, keepdims=True), out=cap)
     best = np.full((q.ny, q.nx), np.inf)
     owner = np.zeros((q.ny, q.nx), dtype=np.int64)
     d2 = np.empty(q.n_cells)
     closer = np.empty(q.n_cells, dtype=bool)
     rows, cols = np.ones((q.ny, 2)), np.ones((2, q.nx))
-    for i, (y0, y1, x0, x1) in enumerate(windows.tolist()):
-        h, w = y1 - y0, x1 - x0
-        r, c = rows[:h], cols[:, :w]
-        r[:, 0] = dy2[y0:y1, i]
-        c[1] = dx2[x0:x1, i]
-        d, near = d2[: h * w].reshape(h, w), closer[: h * w].reshape(h, w)
-        b = best[y0:y1, x0:x1]
-        np.matmul(r, c, out=d)
-        np.less(d, b, out=near)
-        np.copyto(owner[y0:y1, x0:x1], i, where=near)
-        np.minimum(b, d, out=b)
+    # pass 2: each chunk's candidates, then its sites in index order
+    for k in starts:
+        dy2, dx2 = offsets(k, ys, xs)
+        candidate = _tile_bound(dy2, dx2, np.min) <= cap
+        dy2, dx2 = dy2.reshape(ty * TILE, -1), dx2.reshape(tx * TILE, -1)
+        windows = np.column_stack([_span(candidate.any(axis=1), q.ny), _span(candidate.any(axis=0), q.nx)])
+        for i, (y0, y1, x0, x1) in enumerate(windows.tolist()):
+            h, w = y1 - y0, x1 - x0
+            r, c = rows[:h], cols[:, :w]
+            r[:, 0] = dy2[y0:y1, i]
+            c[1] = dx2[x0:x1, i]
+            d, near = d2[: h * w].reshape(h, w), closer[: h * w].reshape(h, w)
+            b = best[y0:y1, x0:x1]
+            np.matmul(r, c, out=d)
+            np.less(d, b, out=near)
+            np.copyto(owner[y0:y1, x0:x1], k + i, where=near)
+            np.minimum(b, d, out=b)
     return Partition(sites, owner.ravel(), q)
+
+
+def _tile_bound(dy2, dx2, reduce):
+    """(ty, tx, n) bounds on the sums dy**2 + dx**2 over each tile's cells.
+
+    `dy2` and `dx2` are (tiles, k, n) squared offsets of n sites from k of
+    each tile's rows or columns; `reduce` is `np.min` for the lower bounds,
+    `np.max` for the upper.
+    """
+    return reduce(dy2, axis=1)[:, None] + reduce(dx2, axis=1)[None, :]
 
 
 def _span(hit, size):

@@ -5,6 +5,8 @@ Gaussian integrals for the refinement checks, and a by-hand raster walk
 for the tiny PGM images.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,37 @@ def test_normalized_integral_is_stable_under_refinement():
     fine = quad(256)
     integral = coarse.values_on(fine).sum() * fine.cell_area
     assert integral == pytest.approx(1.0, abs=1e-5)
+
+
+def _fields(q):
+    mixture = DensityField.gaussian_mixture(
+        [[0.3, 0.3], [0.7, 0.6]], [np.eye(2) * 0.02, [[0.03, 0.01], [0.01, 0.02]]], [1.0, 2.0]
+    )
+    raster = DensityField.raster(np.random.default_rng(3).uniform(size=(7, 5)))
+    return [mixture.normalize(q), raster.normalize(q), DensityField.uniform()]
+
+
+# 300 x 200 cells take blocks of 13 rows, which do not divide 200
+@pytest.mark.parametrize("nx, ny", [(300, 200), (64, 64), (2, 3)])
+def test_values_on_have_the_bits_of_one_pass_over_the_centers(nx, ny):
+    q = QuadratureGrid(Domain(), nx, ny)
+    for field in _fields(q):
+        values = field.values_on(q)
+        assert values.tobytes() == (field._raw_many(q.centers) / field.normalizer).tobytes()
+
+
+def test_values_on_hold_no_table_of_every_center():
+    q = quad(256)
+    for field in _fields(q):
+        field.values_on(q)  # warm-up
+        tracemalloc.start()
+        try:
+            field.values_on(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result is one node array; the (M, 2) centers alone are two
+        assert peak < 2.5 * q.n_cells * 8
 
 
 def test_density_at_rejects_outside_points():

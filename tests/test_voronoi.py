@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import swarm_ot as so
 from swarm_ot import Domain, QuadratureGrid
-from swarm_ot.voronoi import TILE
+from swarm_ot.voronoi import CHUNK, TILE
 
 
 def _dense_owner(sites, domain, q):
@@ -295,6 +295,56 @@ def test_partition_memory_does_not_scale_with_sites_times_cells():
         tracemalloc.stop()
     # the dense table would need 1000 * 128**2 * 2 * 8 bytes, about 262 MB
     assert peak < 16 * 2**20
+
+
+def test_partition_memory_does_not_grow_with_sites():
+    q = QuadratureGrid(Domain(), 128)
+
+    def peak(n):
+        sites = so.SplitMix64(5).uniforms(2 * n).reshape(n, 2)
+        so.build_partition(sites, q)  # warm-up
+        tracemalloc.start()
+        try:
+            so.build_partition(sites, q)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # ten times the sites add their (N, 2) copy, about 42 KiB; (ty, tx, N)
+    # tile bounds over all sites at once would add about 8.4 MiB
+    assert peak(3000) - peak(300) < 256 * 2**10
+
+
+@st.composite
+def chunked_partition_cases(draw):
+    """Site counts on either side of the chunk size: spread or tightly
+    clustered sites, some on the domain boundary, and exact duplicates
+    placed in different chunks."""
+    n = draw(st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    dom = Domain()
+    q = QuadratureGrid(dom, draw(st.integers(7, 64)), draw(st.integers(7, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sites = rng.uniform(size=(n, 2))
+    else:
+        side = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+        sites = rng.uniform(size=2) + side * rng.uniform(-1.0, 1.0, size=(n, 2))
+    for _ in range(draw(st.integers(0, 8))):
+        sites[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = draw(st.sampled_from([0.0, 1.0]))
+    starts = range(0, n, CHUNK)
+    for _ in range(draw(st.integers(0, 6)) if len(starts) > 1 else 0):
+        a, b = draw(st.permutations(starts))[:2]
+        i = draw(st.integers(a, min(a + CHUNK, n) - 1))
+        sites[draw(st.integers(b, min(b + CHUNK, n) - 1))] = sites[i]
+    return dom, q, sites
+
+
+@settings(deadline=None, max_examples=100)
+@given(chunked_partition_cases())
+def test_chunk_boundaries_keep_ties_at_the_lowest_index(case):
+    dom, q, sites = case
+    part = so.build_partition(sites, q)
+    assert np.array_equal(part.owner, _dense_owner(sites, dom, q))
 
 
 def _clustered(n, seed, side):
