@@ -79,14 +79,14 @@ def write_csv(path, header, rows):
         f.writelines(map(csv_line, rows))
 
 
-def build_target(cfg, seed, q=None):
-    """Target density over q's domain (the default one without q).
+def build_target(cfg, seed):
+    """Target density over the default domain.
 
-    A missing Gaussian mean is seeded. A Gaussian mixture is normalized
-    on q; without q it is left unnormalized, which is all a grid command
-    needs, since `density_on_grid` divides by its own node sum.
+    A missing Gaussian mean is seeded. A Gaussian mixture is left
+    unnormalized: a grid command's `density_on_grid` divides by its own
+    node sum, and an agent command normalizes it on its quadrature.
     """
-    domain = Domain() if q is None else q.domain
+    domain = Domain()
     if cfg.target_kind == "uniform":
         return DensityField.uniform(domain)
     if cfg.target_kind == "pgm":
@@ -100,8 +100,7 @@ def build_target(cfg, seed, q=None):
     if covs is None:
         covs = np.repeat(2.0 * np.eye(2)[None, :, :], len(means), axis=0)
     weights = cfg.target_weights
-    field = DensityField.gaussian_mixture(means, covs, weights, domain)
-    return field if q is None else field.normalize(q)
+    return DensityField.gaussian_mixture(means, covs, weights, domain)
 
 
 def transport_config(cfg, inner_iters=None):
@@ -129,14 +128,24 @@ def _density_error_row(r):
 
 
 def _agent_setup(cfg):
-    """Quadrature, target and initial positions of an agent command."""
+    """Quadrature, target, the target's values on the quadrature and the
+    initial positions of an agent command.
+
+    A Gaussian target is normalized from the same pass over the
+    quadrature that gives its values.
+    """
     q = QuadratureGrid(Domain(), cfg.quad_resolution)
-    return q, build_target(cfg, cfg.seed, q), initial_positions(cfg.n_agents, q.domain, cfg.seed)
+    target = build_target(cfg, cfg.seed)
+    if cfg.target_kind == "gaussian":
+        target, dens = target.normalized_on(q)
+    else:
+        dens = target.values_on(q)
+    return q, target, dens, initial_positions(cfg.n_agents, q.domain, cfg.seed)
 
 
 def run_agents(cfg, out_dir):
     """Write each round's metrics row and position rows as the loop hands them over."""
-    q, target, positions = _agent_setup(cfg)
+    q, target, dens, positions = _agent_setup(cfg)
     last = [None]  # the latest record, for the summary line
 
     with (
@@ -150,7 +159,7 @@ def run_agents(cfg, out_dir):
             agents.writelines(csv_line((r.k, a, x, y, mass)) for a, ((x, y), mass) in enumerate(rows))
             last[0] = r
 
-        run_experiment(positions, transport_config(cfg), target, q, record, cfg.seed)
+        run_experiment(positions, transport_config(cfg), target, q, record, cfg.seed, dens)
     print(
         f"agents: {cfg.rounds} rounds, final mass variance {last[0].mass_variance:.3e}, "
         f"net cost {last[0].net_cost:.6f}"
@@ -263,11 +272,13 @@ def oracle_check(cfg, n_instances=10):
 
 def run_fig(cfg, number, out_dir):
     if number in (2, 3):
-        q, target, positions = _agent_setup(cfg)
+        q, target, dens, positions = _agent_setup(cfg)
 
         def run(n, sink=lambda *_: None):
             """Run the config's agents at n inner iterations per round; return the final state."""
-            return run_experiment(positions, transport_config(cfg, n), target, q, sink, cfg.seed)
+            return run_experiment(
+                positions, transport_config(cfg, n), target, q, sink, cfg.seed, dens
+            )
 
         if number == 3:
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], [[n, run(n).cost] for n in range(1, 11)])

@@ -207,8 +207,12 @@ def run_primal(s, b, g, tau, n):
 
 
 def dual_objective(phi, b):
-    """Value sum_i phi_i b_i of the restricted dual."""
-    return float(np.dot(np.asarray(phi, dtype=float), np.asarray(b, dtype=float)))
+    """Value sum_i phi_i b_i of the restricted dual.
+
+    An `einsum` reduction, which unlike a BLAS dot product rounds the
+    same on any CPU.
+    """
+    return float(np.einsum("i,i->", np.asarray(phi, dtype=float), np.asarray(b, dtype=float)))
 
 
 def feasibility_violation(phi, g):

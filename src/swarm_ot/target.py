@@ -18,6 +18,43 @@ _WS = frozenset(b" \t\r\n\x0b\x0c")
 BLOCK = 4096
 
 
+# fdlibm's exp: ln 2 split so that k * _LN2_HI is exact for |k| < 2**20,
+# and the minimax coefficients of its rational approximation on
+# [-ln(2)/2, ln(2)/2]
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e00
+_P = (1.66666666666666019037e-01, -2.77777777770155933842e-03, 6.61375632143793436117e-05,
+      -1.65339022054652515390e-06, 4.13813679705723846039e-08)
+
+
+def fixed_exp(x):
+    """exp(x) elementwise for x <= 709, from IEEE basic operations alone.
+
+    fdlibm's algorithm: Cody-Waite reduction x = k ln 2 + r with
+    |r| <= ln(2)/2, a fixed rational approximation of exp(r), and
+    `np.ldexp` for the 2**k; within 1 ulp of exp. `np.exp` picks its
+    loop by the CPU's SIMD features and rounds differently on each,
+    where this rounds the same on any CPU. Below -746, where exp
+    underflows to 0, x is clamped there.
+    """
+    x = np.maximum(x, -746.0)
+    k = np.rint(x * _INV_LN2)
+    lo = k * _LN2_LO
+    x -= k * _LN2_HI  # exact: the high part of r
+    r = x - lo
+    t = r * r
+    c = _P[4] * t
+    for p in _P[3::-1]:
+        c += p
+        c *= t
+    c = r - c
+    y = r * c
+    y /= 2.0 - c
+    y = 1.0 - ((lo - y) - x)
+    return np.ldexp(y, k.astype(np.int64))
+
+
 class PgmParseError(ValueError):
     """Malformed PGM input; carries the byte offset of the problem."""
 
@@ -96,16 +133,20 @@ class DensityField:
             raise ValueError("means, covariances, and weights must have equal length")
         if np.any(weights <= 0):
             raise ValueError("mixture weights must be positive")
-        invs, norms = [], []
-        for cov in covariances:
-            det = float(np.linalg.det(cov))
-            # a positive determinant alone also admits negative definite
-            # matrices, whose "pdf" grows away from the mean
-            if det <= 0 or not np.allclose(cov, cov.T) or np.any(np.linalg.eigvalsh(cov) <= 0):
-                raise ValueError("covariances must be symmetric positive definite")
-            invs.append(np.linalg.inv(cov))
-            norms.append(1.0 / (2.0 * np.pi * np.sqrt(det)))
-        payload = (means, np.array(invs), np.array(norms), weights)
+        if covariances.shape[1:] != (2, 2):
+            raise ValueError("covariances must be 2 x 2 matrices")
+        a, b, c, d = (covariances[:, i, j] for i in (0, 1) for j in (0, 1))
+        det = a * d - b * c
+        # a symmetric 2 x 2 matrix is positive definite exactly when its
+        # first entry and its determinant are positive; a positive
+        # determinant alone also admits negative definite matrices, whose
+        # "pdf" grows away from the mean
+        symmetric = np.allclose(covariances, np.swapaxes(covariances, 1, 2))
+        if not (symmetric and np.all(a > 0) and np.all(det > 0)):
+            raise ValueError("covariances must be symmetric positive definite")
+        invs = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        norms = 1.0 / (2.0 * np.pi * np.sqrt(det))
+        payload = (means, invs, norms, weights)
         return cls("gaussian_mixture", payload, domain)
 
     @classmethod
@@ -133,10 +174,12 @@ class DensityField:
         if self.kind == "gaussian_mixture":
             means, invs, norms, weights = self.payload
             total = np.zeros(len(points))
-            for m, inv, nrm, w in zip(means, invs, norms, weights):
-                d = points - m
-                quad = np.einsum("ij,jk,ik->i", d, inv, d)
-                total += w * nrm * np.exp(-0.5 * quad)
+            # BLOCK points at a time, so the temporaries stay small
+            for start in range(0, len(points), BLOCK):
+                block, out = points[start : start + BLOCK], total[start : start + BLOCK]
+                for m, inv, nrm, w in zip(means, invs, norms, weights):
+                    d = block - m
+                    out += w * nrm * fixed_exp(-0.5 * np.einsum("ij,jk,ik->i", d, inv, d))
             return total
         values = self.payload
         h, w = values.shape
@@ -161,6 +204,13 @@ class DensityField:
         evaluated a block of grid rows at a time, so no (M, 2) table of
         centers is built; each value has the bits of one pass over them.
         """
+        values = self._raw_on(q)
+        values /= self.normalizer
+        return values
+
+    def _raw_on(self, q):
+        """Unnormalized density at every quadrature cell center of q, which
+        must cover the field's domain."""
         mine, theirs = self.domain, q.domain
         if not (np.array_equal(mine.lo, theirs.lo) and np.array_equal(mine.hi, theirs.hi)):
             raise DomainMismatchError(
@@ -172,7 +222,6 @@ class DensityField:
         for start in range(0, q.ny, step):
             stop = start + step
             values[start * q.nx : stop * q.nx] = self._raw_many(q.row_centers(start, stop))
-        values /= self.normalizer
         return values
 
     def normalize(self, q):
@@ -180,10 +229,24 @@ class DensityField:
 
         q must cover the field's domain (see `values_on`).
         """
-        total = float(self.values_on(q).sum() * q.cell_area)
+        return self.normalized_on(q)[0]
+
+    def normalized_on(self, q):
+        """`normalize(q)` and that copy's `values_on(q)`, from one evaluation.
+
+        The raw values are kept and divided by the copy's normalizer, so
+        they have the bits of a second `values_on` pass.
+        """
+        raw = self._raw_on(q)
+        # x / 1.0 is x, so a fresh field's total needs no second M-sized
+        # array (at 256^2 it raised an agent run's peak RSS by 0.4 MiB)
+        values = raw if self.normalizer == 1.0 else raw / self.normalizer
+        total = float(values.sum() * q.cell_area)
         if total <= 0:
             raise ValueError("degenerate target: density integrates to zero")
-        return DensityField(self.kind, self.payload, self.domain, self.normalizer * total)
+        field = DensityField(self.kind, self.payload, self.domain, self.normalizer * total)
+        raw /= field.normalizer
+        return field, raw
 
 
 def load_pgm(data, domain=None):

@@ -8,10 +8,10 @@ proximal step in its eps-ball along a local gradient of its neighbors'
 potentials. One `PotentialState` carries each agent's potential to the next
 round, and each multiplier to the edge of the same ordered pair (i, j).
 
-The local gradients of a round are one batched fit: the agents of each
-degree share one call of the LAPACK gufunc behind `np.linalg.lstsq`, which
-solves each stacked design on its own with the inputs a per-agent
-`np.linalg.lstsq` would pass, so every gradient keeps that call's bits.
+The local gradients of a round are one batched closed-form fit: each
+agent's affine model solves 2 x 2 normal equations whose sums are
+`np.bincount`s over the edges, so a round calls no LAPACK and no BLAS,
+and its bits do not depend on the CPU's SIMD or BLAS kernels.
 
 A round is a nearest-neighbor protocol: with n inner iterations, an
 agent's new position and potential read only agents within n + 2 hops
@@ -23,8 +23,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .primal_dual import (
     DivergenceError,
@@ -116,58 +114,78 @@ def initial_positions(n_agents, domain, seed):
     return domain.lo + u * domain.extent
 
 
-# rcond of the gradient fit: a collinear neighborhood's vanishing singular
-# value falls below it, so the fit keeps to the directions it can see
-GRAD_RCOND = 1e-9
-
-
-def _lstsq_failed(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
+# rcond of the gradient fit, on the singular values of the design
+# [1, x_j - x_i] as in `np.linalg.lstsq`: a neighborhood whose smallest
+# value falls below GRAD_RCOND times its largest counts as collinear.
+# The centred scatter's eigenvalues are those values squared, so the fit
+# tests lambda_min <= GRAD_RCOND**2 * lambda_max. The computed lambda_min
+# of a collinear scatter is rounding, up to a few eps * lambda_max, so
+# GRAD_RCOND**2 = 1e-12 sits well above it and far below any
+# neighborhood with a width of its own.
+GRAD_RCOND = 1e-6
 
 
 def local_gradient(positions, phi, graph):
     """Gradients of the least-squares affine fits of neighborhood potentials.
 
-    Row i fits phi over agent i and its neighbors on `graph`, in
-    ascending index order, and returns the fit's slope; with a
-    rank-deficient (collinear) neighborhood the minimum-norm solution
-    restricts the gradient to the span of available directions. An
-    isolated agent gets the zero vector; callers flag that case in their
-    diagnostics.
+    Row i fits phi over agent i and its neighbors on `graph` and returns
+    the fit's slope: the solution of the centred 2 x 2 normal equations
+    S g = r, where S sums (x_j - m_i)(x_j - m_i)^T and r sums
+    (x_j - m_i)(phi_j - p_i) over the neighborhood, about its means m_i
+    and p_i. Offsets and potentials are taken relative to agent i, which
+    shifts neither S nor r. A collinear neighborhood (see `GRAD_RCOND`)
+    lies on a line through x_i and gets the minimum-norm slope, the one
+    along the line's direction, as `np.linalg.lstsq` would give; an
+    isolated agent gets the zero vector, and callers flag that case in
+    their diagnostics.
 
-    The agents of each degree d are fitted in one call of the gufunc
-    behind `np.linalg.lstsq`, on a stack of their (d + 1) x 3 designs
-    `[1, x_j - x_i]`, agent first. Each design reaches LAPACK's gelsd on
-    its own, with the inputs one `np.linalg.lstsq` call per agent would
-    pass it, so every row has that call's bits, whichever agents share
-    its degree. As in `np.linalg.lstsq`, a fit whose SVD does not
-    converge raises `LinAlgError`.
+    All agents are fitted at once: every sum is one `np.bincount` over
+    both directions of the edges, so the fit is IEEE arithmetic and
+    rounds the same on any CPU. Non-finite potentials give non-finite
+    gradients rather than an error.
     """
-    offsets, neighbors = graph.adjacency()
-    degree = np.diff(offsets)
-    grads = np.zeros((graph.n, 2))
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        # the distinct positive degrees, ascending (np.unique would import numpy.ma)
-        for d in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
-            agents = np.flatnonzero(degree == d)
-            idx = np.column_stack([agents, neighbors[offsets[agents, None] + np.arange(d)]])
-            design = np.ones((len(agents), d + 1, 3))
-            np.subtract(positions[idx], positions[agents, None], out=design[:, :, 1:])
-            coef = _gelsd(design, phi[idx, None], GRAD_RCOND, signature="ddd->ddid")[0]
-            grads[agents] = coef[:, 1:, 0]
+    n = graph.n
+    agent = graph.edges.ravel()
+    other = graph.edges[:, ::-1].ravel()  # each edge from both of its ends
+
+    def per_agent(weights):
+        return np.bincount(agent, weights=weights, minlength=n).astype(float, copy=False)
+
+    size = per_agent(None) + 1.0  # the agent's own point is in its fit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = positions[other] - positions[agent]
+        v = phi[other] - phi[agent]
+        mx, my, mv = per_agent(u[:, 0]) / size, per_agent(u[:, 1]) / size, per_agent(v) / size
+        # deviations from the means; the agent's own one is (-mx, -my, -mv)
+        dx, dy, dv = u[:, 0] - mx[agent], u[:, 1] - my[agent], v - mv[agent]
+        sxx = per_agent(dx * dx) + mx * mx
+        sxy = per_agent(dx * dy) + mx * my
+        syy = per_agent(dy * dy) + my * my
+        rx = per_agent(dx * dv) + mx * mv
+        ry = per_agent(dy * dv) + my * mv
+
+        det = sxx * syy - sxy * sxy
+        full = np.column_stack([syy * rx - sxy * ry, sxx * ry - sxy * rx]) / det[:, None]
+        # the principal axis w, from the larger diagonal entry's row of
+        # S - lambda_max I, and the slope along it: w (w . r) / (|w|^2 lambda_max)
+        top = 0.5 * (sxx + syy) + np.sqrt(0.25 * (sxx - syy) ** 2 + sxy * sxy)
+        wide = sxx >= syy
+        w = np.column_stack([np.where(wide, top - syy, sxy), np.where(wide, sxy, top - sxx)])
+        along = w * ((w[:, 0] * rx + w[:, 1] * ry) / ((w[:, 0] ** 2 + w[:, 1] ** 2) * top))[:, None]
+        collinear = det <= GRAD_RCOND**2 * top * top
+        grads = np.where(collinear[:, None], along, full)
+    # no spread at all: an isolated agent, or neighbors on its own point
+    grads[top == 0.0] = 0.0
     return grads
 
 
 def _row_norms(v):
-    """Euclidean norm of each row of an (N, 2) array.
+    """Euclidean norm of each row of an (N, 2) array, as sqrt(x*x + y*y).
 
-    A stacked matmul of 1 x 2 by 2 x 1 runs numpy's vector dot, so every
-    norm has the bits of `np.sqrt(np.dot(row, row))`, which the recorded
-    output bytes pin (step lengths, the proximal stay test); an elementwise
-    square-and-sum rounds differently where the dot fuses.
+    Elementwise IEEE arithmetic rounds the same on any CPU, where a BLAS
+    dot product's rounding depends on the kernel it runs.
     """
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
 def proximal_step(x, g, eps, domain):
@@ -288,7 +306,7 @@ def transport_round(state, cfg, target, q, cells=None):
     return new_state, diagnostics
 
 
-def run_experiment(positions, cfg, target, q, sink, seed=0):
+def run_experiment(positions, cfg, target, q, sink, seed=0, dens=None):
     """Run cfg.rounds transport rounds of agents in `q.domain`; return the final state.
 
     Calls `sink(state, cells, record)` for round 0 and after every round,
@@ -297,9 +315,12 @@ def run_experiment(positions, cfg, target, q, sink, seed=0):
     initial state; record k's dual objective and feasibility refer to the
     estimate computed during round k, and its connected flag to the graph
     that round used. A sink may keep the state and `cells.masses`, but
-    not `cells`, whose partition is quadrature-sized.
+    not `cells`, whose partition is quadrature-sized. `dens` is the
+    target's `values_on(q)` when the caller holds them; without it the
+    run evaluates them once.
     """
-    dens = target.values_on(q)
+    if dens is None:
+        dens = target.values_on(q)
     state = SwarmState(positions=q.domain.clamp(positions), seed=seed)
     for k in range(cfg.rounds + 1):
         cells = _measure(state.positions, q, cfg.radius, dens)

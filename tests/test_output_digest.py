@@ -7,18 +7,30 @@ Determinism tests elsewhere only compare a run with itself; these
 digests also catch a refactor that changes output bytes without
 meaning to.
 
-The digests pin the numpy they were recorded with (numpy 2.4 on
-x86-64), and with it numpy's AVX-512 loops and OpenBLAS's SkylakeX
-kernel: a numpy whose reductions round differently, or a CPU without
-AVX-512, changes them (ROADMAP item 7). An intended output change
-updates the digests in the same change and names itself, with the size
-of the deviation, in CHANGES.md.
+Every output value is built from IEEE basic operations, `np.bincount`
+and `einsum` reductions, the fixed exp of the Gaussian target and the
+partition's exact K = 2 products, so the digests do not depend on the
+SIMD loops numpy picks or on the BLAS kernel OpenBLAS picks: each digest
+is also checked in subprocesses under environment settings that steer
+both to other kernels. They still pin the numpy they were recorded with
+(numpy 2.4 on x86-64), whose reductions another release may round
+differently. An intended output change updates the digests in the same
+change and names itself, with the size of the deviation, in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath as _umath
 
+from conftest import run_python
 from swarm_ot import cli
 from swarm_ot.config import ExperimentConfig
 
@@ -82,67 +94,67 @@ def pde(mode, base=PDE):
 
 CASES = {
     "agents": (["agents"], AGENTS, {
-        "metrics.csv": "b2f48ba4c5982fe581a27d856d5b63943403f60ed2112b6ece88e9622c65ad3d",
-        "positions.csv": "98b231112e1d938d98c4b41263af0e1e90ab59c12934af20428d3c1f6cc19369",
+        "metrics.csv": "47015872a2c663516d3563bb8961c40d198aee564955ef0936f3dd2cbcc805f8",
+        "positions.csv": "bf365d3f6214fa91317e19c555cf9325309a5da35ff0177577f82c907074d249",
     }),
     "agents_fixed_dual": (["agents"], AGENTS_FIXED_DUAL, {
-        "metrics.csv": "1a5e6d95ed907df0a884b1b2063d5ae490b2344271b11c1bc440649f0ef985ce",
-        "positions.csv": "cb978bfc1f5ecaafe2d524d8730e4a3dfc1ac94554abd9b531303190f2a841ba",
+        "metrics.csv": "0221de915150a3a2a0883d9fbb0cbf12e0382c7fb52ca8221b51b53b82b0bafc",
+        "positions.csv": "58964fb117b60c4ce20fba3191411b0f174eae6ff0e7bb1adb1c47e762df8ba7",
     }),
     "agents_nudged": (["agents"], AGENTS_NUDGED, {
-        "metrics.csv": "3c51108073a67e1476f8586fff7b35e1b1f1f8d39799d91cafe4df7724212760",
-        "positions.csv": "965bfb7bca09ca2845e466945fae3a47394ec85e8c00bf3258db0cb8deaba5d6",
+        "metrics.csv": "b511764bad4ae896a971f02272a883ce4bf578a547d7bbc4960664b907916301",
+        "positions.csv": "daa569af515de2d7d3e712c0fed2967cc7dab5ab122d42877e7f0cc873d2d34d",
     }),
     "pde_on_the_fly_pd": (["pde"], pde("on_the_fly_pd"), {
         "metrics.csv": "e7da9852cb8bd2e33e2f1d0bb3e6d6db06967d6d11609e3fc55755f7e800ac8f",
     }),
     "pde_on_the_fly_pd_warm": (["pde"], pde("on_the_fly_pd") + "grid.warm_start = true\n", {
-        "metrics.csv": "600b98b12a621c6bcf896fde73bbf1e4ea2085f0f311751e970998b564006488",
+        "metrics.csv": "5c04172604bc47484389c47db8ac8623afc14df8bc47df716b5856cc2e898a49",
     }),
     "pde_on_the_fly_fixed": (["pde"], pde("on_the_fly_fixed"), {
         "metrics.csv": "68579dad5c27da591961ed4d92a23bbb974b66ca6f511a1f0e9ab012c863367e",
     }),
     "pde_inner_steady_state": (["pde"], pde("inner_steady_state"), {
-        "metrics.csv": "75ef42e150f9a7964e32baa1367a71f7a49360f57b8df4c9958c50a0136126a6",
+        "metrics.csv": "0f806ba2bf463830570c8e45aeb0e414204a35f4f9c5d5729dc76d60da5cb57d",
     }),
     "pde_9x5_on_the_fly_pd": (["pde"], pde("on_the_fly_pd", PDE_9X5), {
         "metrics.csv": "70a46e5f737356acc1df8e586bbf7ca5337f71256408aa3d6c7a7aab921cc670",
     }),
     "pde_9x5_on_the_fly_fixed": (["pde"], pde("on_the_fly_fixed", PDE_9X5), {
-        "metrics.csv": "5e52c329bfee19c538514cd63ccecfaf60ff8422948e9f94607fea33e6a5a67c",
+        "metrics.csv": "5a30381e916661fed8851e0aa50de52656c0874c7a91c83e186cb8d9170a5575",
     }),
     "pde_9x5_inner_steady_state": (["pde"], pde("inner_steady_state", PDE_9X5), {
-        "metrics.csv": "d5a35912b5a9b056123729d7464dfa57ce47e0debfeeea4480c86d7e6d999e95",
+        "metrics.csv": "8b89c3c9d7ee2ef1e54c236dbb47580b12f849deca906882be9d72011e154a97",
     }),
     "fig2": (["fig", "2"], AGENTS, {
-        "fig2_n1.csv": "309f0feefc8914d1e9a4cc8888ac2add0a03b00bef66b15ce7b09874b303b9cc",
-        "fig2_n5.csv": "b2f48ba4c5982fe581a27d856d5b63943403f60ed2112b6ece88e9622c65ad3d",
-        "fig2_n10.csv": "c669d0ab3593592f49299b6dac44896e6cf03c13d3e9f247a6d3b1aa097cafff",
+        "fig2_n1.csv": "21fa08a35ae4d9a5799db30dae9a19478b4227051baf6544feef00d7954d712c",
+        "fig2_n5.csv": "47015872a2c663516d3563bb8961c40d198aee564955ef0936f3dd2cbcc805f8",
+        "fig2_n10.csv": "a3dd3162165289b37350a28f79a2348f31110dce69f6698410718a7abec3312c",
     }),
     "fig3": (["fig", "3"], AGENTS, {
-        "fig3.csv": "8bc3cd07f45e78312ab7d457612afb5db35a20eb1d5605889f8ae985d24d8d9f",
+        "fig3.csv": "a99b50fa1baefdc6cca6295a6468be9129009f7bd116587c20453b2a0b01682f",
     }),
     "fig4": (["fig", "4"], PDE, {
-        "fig4_density.csv": "c38c35b2dafbd9ed5e54deaeaeccf0379d77dfc43447ecc5282ef68d4787db92",
-        "fig4_metrics.csv": "75ef42e150f9a7964e32baa1367a71f7a49360f57b8df4c9958c50a0136126a6",
+        "fig4_density.csv": "b965d53e496bba3f320ef4923c8edfd71b2b9944278faae57cbc0781cf3750c1",
+        "fig4_metrics.csv": "0f806ba2bf463830570c8e45aeb0e414204a35f4f9c5d5729dc76d60da5cb57d",
     }),
     "fig5": (["fig", "5"], PDE, {
-        "fig5_n1.csv": "6c47cc953834022a6aa74d78c71b681ef220e2f12deb0ab9df06931b6aa53be6",
-        "fig5_n2.csv": "4bf61d9cc65b95e251e1fafca631269b089b65248a5007bc5c8c8222f73b682a",
-        "fig5_n5.csv": "451a18b6522439dbca89c95d65c625749540b95f16e12a94bc6976488ca172e6",
-        "fig5_n10.csv": "1dbe480f07e7e965492ea0f437d1e7a9f138b0d888597250f9768d158b872cf9",
+        "fig5_n1.csv": "ca59d4d30974f37af9eed46cf9b611c276312ad1bc42b62a7d7e99570d89100a",
+        "fig5_n2.csv": "9ff38675584a8fc56202d2c48555e01c048bb5d5c9e725ecb34405ce3117c881",
+        "fig5_n5.csv": "d86045ca8dc04e389f284c645efeff1164aae5532551f5fd05df6b2c741898c0",
+        "fig5_n10.csv": "8bc52c6d63b523bcff692822cf3ddc49368d113486b0b1c15be210f3660f3372",
     }),
     "fig6": (["fig", "6"], PDE, {
         "fig6_n1.csv": "1431a87b6e41ec1fdc0c935849bc08280e9dd1b9e6bdd3c0c57f003223eee24f",
-        "fig6_n2.csv": "83416583df39e06eabd53ff00afec23361b66b71a62a2a8dc9851e614d14a58d",
-        "fig6_n5.csv": "282e3b980937587ecc7195f8b8430b16922733361cc1c2d184cf972bbe650acc",
-        "fig6_n10.csv": "35c1e1d22b1f7fc1b17dcbe161c5020b7879ba8396dfa6eca66de084f3923f38",
+        "fig6_n2.csv": "bf4ee9af839137edac7598047e4dbd9c33d47d644036b22e0ce40269f240f15d",
+        "fig6_n5.csv": "adbb5036a003b67c211ececfe546f0b3d99ae63d19eb05007104a69b3d98f0ab",
+        "fig6_n10.csv": "73c656f9e1703363d29ce85d826742a51c06ca5fcf1a59e6fcef41ec7d4f8b6a",
     }),
     "fig5_partial": (["fig", "5"], FIG5_PARTIAL, {
-        "fig5_n1.csv": "d8b2b6a30606aced326a173fe415280eb8db1a850f5269d65a72e7d5a0dd890a",
-        "fig5_n2.csv": "404328791c69095e46151818f719d805ad5e234cfe8155c28251e4c7d6351c1f",
-        "fig5_n5.csv": "52def7bd1f2c73675cfda9b717f3cbdc2793bcfd54617b37066cbd271069f04c",
-        "fig5_n10.csv": "1924cad85f0f32f180d63cbf2342426424fcb988753598c09569caa472d38409",
+        "fig5_n1.csv": "e49b8b1bd4433f4940ae9f58b5e05b4ecf8028dfa8e5a9472c06718d5bc5062d",
+        "fig5_n2.csv": "ba03e9cc101da8f7eaf51972b79f16aad5787474faf133e0503f2323a65a08a3",
+        "fig5_n5.csv": "5cf5c4df46e9011149376bc0b62d94651e56861f276f6c70453edf36475702d4",
+        "fig5_n10.csv": "08e79e28028cebee9c1f4ae43d3b069976a7b1e1991200fef24822903147819b",
     }),
 }
 
@@ -178,6 +190,77 @@ def test_seeded_output_matches_recorded_digest(name, tmp_path, capsys):
 ORACLE_STDOUT = "047bfde714b93b5a687152a169bfb70c78946083779dfdf4a39426eb7d74593e"
 
 
-def test_oracle_check_stdout_matches_recorded_digest(capsys):
-    assert cli.oracle_check(ExperimentConfig(seed=0), n_instances=3) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ORACLE_STDOUT
+def test_oracle_check_stdout_matches_recorded_digest():
+    assert oracle_stdout_digest() == ORACLE_STDOUT
+
+
+def oracle_stdout_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.oracle_check(ExperimentConfig(seed=0), n_instances=3) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def all_digests():
+    """{case: (file digests, stdout)} of every case, and the oracle stdout digest."""
+    runs = {}
+    for name, (args, config, _) in CASES.items():
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            runs[name] = (run_case(args, config, Path(tmp)), out.getvalue())
+    return runs, oracle_stdout_digest()
+
+
+# environment settings that steer numpy's SIMD loops and OpenBLAS's
+# kernel away from the ones an AVX-512 CPU gets (SkylakeX). numpy warns
+# at import about disabling a loop the CPU lacks, so only the loops the
+# running CPU has are named; with none, that run is a default one.
+NO_AVX512 = " ".join(
+    f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    if f in _umath.__cpu_dispatch__ and _umath.__cpu_features__[f]
+)
+CPU_SETTINGS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas_zen": {"OPENBLAS_CORETYPE": "Zen"},
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "openblas_sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "numpy_no_avx512": {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
+    "numpy_no_avx512_zen": {"NPY_DISABLE_CPU_FEATURES": NO_AVX512, "OPENBLAS_CORETYPE": "Zen"},
+}
+
+ALL_DIGESTS = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from test_output_digest import all_digests
+print(json.dumps(all_digests()))
+"""
+
+
+@pytest.mark.parametrize("setting", CPU_SETTINGS)
+def test_every_digest_holds_under_other_simd_loops_and_blas_kernels(setting, tmp_path):
+    # one subprocess per setting runs every case, since the settings
+    # act when numpy loads
+    env = {**os.environ, **{k: v for k, v in CPU_SETTINGS[setting].items() if v}}
+    res = run_python(["-c", ALL_DIGESTS], cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    runs, oracle = json.loads(res.stdout)
+    assert {name: files for name, (files, _) in runs.items()} == {
+        name: expected for name, (_, _, expected) in CASES.items()
+    }
+    assert {name: runs[name][1] for name in STDOUT} == STDOUT
+    assert oracle == ORACLE_STDOUT
+
+
+def test_agent_and_grid_runs_call_no_linalg(monkeypatch, tmp_path):
+    # LAPACK rounds by the CPU it runs on, and its first call costs a
+    # process about 1 MiB of memory; no agent or grid command calls it
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("agents", "agents_nudged", "pde_on_the_fly_pd", "pde_inner_steady_state"):
+        args, config, expected = CASES[name]
+        (tmp_path / name).mkdir()
+        assert run_case(args, config, tmp_path / name) == expected

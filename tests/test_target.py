@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import swarm_ot as so
-from swarm_ot import DensityField, Domain, PgmParseError, QuadratureGrid, load_pgm
+from swarm_ot import DensityField, Domain, PgmParseError, QuadratureGrid, load_pgm, target
 
 
 def quad(n=64):
@@ -71,6 +71,46 @@ def test_gaussian_mixture_rejects_bad_covariance():
         DensityField.gaussian_mixture([[0.5, 0.5]], [-0.05 * np.eye(2)])
     with pytest.raises(ValueError):
         DensityField.gaussian_mixture([[0.5, 0.5]], [np.eye(2)], weights=[-1.0])
+
+
+def test_gaussian_mixture_rejects_covariances_that_are_not_2x2():
+    with pytest.raises(ValueError, match="2 x 2"):
+        DensityField.gaussian_mixture([[0.5, 0.5]], [np.eye(3)])
+
+
+def test_the_closed_form_covariance_algebra_matches_lapack():
+    rng = np.random.default_rng(11)
+    roots = rng.normal(size=(50, 2, 2))
+    covs = roots @ roots.transpose(0, 2, 1) + 1e-3 * np.eye(2)
+    field = DensityField.gaussian_mixture(rng.uniform(size=(50, 2)), covs)
+    _, invs, norms, _ = field.payload
+    np.testing.assert_allclose(invs, np.linalg.inv(covs), rtol=1e-9)
+    dets = np.linalg.det(covs)
+    np.testing.assert_allclose(norms, 1.0 / (2.0 * np.pi * np.sqrt(dets)), rtol=1e-12)
+
+
+def test_fixed_exp_is_within_two_ulp_of_exp():
+    # a target's exponents -quad/2 lie in (-inf, 0]; below -745.13 exp
+    # underflows to 0, also far from a narrow Gaussian's mean
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        -rng.uniform(0.0, 750.0, 200_000), -rng.uniform(0.0, 1.0, 50_000),
+        -np.logspace(-300, 2, 2_000), [0.0, -0.0, -708.5, -745.13, -745.14, -1e300, -np.inf],
+    ])
+    got, ref = target.fixed_exp(x), np.exp(x)
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.maximum(ref, 5e-324)))
+    assert np.all(got[ref == 0.0] == 0.0)
+    narrow = DensityField.gaussian_mixture([0.1, 0.1], 1e-4 * np.eye(2))
+    assert narrow.density_at(np.array([0.9, 0.9])) == 0.0
+
+
+def test_normalized_on_is_normalize_and_its_values_on():
+    q = quad(64)
+    fresh = DensityField.gaussian_mixture([0.5, 0.5], 0.1 * np.eye(2))
+    for field in [fresh, *_fields(q)]:
+        normalized, values = field.normalized_on(q)
+        assert normalized.normalizer == field.normalize(q).normalizer
+        assert values.tobytes() == normalized.values_on(q).tobytes()
 
 
 def test_normalize_fixes_quadrature_integral():

@@ -5,6 +5,7 @@ ball, and the local gradient against affine functions it must recover
 exactly. Round-level tests pin fixed points and the balancing trend.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -81,35 +82,56 @@ def test_local_gradient_isolated_agent_is_zero():
     np.testing.assert_array_equal(agent_gradient(0, positions, np.array([3.0]), []), 0.0)
 
 
+def neighborhoods(graph):
+    """Each agent's index followed by its neighbors' indices."""
+    offsets, neighbors = graph.adjacency()
+    return [np.r_[i, neighbors[offsets[i] : offsets[i + 1]]] for i in range(graph.n)]
+
+
 def lstsq_gradients(positions, phi, graph):
-    """Reference fit: one `np.linalg.lstsq` per agent over its sorted neighbors."""
-    lists = [[] for _ in range(graph.n)]
-    for a, b in graph.edges.tolist():
-        lists[a].append(b)
-        lists[b].append(a)
+    """Reference fit: one `np.linalg.lstsq` per agent over its neighborhood,
+    which gives the minimum-norm slope where the neighborhood is collinear."""
     grads = np.zeros((graph.n, 2))
-    for i, neighbors in enumerate(lists):
-        if neighbors:
-            idx = [i] + sorted(neighbors)
+    for i, idx in enumerate(neighborhoods(graph)):
+        if len(idx) > 1:
             design = np.column_stack([np.ones(len(idx)), positions[idx] - positions[i]])
             grads[i] = np.linalg.lstsq(design, phi[idx], rcond=transport.GRAD_RCOND)[0][1:]
     return grads
 
 
+# the closed form solves the centred normal equations, whose condition
+# number is the square of the design's: on neighborhoods whose singular
+# values are within FULL_RANK of each other, each gradient is within
+# FIT_RTOL of lstsq's, relative to |g| + max |phi_j - phi_i| / sigma_min
+FULL_RANK = 1e-3
+FIT_RTOL = 1e-8
+
+
+def assert_fits_match_on_full_rank_neighborhoods(positions, phi, graph):
+    grads = so.local_gradient(positions, phi, graph)
+    ref = lstsq_gradients(positions, phi, graph)
+    assert grads.shape == (graph.n, 2)
+    for i, idx in enumerate(neighborhoods(graph)):
+        sigma = np.linalg.svd(positions[idx] - positions[idx].mean(axis=0), compute_uv=False)
+        if len(idx) > 2 and sigma[-1] > FULL_RANK * sigma[0]:
+            scale = np.abs(ref[i]).max() + np.abs(phi[idx] - phi[i]).max() / sigma[-1]
+            assert np.abs(grads[i] - ref[i]).max() <= FIT_RTOL * scale
+
+
 @st.composite
 def fitted_graphs(draw):
-    """Random graphs on 2 to 40 agents in the plane, on one line (every
-    neighborhood collinear) or on a coarse lattice (some collinear, some
-    coincident), with potentials over several magnitudes."""
+    """Random graphs on 2 to 40 agents in the plane, on a coarse lattice
+    (some neighborhoods collinear, some coincident) or in a thin strip,
+    with potentials over several magnitudes."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["plane", "line", "lattice"]))
+    layout = draw(st.sampled_from(["plane", "lattice", "strip"]))
     if layout == "plane":
         positions = rng.uniform(size=(n, 2))
-    elif layout == "line":
-        positions = rng.uniform(size=2) + rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=2)
-    else:
+    elif layout == "lattice":
         positions = rng.integers(0, 4, size=(n, 2)) / 4.0
+    else:
+        positions = rng.uniform(size=(n, 2)) * [1.0, 10.0 ** rng.uniform(-4, 0)]
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
     edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
     phi = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
@@ -118,11 +140,8 @@ def fitted_graphs(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(fitted_graphs())
-def test_the_batched_fit_is_the_per_agent_lstsq_bit_for_bit(case):
-    positions, phi, graph = case
-    grads = so.local_gradient(positions, phi, graph)
-    assert grads.shape == (graph.n, 2)
-    np.testing.assert_array_equal(grads, lstsq_gradients(positions, phi, graph))
+def test_the_batched_fit_matches_the_per_agent_lstsq(case):
+    assert_fits_match_on_full_rank_neighborhoods(*case)
 
 
 @settings(deadline=None, max_examples=40)
@@ -134,9 +153,64 @@ def test_the_batched_fit_matches_on_measured_radius_graphs(seed, n, radius):
     positions = rng.uniform(size=(n, 2))
     graph = so.neighbor_graph(so.build_partition(positions, q), radius)
     phi = rng.normal(size=n)
+    assert_fits_match_on_full_rank_neighborhoods(positions, phi, graph)
     grads = so.local_gradient(positions, phi, graph)
-    np.testing.assert_array_equal(grads, lstsq_gradients(positions, phi, graph))
     isolated = np.bincount(graph.edges.ravel(), minlength=n) == 0
+    assert np.all(grads[isolated] == 0.0)
+
+
+# directions whose multiples by a dyadic step are exact, so the points
+# of each line are exactly collinear
+LINE_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 2.0), (2.0, -1.0)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.sampled_from(LINE_DIRECTIONS + ["edge"]),
+)
+def test_a_collinear_neighborhood_gets_the_minimum_norm_slope(seed, n, line):
+    """Every agent on one exact line, or clamped onto one edge of the
+    domain: each fit is lstsq's minimum-norm slope, which lies along the
+    line, and an axis-parallel line gets exactly no slope across it."""
+    rng = np.random.default_rng(seed)
+    if line == "edge":
+        # points beyond a domain edge clamp onto it, on a grid of 1/16
+        side = rng.integers(0, 4)
+        outside = rng.integers(-8, 25, size=(n, 2)) / 16
+        beyond = rng.uniform(0.0, 0.5, size=n)
+        outside[:, side % 2] = -beyond if side < 2 else 1.0 + beyond
+        positions = Domain().clamp(outside)
+        direction = np.array([0.0, 1.0]) if side % 2 == 0 else np.array([1.0, 0.0])
+    else:
+        direction = np.array(line)
+        base = rng.integers(-8, 9, size=(1, 2)) / 16
+        positions = base + rng.integers(-16, 17, size=(n, 1)) / 64 * direction
+    pairs = rng.integers(0, n, size=(3 * n, 2))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs.tolist() if a != b})
+    graph = so.NeighborGraph(n, edges, np.ones(len(edges)))
+    phi = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    grads = so.local_gradient(positions, phi, graph)
+    ref = lstsq_gradients(positions, phi, graph)
+    scale = np.abs(phi).max() * 64  # no two distinct points are closer than 1/64
+    np.testing.assert_allclose(grads, ref, rtol=0, atol=FIT_RTOL * scale)
+    across = grads @ [-direction[1], direction[0]]
+    assert np.all(np.abs(across) <= FIT_RTOL * scale)
+    if 0.0 in direction:
+        assert np.all(across == 0.0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(fitted_graphs(), st.sampled_from([1.0, 1e300, np.inf, np.nan]))
+def test_an_isolated_agent_gets_a_zero_gradient(case, magnitude):
+    # whatever its own potential, an agent with no edges has nothing to fit
+    positions, phi, graph = case
+    isolated = np.bincount(graph.edges.ravel(), minlength=graph.n) == 0
+    assume(isolated.any())
+    phi = np.where(isolated, magnitude * phi, phi)
+    with np.errstate(all="raise"):
+        grads = so.local_gradient(positions, phi, graph)
     assert np.all(grads[isolated] == 0.0)
 
 
@@ -644,8 +718,9 @@ def test_every_agent_warm_starts_from_its_own_potential(monkeypatch, tmp_path, f
 
 
 def scalar_proximal_step(x, g, eps, domain):
-    """One agent's proximal step, spelled with `np.dot` as a reference."""
-    norm = float(np.sqrt(np.dot(g, g)))
+    """One agent's proximal step, with its norm in Python float arithmetic
+    as a reference."""
+    norm = math.sqrt(g[0] * g[0] + g[1] * g[1])
     if norm <= 1.0:
         return x.copy()
     return domain.clamp(x - eps * g / norm)
@@ -658,7 +733,7 @@ def step_cases(draw):
     dom = Domain(lo, lo + [draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))])
     unit = st.floats(0.0, 1.0)
     coord = st.floats(-20.0, 20.0, allow_subnormal=True)
-    # zero gradients, gradients whose norm is exactly 1 under `np.dot`
+    # zero gradients, gradients whose norm is exactly 1 as sqrt(x*x + y*y)
     # (axis vectors and (-0.6, 0.8)), and arbitrary ones
     special = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-0.6, 0.8)])
     n = draw(st.integers(1, 12))
@@ -691,10 +766,10 @@ def test_norm_exactly_xi_stays_put():
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40))
-def test_row_norms_have_the_bits_of_the_vector_dot(rows):
-    v = np.array(rows)
-    ref = np.array([np.sqrt(np.dot(r, r)) for r in v])
-    assert transport._row_norms(v).tobytes() == ref.tobytes()
+def test_row_norms_have_the_bits_of_float_arithmetic(rows):
+    # Python floats round each operation on its own, as IEEE prescribes
+    ref = np.array([math.sqrt(x * x + y * y) for x, y in rows])
+    assert transport._row_norms(np.array(rows)).tobytes() == ref.tobytes()
 
 
 def test_step_lengths_are_the_metric_distance_of_each_move():
@@ -706,7 +781,7 @@ def test_step_lengths_are_the_metric_distance_of_each_move():
         state, diag = so.transport_round(state, cfg, target, q)
         assert diag["perturbed"] == []  # so the round moved `before` itself
         steps = diag["step_lengths"]
-        ref = [np.sqrt(np.dot(d, d)) for d in before - state.positions]
+        ref = [math.sqrt(dx * dx + dy * dy) for dx, dy in (before - state.positions).tolist()]
         assert steps.tobytes() == np.array(ref).tobytes()
     assert np.count_nonzero(steps) > 0
 
@@ -743,7 +818,7 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
     gradient reads its neighbors' potentials. Hops are counted on the
     Voronoi graph without a radius, which holds every edge a radius keeps.
     Moving an agent that stays farther than that leaves i's bits as they
-    are, also when the move changes which agents share a degree."""
+    are."""
     rng = np.random.default_rng(seed)
     dom, q = Domain(), QuadratureGrid(Domain(), 64)
     target = so.DensityField.gaussian_mixture([[0.6, 0.4]], [0.05 * np.eye(2)], None, dom)
@@ -792,7 +867,7 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
     cfg = load_config(CONCENTRATED)
     dom = Domain()
     q = QuadratureGrid(dom, cfg.quad_resolution)
-    target = cli.build_target(cfg, 0, q)
+    target = cli.build_target(cfg, 0).normalize(q)
     fit, largest = transport.local_gradient, []
 
     def spy(positions, phi, graph):
@@ -808,6 +883,24 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
     # the round that raised still had finite potentials: its gradient
     # norm overflowed before its inner iteration diverged
     assert 1e200 < largest[-1] < np.inf
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.floats(250.0, 308.0), st.booleans())
+def test_potentials_whose_gradients_overflow_raise_divergence(seed, n, exponent, fixed):
+    # finite potentials so large that a slope, or its norm, overflows:
+    # zero inner steps hand the carried potentials to the fit unchanged
+    rng = np.random.default_rng(seed)
+    dom, q, target = uniform_setup(32)
+    positions = rng.uniform(size=(n, 2))
+    graph = so.neighbor_graph(so.build_partition(positions, q))
+    phi = rng.uniform(-1.0, 1.0, size=n) * 10.0**exponent
+    inner = so.PotentialState(phi, np.zeros(len(graph.edges)), graph.edges)
+    cfg = TransportConfig(inner_iters=0, fixed_dual=1.0 if fixed else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(so.DivergenceError):
+            so.transport_round(SwarmState(positions, seed=seed, inner=inner), cfg, target, q)
 
 
 def test_a_diverging_agents_run_leaves_no_csv(tmp_path, capsys):
