@@ -24,10 +24,11 @@ from swarm_ot import (
 
 domain = Domain()
 q = QuadratureGrid(domain, 256)
-target = DensityField.gaussian_mixture(
+# the target's density at the quadrature cells, normalized on them
+dens = DensityField.gaussian_mixture(
     means=[[0.3, 0.3], [0.7, 0.75]],
     covariances=[[[0.03, 0.0], [0.0, 0.03]], [[0.03, 0.0], [0.0, 0.03]]],
-).normalize(q)
+).values_on(q)
 
 seed = 1
 n_agents = 30
@@ -43,7 +44,7 @@ for inner in (1, 10):
         records.append(record)
         runs[inner] = (records, cells.masses)
 
-    run_experiment(positions, cfg, target, q, keep, seed=seed)
+    run_experiment(positions, cfg, dens, q, keep, seed=seed)
 
 print(f"{n_agents} agents, {rounds} rounds, eps=0.02, tau=1.0, seed={seed}")
 print(f"{'round':>6} {'variance n=1':>14} {'variance n=10':>14} "

@@ -41,7 +41,8 @@ q = QuadratureGrid(domain, 256)
 # integrate the parsed density inside and outside the disk region
 centers = q.centers
 inside = np.hypot(centers[:, 0] - 0.5, centers[:, 1] - 0.5) <= 0.25
-masses = target.values_on(q) * q.cell_area
+dens = target.values_on(q)  # normalized on the quadrature's cells
+masses = dens * q.cell_area
 print(f"parsed a {side}x{side} PGM disk target")
 print(f"mass inside the disk (radius 0.25): {masses[inside].sum():.4f}")
 print(f"mass outside:                       {masses[~inside].sum():.4f}")
@@ -67,7 +68,7 @@ def report(state, cells, record):
 print()
 print(f"{n_agents} agents, {cfg.rounds} rounds toward the disk")
 print(f"{'round':>6} {'mass variance':>14} {'agents in disk':>15}")
-run_experiment(positions, cfg, target, q, report, seed=5)
+run_experiment(positions, cfg, dens, q, report, seed=5)
 
 print()
 print(f"final owned-mass spread: [{owned[0].min():.4f}, {owned[0].max():.4f}] "

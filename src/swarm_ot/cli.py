@@ -80,11 +80,11 @@ def write_csv(path, header, rows):
 
 
 def build_target(cfg, seed):
-    """Target density over the default domain.
+    """Target density over the default domain, unnormalized.
 
-    A missing Gaussian mean is seeded. A Gaussian mixture is left
-    unnormalized: a grid command's `density_on_grid` divides by its own
-    node sum, and an agent command normalizes it on its quadrature.
+    A missing Gaussian mean is seeded. An agent command normalizes the
+    target on its quadrature (`values_on`), a grid command on its grid
+    (`density_on_grid`).
     """
     domain = Domain()
     if cfg.target_kind == "uniform":
@@ -128,24 +128,16 @@ def _density_error_row(r):
 
 
 def _agent_setup(cfg):
-    """Quadrature, target, the target's values on the quadrature and the
-    initial positions of an agent command.
-
-    A Gaussian target is normalized from the same pass over the
-    quadrature that gives its values.
-    """
+    """Quadrature, the target's values on it and the initial positions
+    of an agent command."""
     q = QuadratureGrid(Domain(), cfg.quad_resolution)
-    target = build_target(cfg, cfg.seed)
-    if cfg.target_kind == "gaussian":
-        target, dens = target.normalized_on(q)
-    else:
-        dens = target.values_on(q)
-    return q, target, dens, initial_positions(cfg.n_agents, q.domain, cfg.seed)
+    dens = build_target(cfg, cfg.seed).values_on(q)
+    return q, dens, initial_positions(cfg.n_agents, q.domain, cfg.seed)
 
 
 def run_agents(cfg, out_dir):
     """Write each round's metrics row and position rows as the loop hands them over."""
-    q, target, dens, positions = _agent_setup(cfg)
+    q, dens, positions = _agent_setup(cfg)
     last = [None]  # the latest record, for the summary line
 
     with (
@@ -159,7 +151,7 @@ def run_agents(cfg, out_dir):
             agents.writelines(csv_line((r.k, a, x, y, mass)) for a, ((x, y), mass) in enumerate(rows))
             last[0] = r
 
-        run_experiment(positions, transport_config(cfg), target, q, record, cfg.seed, dens)
+        run_experiment(positions, transport_config(cfg), dens, q, record, cfg.seed)
     print(
         f"agents: {cfg.rounds} rounds, final mass variance {last[0].mass_variance:.3e}, "
         f"net cost {last[0].net_cost:.6f}"
@@ -272,13 +264,11 @@ def oracle_check(cfg, n_instances=10):
 
 def run_fig(cfg, number, out_dir):
     if number in (2, 3):
-        q, target, dens, positions = _agent_setup(cfg)
+        q, dens, positions = _agent_setup(cfg)
 
         def run(n, sink=lambda *_: None):
             """Run the config's agents at n inner iterations per round; return the final state."""
-            return run_experiment(
-                positions, transport_config(cfg, n), target, q, sink, cfg.seed, dens
-            )
+            return run_experiment(positions, transport_config(cfg, n), dens, q, sink, cfg.seed)
 
         if number == 3:
             write_csv(out_dir / "fig3.csv", ["n", "net_cost"], [[n, run(n).cost] for n in range(1, 11)])
@@ -379,7 +369,7 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "agents":
-            if cfg.mode not in (None, "agents", "agents_fixed_dual"):
+            if cfg.mode not in (None, "agents"):
                 raise ConfigError(f"config mode '{cfg.mode}' does not match command 'agents'")
             return run_agents(cfg, out_dir)
         if args.command == "pde":

@@ -55,7 +55,7 @@ class ExperimentConfig:
     out_dir: str = "."
 
 
-_MODES = ("agents", "agents_fixed_dual", "pde")
+_MODES = ("agents", "pde")
 _TARGET_KINDS = ("gaussian", "uniform", "pgm")
 
 
@@ -194,11 +194,6 @@ def load_config(text):
         setattr(cfg, attr, parsed)
         line_of[key] = ln
     _finish_vectors(cfg, line_of)
-    if cfg.mode == "agents_fixed_dual" and cfg.fixed_dual is None:
-        raise ConfigError("mode 'agents_fixed_dual' requires key 'transport.fixed_dual'")
-    if cfg.fixed_dual is not None and cfg.mode != "agents_fixed_dual":
-        ln = line_of["transport.fixed_dual"]
-        raise ConfigError(f"line {ln}: key 'transport.fixed_dual' requires mode 'agents_fixed_dual'")
     if cfg.target_kind == "pgm" and cfg.target_pgm_path is None:
         raise ConfigError("target.kind 'pgm' requires key 'target.pgm_path'")
     if cfg.grid_warm_start and cfg.grid_mode != "on_the_fly_pd":

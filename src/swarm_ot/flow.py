@@ -10,8 +10,6 @@ import this module.
 
 import numpy as np
 
-from .primal_dual import incidence
-
 
 class FlowProblem:
     """Balanced supplies on the nodes of a neighbor graph."""
@@ -24,6 +22,20 @@ class FlowProblem:
             raise ValueError(f"supplies must balance, sum is {supplies.sum():.3e}")
         self.graph = graph
         self.supplies = supplies
+
+
+def incidence(edges, n):
+    """Sparse (E, n) edge-node incidence B in the primal-dual kernel's
+    orientation.
+
+    Row k holds +1 at edges[k, 0] and -1 at edges[k, 1], so B.T @ flux is
+    the net outflow and B.T @ diag(lam) @ B is `primal_dual.laplacian`.
+    """
+    import scipy.sparse as sp
+
+    m = len(edges)
+    rows = np.tile(np.arange(m), 2)
+    return sp.csr_matrix((np.repeat([1.0, -1.0], m), (rows, edges.T.ravel())), shape=(m, n))
 
 
 def min_cost_flow(p):

@@ -43,6 +43,7 @@ import numpy as np
 
 from .primal_dual import edge_diff, grid_edges, iterate, laplacian
 from .rng import STREAM_DENSITY, SplitMix64, derive
+from .target import QuadratureGrid
 
 RASTER_FLOOR = 1e-6  # density_on_grid's lower bound on raster values
 
@@ -238,20 +239,19 @@ def random_density(nx, ny, seed):
 def density_on_grid(field, nx, ny):
     """Sample a density field onto an nx x ny grid of `field.domain`.
 
-    Returns node masses summing to one. Raster fields are floored at
-    RASTER_FLOOR first, so the target stays strictly positive on the grid.
+    Reads the field at the cell centers of `QuadratureGrid(field.domain,
+    nx, ny)`, the grid's nodes, and returns node masses summing to one.
+    Raster fields are floored at RASTER_FLOOR first, so the target stays
+    strictly positive on the grid.
     """
-    lo, ext = field.domain.lo, field.domain.extent
-    xs = lo[0] + (np.arange(nx) + 0.5) * ext[0] / nx
-    ys = lo[1] + (np.arange(ny) + 0.5) * ext[1] / ny
-    X, Y = np.meshgrid(xs, ys)
-    vals = field._raw_many(np.column_stack([X.ravel(), Y.ravel()]))
+    vals = field._raw_on(QuadratureGrid(field.domain, nx, ny))
     if field.kind == "raster":
         vals = np.maximum(vals, RASTER_FLOOR)
     total = vals.sum()
     if total <= 0:
         raise ValueError("degenerate target on the grid")
-    return vals / total
+    vals /= total
+    return vals
 
 
 def _dct(x):

@@ -131,19 +131,6 @@ def laplacian(phi, lam, edges, dphi=None):
     return _net_outflow(lam * dphi, edges, len(phi))
 
 
-def incidence(edges, n):
-    """Sparse (E, n) edge-node incidence B in `_net_outflow`'s orientation.
-
-    Row k holds +1 at edges[k, 0] and -1 at edges[k, 1], so B.T @ flux is
-    the net outflow and B.T @ diag(lam) @ B is the operator `laplacian`.
-    """
-    import scipy.sparse as sp
-
-    m = len(edges)
-    rows = np.tile(np.arange(m), 2)
-    return sp.csr_matrix((np.repeat([1.0, -1.0], m), (rows, edges.T.ravel())), shape=(m, n))
-
-
 def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
 

@@ -1,10 +1,10 @@
 """Target density fields: analytic Gaussian mixtures and raster images.
 
-A field evaluates a nonnegative density over the domain. `normalize`
-fixes the scale so midpoint-rule quadrature over the domain equals one;
-`load_pgm` ingests grayscale images with the convention that darker
-pixels mean higher target density. Raster lookup is nearest-cell
-(piecewise constant).
+A field is an unnormalized nonnegative shape over the domain, and
+`values_on(q)` alone normalizes it: the midpoint rule of the quadrature
+q integrates its values to one. `load_pgm` ingests grayscale images
+with the convention that darker pixels mean higher target density.
+Raster lookup is nearest-cell (piecewise constant).
 """
 
 import numpy as np
@@ -74,8 +74,8 @@ class QuadratureGrid:
         if ny is None:
             ny = nx
         nx, ny = int(nx), int(ny)
-        if nx < 2 or ny < 2:
-            raise ValueError("quadrature resolution must be at least 2x2")
+        if nx < 1 or ny < 1:
+            raise ValueError("a quadrature needs at least one cell per axis")
         self.domain = domain
         self.nx = nx
         self.ny = ny
@@ -101,22 +101,19 @@ class QuadratureGrid:
 
 
 class DensityField:
-    """Normalized density over a domain, analytic or raster-backed.
+    """Unnormalized density shape over a domain, analytic or raster-backed.
 
     Use the `gaussian_mixture`, `raster`, or `uniform` constructors.
-    `normalizer` divides the raw values; `normalize` adjusts it so the
-    quadrature integral over the domain is one.
+    A field carries no scale: `values_on(q)` normalizes it on the
+    quadrature that discretizes it.
     """
 
-    def __init__(self, kind, payload, domain, normalizer=1.0):
+    def __init__(self, kind, payload, domain):
         if kind not in ("gaussian_mixture", "raster"):
             raise ValueError(f"unknown density kind '{kind}'")
-        if not normalizer > 0:
-            raise ValueError("normalizer must be positive")
         self.kind = kind
         self.payload = payload
         self.domain = domain
-        self.normalizer = float(normalizer)
 
     @classmethod
     def gaussian_mixture(cls, means, covariances, weights=None, domain=None):
@@ -162,11 +159,7 @@ class DensityField:
 
     @classmethod
     def uniform(cls, domain=None):
-        domain = domain if domain is not None else Domain()
-        field = cls.raster(np.ones((2, 2)), domain)
-        area = float(domain.extent[0] * domain.extent[1])
-        field.normalizer = area
-        return field
+        return cls.raster(np.ones((1, 1)), domain)
 
     def _raw_many(self, points):
         """Unnormalized density at an (M, 2) array of points."""
@@ -189,23 +182,22 @@ class DensityField:
         row = np.clip((self.domain.hi[1] - points[:, 1]) / ext[1] * h, 0, h - 1e-9).astype(int)
         return values[row, col]
 
-    def density_at(self, x):
-        """Normalized density at a single point of the domain."""
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise ValueError(f"point {x.tolist()} lies outside the domain")
-        return float(self._raw_many(x[None, :])[0] / self.normalizer)
-
     def values_on(self, q):
-        """Normalized density at every quadrature cell center.
+        """Density at every quadrature cell center of q, normalized so that
+        q's midpoint rule integrates it to one.
 
         A DomainMismatchError unless q covers the field's own domain:
-        elsewhere the values would not integrate to one. The field is
-        evaluated a block of grid rows at a time, so no (M, 2) table of
-        centers is built; each value has the bits of one pass over them.
+        elsewhere the values would not integrate to one over the domain.
+        The field is evaluated a block of grid rows at a time, so no (M, 2)
+        table of centers is built; each value has the bits of one pass over
+        them, divided by their quadrature integral. A target whose integral
+        on q is not positive is a ValueError.
         """
         values = self._raw_on(q)
-        values /= self.normalizer
+        total = float(values.sum() * q.cell_area)
+        if not total > 0:
+            raise ValueError("degenerate target: density integrates to zero")
+        values /= total
         return values
 
     def _raw_on(self, q):
@@ -224,38 +216,13 @@ class DensityField:
             values[start * q.nx : stop * q.nx] = self._raw_many(q.row_centers(start, stop))
         return values
 
-    def normalize(self, q):
-        """Return a copy rescaled so quadrature over the domain equals one.
-
-        q must cover the field's domain (see `values_on`).
-        """
-        return self.normalized_on(q)[0]
-
-    def normalized_on(self, q):
-        """`normalize(q)` and that copy's `values_on(q)`, from one evaluation.
-
-        The raw values are kept and divided by the copy's normalizer, so
-        they have the bits of a second `values_on` pass.
-        """
-        raw = self._raw_on(q)
-        # x / 1.0 is x, so a fresh field's total needs no second M-sized
-        # array (at 256^2 it raised an agent run's peak RSS by 0.4 MiB)
-        values = raw if self.normalizer == 1.0 else raw / self.normalizer
-        total = float(values.sum() * q.cell_area)
-        if total <= 0:
-            raise ValueError("degenerate target: density integrates to zero")
-        field = DensityField(self.kind, self.payload, self.domain, self.normalizer * total)
-        raw /= field.normalizer
-        return field, raw
-
 
 def load_pgm(data, domain=None):
     """Parse a PGM image (P2 ascii or P5 binary) into a raster density field.
 
     Darker pixels mean higher density: the raster value is maxval - pixel.
     Image rows map onto the domain top-down (first row at the max-y edge).
-    The returned field integrates to one over the domain (exactly, using
-    the image's own cells as the quadrature).
+    An entirely white image, which carries no mass, is a ValueError.
     """
     domain = domain if domain is not None else Domain()
     if not isinstance(data, (bytes, bytearray)):
@@ -338,13 +305,9 @@ def load_pgm(data, domain=None):
             raise PgmParseError("trailing data after pixels", tail)
 
     values = (maxval - pixels).reshape(height, width).astype(float)
-    field = DensityField.raster(values, domain)
-    area = float(domain.extent[0] * domain.extent[1])
-    integral = float(values.mean() * area)
-    if integral <= 0:
+    if not values.any():
         raise ValueError("degenerate target: image is entirely white")
-    field.normalizer = integral
-    return field
+    return DensityField.raster(values, domain)
 
 
 def cell_masses(partition, density_values):

@@ -236,24 +236,24 @@ def _carry(inner, edges, n):
     return lam0
 
 
-# one position set's measurement, shared by its record and its round;
-# `dens` is the target's values on the quadrature, evaluated once a run
-Cells = namedtuple("Cells", "partition graph masses dens")
+# one position set's measurement, shared by its record and its round
+Cells = namedtuple("Cells", "partition graph masses")
 
 
 def _measure(positions, q, radius, dens):
     """Partition, neighbor graph and cell masses of one set of sites."""
     partition = build_partition(positions, q)
     graph = neighbor_graph(partition, radius)
-    return Cells(partition, graph, cell_masses(partition, dens), dens)
+    return Cells(partition, graph, cell_masses(partition, dens))
 
 
-def transport_round(state, cfg, target, q, cells=None):
+def transport_round(state, cfg, dens, q, cells=None):
     """One synchronous round of potential estimation and proximal moves.
 
-    Uses the caller's `cells` of the positions, which keep to `q.domain`,
-    measuring them itself when given none (evaluating the target), when
-    `_dedupe` nudged an agent, or when their sites are not the positions.
+    `dens` is the target's `values_on(q)`. Uses the caller's `cells` of
+    the positions, which keep to `q.domain`, measuring them itself when
+    given none, when `_dedupe` nudged an agent, or when their sites are
+    not the positions.
     Estimates potentials with inner_iters primal-dual steps, or primal-only
     steps with every multiplier at cfg.fixed_dual when that is set, and
     moves every agent by a proximal step. Returns (new_state, diagnostics);
@@ -266,7 +266,6 @@ def transport_round(state, cfg, target, q, cells=None):
         raise ValueError("transport needs at least two agents")
     positions, perturbed = _dedupe(state, q.domain)
     if perturbed or cells is None or not np.array_equal(cells.partition.sites, positions):
-        dens = target.values_on(q) if cells is None else cells.dens
         cells = _measure(positions, q, cfg.radius, dens)
     graph = cells.graph
     b = mass_imbalance(cells.masses)
@@ -306,8 +305,9 @@ def transport_round(state, cfg, target, q, cells=None):
     return new_state, diagnostics
 
 
-def run_experiment(positions, cfg, target, q, sink, seed=0, dens=None):
-    """Run cfg.rounds transport rounds of agents in `q.domain`; return the final state.
+def run_experiment(positions, cfg, dens, q, sink, seed=0):
+    """Run cfg.rounds transport rounds of agents in `q.domain` toward the
+    target whose `values_on(q)` are `dens`; return the final state.
 
     Calls `sink(state, cells, record)` for round 0 and after every round,
     as `grid.run_coupled` does, and keeps no list: `cells` is the state's
@@ -315,12 +315,8 @@ def run_experiment(positions, cfg, target, q, sink, seed=0, dens=None):
     initial state; record k's dual objective and feasibility refer to the
     estimate computed during round k, and its connected flag to the graph
     that round used. A sink may keep the state and `cells.masses`, but
-    not `cells`, whose partition is quadrature-sized. `dens` is the
-    target's `values_on(q)` when the caller holds them; without it the
-    run evaluates them once.
+    not `cells`, whose partition is quadrature-sized.
     """
-    if dens is None:
-        dens = target.values_on(q)
     state = SwarmState(positions=q.domain.clamp(positions), seed=seed)
     for k in range(cfg.rounds + 1):
         cells = _measure(state.positions, q, cfg.radius, dens)
@@ -328,6 +324,6 @@ def run_experiment(positions, cfg, target, q, sink, seed=0, dens=None):
             estimate = (0.0, 0.0, is_connected(cells.graph))
         sink(state, cells, MetricsRecord(k, float(np.var(cells.masses)), state.cost, *estimate))
         if k < cfg.rounds:
-            state, diag = transport_round(state, cfg, target, q, cells)
+            state, diag = transport_round(state, cfg, dens, q, cells)
             estimate = (diag["dual_objective"], diag["feasibility_violation"], diag["connected"])
     return state

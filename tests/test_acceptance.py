@@ -22,12 +22,11 @@ def _report(n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def _seeded_gaussian_target(seed, q=None):
+def _seeded_gaussian_target(seed):
     """Gaussian target with covariance 2I and a seeded mean in [0,1]^2."""
     gen = so.SplitMix64(derive(seed, STREAM_TARGET))
     mean = np.array([[gen.next_float(), gen.next_float()]])
-    field = so.DensityField.gaussian_mixture(mean, np.array([2.0 * np.eye(2)]), domain=DOM)
-    return field.normalize(q) if q is not None else field
+    return so.DensityField.gaussian_mixture(mean, np.array([2.0 * np.eye(2)]), domain=DOM)
 
 
 def test_criterion_1_dual_matches_flow_oracle():
@@ -124,7 +123,7 @@ def test_criterion_5_conservation_and_positivity_soak():
 
 def test_criterion_6_stage_cost_bounds():
     q = so.QuadratureGrid(DOM, 128)
-    target = _seeded_gaussian_target(1, q)
+    dens = _seeded_gaussian_target(1).values_on(q)
     details = []
     ok = True
     for cfg in (
@@ -137,7 +136,7 @@ def test_criterion_6_stage_cost_bounds():
         def keep(state, cells, record):
             path.append(state.positions)
 
-        stage_cost = so.run_experiment(positions, cfg, target, q, keep, seed=1).cost
+        stage_cost = so.run_experiment(positions, cfg, dens, q, keep, seed=1).cost
         lower = so.discrete_ot_cost(path[0], path[-1])
         steps = np.array([np.linalg.norm(b - a, axis=1).max() for a, b in zip(path, path[1:])])
         mode = "pd" if cfg.fixed_dual is None else "fixed"
@@ -152,14 +151,14 @@ def test_criterion_7_inner_iterations_improve_balance():
     ok = True
     details = []
     for seed in (1, 2, 3):
-        target = _seeded_gaussian_target(seed, q)
+        dens = _seeded_gaussian_target(seed).values_on(q)
         positions = so.initial_positions(30, DOM, seed)
         final = {}
         initial = None
         for n in (1, 10):
             cfg = so.TransportConfig(eps=0.02, tau=1.0, inner_iters=n, rounds=40)
             records = []
-            so.run_experiment(positions, cfg, target, q, keep_records(records), seed)
+            so.run_experiment(positions, cfg, dens, q, keep_records(records), seed)
             initial = records[0].mass_variance
             final[n] = records[-1].mass_variance
         ok = ok and final[10] < 0.5 * initial and final[10] <= final[1]

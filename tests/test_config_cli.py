@@ -7,7 +7,9 @@ byte-level determinism.
 
 import hashlib
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,21 +172,24 @@ def test_mixture_component_counts_must_agree():
 
 
 def test_cross_requirements():
-    with pytest.raises(ConfigError, match="requires key 'transport.fixed_dual'"):
-        load_config("mode = agents_fixed_dual\n")
     with pytest.raises(ConfigError, match="requires key 'target.pgm_path'"):
         load_config("target.kind = pgm\n")
-    cfg = load_config("mode = agents_fixed_dual\ntransport.fixed_dual = 1.0\n")
-    assert cfg.fixed_dual == 1.0
+    # transport.fixed_dual alone selects the primal-only agent loop
+    assert load_config("mode = agents\ntransport.fixed_dual = 1.0\n").fixed_dual == 1.0
+    assert load_config("transport.fixed_dual = 1.0\n").fixed_dual == 1.0
 
 
-@pytest.mark.parametrize("mode", ["agents", "pde"])
-def test_fixed_dual_under_a_mode_that_ignores_it_is_an_error(mode):
-    message = "line 3: key 'transport.fixed_dual' requires mode 'agents_fixed_dual'"
-    with pytest.raises(ConfigError, match=message):
-        load_config(f"mode = {mode}\nseed = 1\ntransport.fixed_dual = 1.0\n")
-    with pytest.raises(ConfigError, match=message.replace("line 3", "line 1")):
-        load_config(f"transport.fixed_dual = 1.0\nmode = {mode}\n")
+def test_the_agents_fixed_dual_mode_is_gone():
+    with pytest.raises(ConfigError, match=r"^line 2: key 'mode' must be one of \('agents', 'pde'\)"):
+        load_config("transport.fixed_dual = 1.0\nmode = agents_fixed_dual\n")
+
+
+def test_the_readme_table_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
+    named = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(named) == sorted(config._KEYS)
 
 
 def test_the_config_and_the_grid_loop_share_one_list_of_modes():
@@ -538,23 +543,28 @@ def test_positivity_stops_that_dt_does_not_move(tmp_path):
 
 @pytest.mark.parametrize(
     "command, config, built",
-    [("agents", AGENTS_CFG, 1), ("pde", PDE_CFG.replace("target.kind = uniform\n", ""), 0)],
+    [
+        ("agents", AGENTS_CFG, [(64, 64)]),
+        ("pde", PDE_CFG.replace("target.kind = uniform\n", ""), [(8, 8)]),
+    ],
     ids=["agents", "pde"],
 )
 def test_a_run_builds_the_quadratures_it_uses(tmp_path, monkeypatch, command, config, built):
     # the agents normalize their Gaussian target on the quadrature they
-    # run on; a grid command samples it on its grid and needs none
-    real, calls = cli.QuadratureGrid, []
+    # run on, and a grid command on the cells of its grid alone
+    real, shapes = cli.QuadratureGrid, []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        q = real(*args, **kwargs)
+        shapes.append((q.nx, q.ny))
+        return q
 
-    monkeypatch.setattr(cli, "QuadratureGrid", counted)
+    for module in (cli, grid):
+        monkeypatch.setattr(module, "QuadratureGrid", counted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert len(calls) == built
+    assert shapes == built
 
 
 def test_pgm_target_flows_through_the_cli(tmp_path):
@@ -598,7 +608,7 @@ def test_fig2_keeps_the_fixed_dual_of_its_config(tmp_path):
     plain = "transport.N = 8\ntransport.K = 3\ntransport.n = 5\nquadrature.resolution = 32\n"
     configs = {
         "plain": "mode = agents\n" + plain,
-        "fixed": "mode = agents_fixed_dual\ntransport.fixed_dual = 1.0\n" + plain,
+        "fixed": "transport.fixed_dual = 1.0\n" + plain,
     }
     curves = {}
     for name, text in configs.items():

@@ -42,9 +42,7 @@ transport.n = 5
 quadrature.resolution = 64
 """
 
-AGENTS_FIXED_DUAL = AGENTS.replace("mode = agents", "mode = agents_fixed_dual") + (
-    "transport.fixed_dual = 1.0\n"
-)
+AGENTS_FIXED_DUAL = AGENTS + "transport.fixed_dual = 1.0\n"
 
 # a concentrated target in the corner drives agents onto the same
 # clamped positions, so `_dedupe` nudges duplicates apart (9 times)

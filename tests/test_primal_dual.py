@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
 from swarm_ot import NeighborGraph, PotentialState, cli
-from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, incidence, iterate, laplacian
+from swarm_ot.flow import incidence
+from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, iterate, laplacian
 
 
 def two_node_graph(cost=1.0):

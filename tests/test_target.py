@@ -18,9 +18,13 @@ def quad(n=64):
     return QuadratureGrid(Domain(), n)
 
 
+def raw_at(field, x):
+    """The field's unnormalized density at one point."""
+    return float(field._raw_many(np.asarray(x, dtype=float))[0])
+
+
 def test_uniform_density_is_one_on_unit_square():
     field = DensityField.uniform(Domain())
-    assert field.density_at(np.array([0.3, 0.7])) == pytest.approx(1.0)
     q = quad()
     assert np.allclose(field.values_on(q), 1.0)
     assert field.values_on(q).sum() * q.cell_area == pytest.approx(1.0)
@@ -31,13 +35,8 @@ def test_a_target_on_a_quadrature_over_another_domain_is_an_error():
     # masses summed to 4.0 instead of 1
     q = QuadratureGrid(Domain((-1.0, 2.0), (3.0, 3.0)), 32)
     field = DensityField.uniform()
-    for evaluate in (field.values_on, field.normalize):
-        with pytest.raises(so.DomainMismatchError, match=r"\[0.0, 0.0\]-\[1.0, 1.0\]"):
-            evaluate(q)
-    positions = so.initial_positions(4, q.domain, seed=1)
-    cfg = so.TransportConfig(eps=0.05, tau=0.5, inner_iters=1, rounds=1)
-    with pytest.raises(so.DomainMismatchError):
-        so.run_experiment(positions, cfg, field, q, lambda *_: None)
+    with pytest.raises(so.DomainMismatchError, match=r"\[0.0, 0.0\]-\[1.0, 1.0\]"):
+        field.values_on(q)
     assert issubclass(so.DomainMismatchError, ValueError)  # the CLI reports it
     # an equal domain built separately is the same domain
     assert field.values_on(quad(8)).sum() * quad(8).cell_area == 1.0
@@ -46,7 +45,9 @@ def test_a_target_on_a_quadrature_over_another_domain_is_an_error():
 def test_uniform_density_respects_domain_area():
     dom = Domain((0.0, 0.0), (2.0, 0.5))
     field = DensityField.uniform(dom)
-    assert field.density_at(np.array([1.0, 0.25])) == pytest.approx(1.0)
+    q = QuadratureGrid(dom, 16, 4)
+    # the domain's area is one, so the density is one on it
+    np.testing.assert_allclose(field.values_on(q), 1.0, rtol=1e-15)
 
 
 def test_gaussian_mixture_matches_pointwise_formula():
@@ -58,7 +59,7 @@ def test_gaussian_mixture_matches_pointwise_formula():
     expected = np.exp(-0.5 * d @ np.linalg.inv(cov) @ d) / (
         2.0 * np.pi * np.sqrt(np.linalg.det(cov))
     )
-    assert field.density_at(x) == pytest.approx(expected, rel=1e-12)
+    assert raw_at(field, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_mixture_rejects_bad_covariance():
@@ -101,58 +102,69 @@ def test_fixed_exp_is_within_two_ulp_of_exp():
     assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.maximum(ref, 5e-324)))
     assert np.all(got[ref == 0.0] == 0.0)
     narrow = DensityField.gaussian_mixture([0.1, 0.1], 1e-4 * np.eye(2))
-    assert narrow.density_at(np.array([0.9, 0.9])) == 0.0
-
-
-def test_normalized_on_is_normalize_and_its_values_on():
-    q = quad(64)
-    fresh = DensityField.gaussian_mixture([0.5, 0.5], 0.1 * np.eye(2))
-    for field in [fresh, *_fields(q)]:
-        normalized, values = field.normalized_on(q)
-        assert normalized.normalizer == field.normalize(q).normalizer
-        assert values.tobytes() == normalized.values_on(q).tobytes()
+    assert raw_at(narrow, [0.9, 0.9]) == 0.0
 
 
 def test_normalize_fixes_quadrature_integral():
-    field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
+    # values_on divides by the quadrature integral, so a field's overall
+    # scale does not reach its values
     q = quad(128)
-    normalized = field.normalize(q)
-    assert normalized.values_on(q).sum() * q.cell_area == pytest.approx(1.0, abs=1e-14)
-    # normalizing twice changes nothing
-    again = normalized.normalize(q)
-    assert again.normalizer == pytest.approx(normalized.normalizer, rel=1e-14)
+    field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
+    values = field.values_on(q)
+    assert values.sum() * q.cell_area == pytest.approx(1.0, abs=1e-14)
+    tripled = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2), weights=[3.0])
+    np.testing.assert_allclose(tripled.values_on(q), values, rtol=1e-14)
 
 
 def test_normalized_integral_is_stable_under_refinement():
     # the midpoint rule is second order, so going 64 -> 256 moves the
-    # integral of this smooth truncated Gaussian by well under 1e-5
+    # integral of this smooth truncated Gaussian, by which values_on
+    # divides, by well under 1e-5
     field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
-    coarse = field.normalize(quad(64))
-    fine = quad(256)
-    integral = coarse.values_on(fine).sum() * fine.cell_area
-    assert integral == pytest.approx(1.0, abs=1e-5)
+    coarse, fine = quad(64), quad(256)
+    integrals = [field._raw_on(q).sum() * q.cell_area for q in (coarse, fine)]
+    assert integrals[0] == pytest.approx(integrals[1], rel=1e-5)
 
 
-def _fields(q):
+# a 32 x 32 dark disk on a white background, whose pixels a 100 x 100
+# quadrature does not tile: normalized over its own pixels, its cell
+# masses there summed to 1.00628
+DISK = load_pgm(
+    b"P2 32 32 255 " + b" ".join(
+        b"0" if (ix - 15.5) ** 2 + (iy - 15.5) ** 2 <= 64 else b"255"
+        for iy in range(32) for ix in range(32)
+    )
+)
+
+
+@pytest.mark.parametrize("nx, ny", [(100, 100), (256, 256), (37, 11), (1, 1), (1, 5)])
+def test_values_on_integrate_to_one_on_any_quadrature(nx, ny):
+    q = QuadratureGrid(Domain(), nx, ny)
+    part = so.build_partition(np.array([[0.5, 0.5]]), q)
+    for field in [*_fields(), DISK]:
+        assert so.cell_masses(part, field.values_on(q)).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _fields():
     mixture = DensityField.gaussian_mixture(
         [[0.3, 0.3], [0.7, 0.6]], [np.eye(2) * 0.02, [[0.03, 0.01], [0.01, 0.02]]], [1.0, 2.0]
     )
     raster = DensityField.raster(np.random.default_rng(3).uniform(size=(7, 5)))
-    return [mixture.normalize(q), raster.normalize(q), DensityField.uniform()]
+    return [mixture, raster, DensityField.uniform()]
 
 
 # 300 x 200 cells take blocks of 13 rows, which do not divide 200
 @pytest.mark.parametrize("nx, ny", [(300, 200), (64, 64), (2, 3)])
 def test_values_on_have_the_bits_of_one_pass_over_the_centers(nx, ny):
     q = QuadratureGrid(Domain(), nx, ny)
-    for field in _fields(q):
-        values = field.values_on(q)
-        assert values.tobytes() == (field._raw_many(q.centers) / field.normalizer).tobytes()
+    for field in _fields():
+        raw = field._raw_many(q.centers)
+        assert field.values_on(q).tobytes() == (raw / (raw.sum() * q.cell_area)).tobytes()
 
 
 def test_values_on_hold_no_table_of_every_center():
     q = quad(256)
-    for field in _fields(q):
+    for field in _fields():
         field.values_on(q)  # warm-up
         tracemalloc.start()
         try:
@@ -164,23 +176,21 @@ def test_values_on_hold_no_table_of_every_center():
         assert peak < 2.5 * q.n_cells * 8
 
 
-def test_density_at_rejects_outside_points():
-    field = DensityField.uniform(Domain())
-    with pytest.raises(ValueError):
-        field.density_at(np.array([1.2, 0.5]))
-
-
 def test_degenerate_density_raises_on_normalize():
     field = DensityField.raster(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        field.normalize(quad())
+    with pytest.raises(ValueError, match="degenerate target"):
+        field.values_on(quad())
+    # a dark pixel that no cell center of the quadrature reads
+    speck = load_pgm(b"P2 4 1 255 0 255 255 255")
+    with pytest.raises(ValueError, match="degenerate target"):
+        speck.values_on(QuadratureGrid(Domain(), 1))
 
 
 def test_raster_orientation_first_row_is_top():
     # bottom half dark (high), top half light (zero)
     field = DensityField.raster(np.array([[0.0, 0.0], [4.0, 4.0]]))
-    assert field.density_at(np.array([0.5, 0.1])) == pytest.approx(4.0)
-    assert field.density_at(np.array([0.5, 0.9])) == pytest.approx(0.0)
+    assert raw_at(field, [0.5, 0.1]) == 4.0
+    assert raw_at(field, [0.5, 0.9]) == 0.0
 
 
 # --- PGM parsing ---
@@ -189,10 +199,10 @@ def test_raster_orientation_first_row_is_top():
 def test_pgm_ascii_one_by_two_darker_is_denser():
     # left pixel white (255), right pixel black (0): all mass on the right
     field = load_pgm(b"P2 2 1 255 255 0")
-    assert field.density_at(np.array([0.25, 0.5])) == pytest.approx(0.0)
-    assert field.density_at(np.array([0.75, 0.5])) == pytest.approx(2.0)
     q = quad()
-    assert field.values_on(q).sum() * q.cell_area == pytest.approx(1.0)
+    values = field.values_on(q).reshape(q.ny, q.nx)
+    assert np.all(values[:, :32] == 0.0)
+    np.testing.assert_allclose(values[:, 32:], 2.0, rtol=1e-15)
 
 
 def test_pgm_binary_matches_ascii():
@@ -201,7 +211,6 @@ def test_pgm_binary_matches_ascii():
     fa = load_pgm(ascii_img)
     fb = load_pgm(binary_img)
     np.testing.assert_allclose(fa.payload, fb.payload)
-    assert fa.normalizer == pytest.approx(fb.normalizer)
 
 
 def test_pgm_sixteen_bit_binary_is_big_endian():
@@ -281,7 +290,7 @@ def test_cell_masses_of_uniform_two_site_partition():
 
 def test_cell_masses_partition_of_unity():
     dom, q, part = two_site_setup()
-    field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2)).normalize(q)
+    field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
     masses = so.cell_masses(part, field.values_on(q))
     assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -290,7 +299,7 @@ def test_cell_masses_stable_under_quadrature_refinement():
     dom, qc, part_c = two_site_setup(64)
     _, qf, part_f = two_site_setup(256)
     field = DensityField.gaussian_mixture([0.5, 0.5], 2.0 * np.eye(2))
-    coarse = so.cell_masses(part_c, field.normalize(qc).values_on(qc))
-    fine = so.cell_masses(part_f, field.normalize(qf).values_on(qf))
+    coarse = so.cell_masses(part_c, field.values_on(qc))
+    fine = so.cell_masses(part_f, field.values_on(qf))
     assert np.all(np.abs(coarse - fine) < 0.02 * fine)
 

@@ -23,7 +23,7 @@ from swarm_ot.rng import STREAM_PERTURB
 def uniform_setup(n=64):
     dom = Domain()
     q = QuadratureGrid(dom, n)
-    return dom, q, so.DensityField.uniform(dom)
+    return dom, q, so.DensityField.uniform(dom).values_on(q)
 
 
 def test_config_validation():
@@ -257,47 +257,47 @@ def test_proximal_step_beats_brute_force_search():
 
 
 def test_symmetric_quadrants_are_a_fixed_point():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
     cfg = TransportConfig(eps=0.05, tau=1.0, inner_iters=10)
-    state, diag = so.transport_round(SwarmState(positions), cfg, target, q)
+    state, diag = so.transport_round(SwarmState(positions), cfg, dens, q)
     np.testing.assert_array_equal(state.positions, positions)
     np.testing.assert_allclose(diag["masses"], 0.25, atol=1e-12)
     assert state.cost == 0.0
 
 
 def test_zero_inner_iterations_mean_no_first_move():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = np.array([[0.2, 0.4], [0.8, 0.6]])
     cfg = TransportConfig(eps=0.05, inner_iters=0)
-    state, diag = so.transport_round(SwarmState(positions), cfg, target, q)
+    state, diag = so.transport_round(SwarmState(positions), cfg, dens, q)
     np.testing.assert_array_equal(state.positions, positions)
     assert diag["dual_objective"] == 0.0
 
 
 def test_step_lengths_never_exceed_eps():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     gen = so.SplitMix64(3)
     positions = gen.uniforms(20).reshape(10, 2)
     cfg = TransportConfig(eps=0.03, tau=1.0, inner_iters=10)
     state = SwarmState(positions)
     for _ in range(5):
-        state, diag = so.transport_round(state, cfg, target, q)
+        state, diag = so.transport_round(state, cfg, dens, q)
         assert diag["step_lengths"].max() <= 0.03 + 1e-12
 
 
 def test_duplicate_positions_are_nudged_apart():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]])
     cfg = TransportConfig(eps=0.02, inner_iters=2)
-    state, diag = so.transport_round(SwarmState(positions, seed=9), cfg, target, q)
+    state, diag = so.transport_round(SwarmState(positions, seed=9), cfg, dens, q)
     assert diag["perturbed"] == [1]
     assert len(state.positions) == 3
 
 
 def test_corner_duplicates_stay_in_the_domain():
     # most nudge directions from a corner point out of the domain
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(eps=0.02, tau=0.3, inner_iters=5)
     for seed in range(6):
         state = SwarmState(np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.4]]), seed=seed)
@@ -307,7 +307,7 @@ def test_corner_duplicates_stay_in_the_domain():
                 assert perturbed == [1]
                 assert not np.array_equal(sites[0], sites[1])
             assert all(dom.contains(p) for p in sites)
-            state, diag = so.transport_round(state, cfg, target, q)
+            state, diag = so.transport_round(state, cfg, dens, q)
             assert diag["perturbed"] == perturbed
             assert all(dom.contains(p) for p in state.positions)
 
@@ -394,20 +394,20 @@ def test_the_array_carry_is_the_dict_carry(case):
 
 
 def test_single_agent_is_rejected():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig()
     with pytest.raises(ValueError):
-        so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, target, q)
+        so.transport_round(SwarmState(np.array([[0.5, 0.5]])), cfg, dens, q)
 
 
 def test_a_fixed_dual_round_ignores_carried_multipliers():
     # every multiplier of a fixed round is cfg.fixed_dual, whatever it was handed
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, inner_iters=5)
     positions = np.array([[0.2, 0.5], [0.8, 0.5]])
     carried = so.PotentialState(np.zeros(2), [7.0], [[0, 1]])
-    handed = so.transport_round(SwarmState(positions, inner=carried), cfg, target, q)
-    fresh = so.transport_round(SwarmState(positions), cfg, target, q)
+    handed = so.transport_round(SwarmState(positions, inner=carried), cfg, dens, q)
+    fresh = so.transport_round(SwarmState(positions), cfg, dens, q)
     assert round_bits(handed) == round_bits(fresh)
     assert handed[0].inner.lam.tolist() == [1.0]
 
@@ -415,10 +415,10 @@ def test_a_fixed_dual_round_ignores_carried_multipliers():
 def test_transport_round_follows_cfg_fixed_dual():
     # with cfg.fixed_dual set, the round's potentials are run_primal's
     # with every multiplier at that weight
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(fixed_dual=1.0, tau=0.5, inner_iters=5)
     positions = np.array([[0.2, 0.5], [0.8, 0.5]])
-    fixed, diag = so.transport_round(SwarmState(positions), cfg, target, q)
+    fixed, diag = so.transport_round(SwarmState(positions), cfg, dens, q)
     graph = so.neighbor_graph(so.build_partition(positions, q))
     start = so.PotentialState(np.zeros(2), np.ones(len(graph.edges)), graph.edges)
     ref = so.run_primal(start, diag["imbalance"], graph, cfg.tau, cfg.inner_iters)
@@ -440,14 +440,14 @@ def inner_starts(monkeypatch):
 
 
 def test_potentials_warm_start_from_previous_round(monkeypatch):
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = np.array([[0.25, 0.5], [0.85, 0.5]])
     cfg = TransportConfig(eps=0.01, tau=0.5, inner_iters=20)
-    state, _ = so.transport_round(SwarmState(positions), cfg, target, q)
+    state, _ = so.transport_round(SwarmState(positions), cfg, dens, q)
     assert state.inner.phi.shape == (2,) and np.any(state.inner.phi)
     assert state.inner.edges.tolist() == [[0, 1]]
     solves = inner_starts(monkeypatch)
-    so.transport_round(state, cfg, target, q)
+    so.transport_round(state, cfg, dens, q)
     [((phi0, lam0), _)] = solves
     assert phi0.tobytes() == state.inner.phi.tobytes()
     assert lam0.tobytes() == state.inner.lam.tobytes()
@@ -466,11 +466,11 @@ def test_inner_holds_one_potential_per_agent_and_edges_between_agents():
 
 
 def test_variance_decreases_over_rounds():
-    dom, q, target = uniform_setup(128)
+    dom, q, dens = uniform_setup(128)
     positions = so.initial_positions(16, dom, seed=4)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=10, rounds=15)
     records = []
-    final = so.run_experiment(positions, cfg, target, q, keep_records(records), seed=4)
+    final = so.run_experiment(positions, cfg, dens, q, keep_records(records), seed=4)
     assert len(records) == 16 and final.k == 15
     assert final.cost == records[-1].net_cost
     assert records[-1].mass_variance < 0.5 * records[0].mass_variance
@@ -480,17 +480,17 @@ def test_variance_decreases_over_rounds():
 
 
 def test_zero_rounds_yield_only_the_initial_record():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = np.array([[0.2, 0.4], [0.8, 0.6]])
     cfg = TransportConfig(rounds=0)
     records = []
-    final = so.run_experiment(positions, cfg, target, q, keep_records(records))
+    final = so.run_experiment(positions, cfg, dens, q, keep_records(records))
     assert len(records) == 1 and final.k == 0
     assert records[0].k == 0 and records[0].net_cost == 0.0
     assert final.positions.tolist() == positions.tolist()
 
 
-def run_rounds(positions, cfg, target, q, seed):
+def run_rounds(positions, cfg, dens, q, seed):
     """A run's records, and its positions and cell masses stacked by round."""
     records, path, masses = [], [], []
 
@@ -499,7 +499,7 @@ def run_rounds(positions, cfg, target, q, seed):
         path.append(state.positions)
         masses.append(cells.masses)
 
-    so.run_experiment(positions, cfg, target, q, keep, seed)
+    so.run_experiment(positions, cfg, dens, q, keep, seed)
     return records, np.array(path), np.array(masses)
 
 
@@ -509,27 +509,27 @@ def same_runs(a, b):
 
 
 def test_runs_are_deterministic():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     positions = so.initial_positions(8, dom, seed=12)
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
-    run = run_rounds(positions, cfg, target, q, seed=12)
+    run = run_rounds(positions, cfg, dens, q, seed=12)
     assert run[1].shape == (7, 8, 2) and run[2].shape == (7, 8)
-    assert same_runs(run, run_rounds(positions, cfg, target, q, seed=12))
+    assert same_runs(run, run_rounds(positions, cfg, dens, q, seed=12))
 
 
 def test_an_agent_run_keeps_to_a_domain_off_the_unit_square():
     # the run reads its domain from the quadrature alone
     dom = Domain((-1.0, 2.0), (3.0, 3.0))
     q = QuadratureGrid(dom, 48, 24)
-    target = so.DensityField.gaussian_mixture([2.0, 2.6], 0.3 * np.eye(2), domain=dom).normalize(q)
+    dens = so.DensityField.gaussian_mixture([2.0, 2.6], 0.3 * np.eye(2), domain=dom).values_on(q)
     positions = so.initial_positions(12, dom, seed=2)
     positions[0] = [5.0, 0.0]  # outside: clamped to the corner (3, 2)
     cfg = TransportConfig(eps=0.05, tau=0.05, inner_iters=10, rounds=15)
-    run = run_rounds(positions, cfg, target, q, seed=2)
+    run = run_rounds(positions, cfg, dens, q, seed=2)
     records, path, _ = run
     assert path[0, 0].tolist() == [3.0, 2.0]
     assert dom.contains(path)
-    assert same_runs(run, run_rounds(positions, cfg, target, q, seed=2))
+    assert same_runs(run, run_rounds(positions, cfg, dens, q, seed=2))
     assert records[-1].mass_variance < records[0].mass_variance
 
 
@@ -591,11 +591,11 @@ def nudged_rounds(monkeypatch):
 
 
 def test_each_position_set_is_measured_once(monkeypatch):
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(eps=0.02, tau=1.0, inner_iters=5, rounds=6)
     counts = count_calls(monkeypatch, transport, MEASURES)
     nudged = nudged_rounds(monkeypatch)
-    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, target, q, lambda *_: None, seed=3)
+    so.run_experiment(so.initial_positions(8, dom, seed=3), cfg, dens, q, lambda *_: None, seed=3)
     assert nudged == [False] * cfg.rounds
     assert counts == dict.fromkeys(MEASURES, cfg.rounds + 1)
 
@@ -624,41 +624,40 @@ def round_bits(result):
 
 
 def test_a_round_given_its_cells_matches_one_that_measures_them(monkeypatch):
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
     positions = so.initial_positions(6, dom, seed=8)
     state = SwarmState(positions, seed=8)
-    dens = target.values_on(q)
     cells = transport._measure(positions, q, cfg.radius, dens)
     other = transport._measure(positions[::-1].copy(), q, cfg.radius, dens)
-    measured = so.transport_round(state, cfg, target, q)
+    measured = so.transport_round(state, cfg, dens, q)
     counts = count_calls(monkeypatch, transport, MEASURES)
-    given = so.transport_round(state, cfg, target, q, cells)
+    given = so.transport_round(state, cfg, dens, q, cells)
     assert counts == dict.fromkeys(MEASURES, 0)
     assert round_bits(given) == round_bits(measured)
     # cells of other sites are measured again at the round's positions
-    given = so.transport_round(state, cfg, target, q, other)
+    given = so.transport_round(state, cfg, dens, q, other)
     assert counts == dict.fromkeys(MEASURES, 1)
     assert round_bits(given) == round_bits(measured)
 
 
 def test_a_round_whose_dedupe_nudges_measures_its_cells_again(monkeypatch):
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(eps=0.05, tau=0.5, inner_iters=5)
     positions = np.array([[0.2, 0.3], [0.7, 0.6], [0.2, 0.3]])
     state = SwarmState(positions, seed=2)
-    cells = transport._measure(positions, q, cfg.radius, target.values_on(q))
-    measured = so.transport_round(state, cfg, target, q)
+    cells = transport._measure(positions, q, cfg.radius, dens)
+    measured = so.transport_round(state, cfg, dens, q)
     assert measured[1]["perturbed"] == [2]
     counts = count_calls(monkeypatch, transport, MEASURES)
-    given = so.transport_round(state, cfg, target, q, cells)
+    given = so.transport_round(state, cfg, dens, q, cells)
     assert counts == dict.fromkeys(MEASURES, 1)
     assert round_bits(given) == round_bits(measured)
 
 
 def test_a_nudged_round_evaluates_the_target_no_more(monkeypatch, tmp_path):
-    # the run evaluates its target on the quadrature once; a round that
-    # measures its nudged cells again reuses those values
+    # the command evaluates its target on the quadrature once; a round
+    # that measures its nudged cells again reuses those values
     config = tmp_path / "run.cfg"
     config.write_text(AGENTS_NUDGED)
     raw_many = so.DensityField._raw_many
@@ -682,6 +681,7 @@ def test_a_nudged_round_evaluates_the_target_no_more(monkeypatch, tmp_path):
     assert cli.main(["agents", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert len(rounds) == 20 and any(nudged for nudged, _ in rounds)
     assert [calls for _, calls in rounds] == [0] * 20
+    assert sum(evaluated) == 64 * 64  # one pass over the quadrature
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["pd", "fixed_dual"])
@@ -689,12 +689,7 @@ def test_every_agent_warm_starts_from_its_own_potential(monkeypatch, tmp_path, f
     # an agent's potential is carried by its index; a nearest-previous-site
     # lookup would hand some agents another agent's potential in this run
     config = tmp_path / "run.cfg"
-    config.write_text(
-        AGENTS_NUDGED.replace("mode = agents", "mode = agents_fixed_dual")
-        + "transport.fixed_dual = 1.0\n"
-        if fixed
-        else AGENTS_NUDGED
-    )
+    config.write_text(AGENTS_NUDGED + "transport.fixed_dual = 1.0\n" if fixed else AGENTS_NUDGED)
     solves = inner_starts(monkeypatch)
     sites = []
     dedupe = transport._dedupe
@@ -773,12 +768,12 @@ def test_row_norms_have_the_bits_of_float_arithmetic(rows):
 
 
 def test_step_lengths_are_the_metric_distance_of_each_move():
-    dom, q, target = uniform_setup()
+    dom, q, dens = uniform_setup()
     cfg = TransportConfig(eps=0.08, tau=0.5, inner_iters=5, rounds=3)
     state = SwarmState(so.initial_positions(40, dom, seed=4), seed=4)
     for _ in range(cfg.rounds):
         before = state.positions
-        state, diag = so.transport_round(state, cfg, target, q)
+        state, diag = so.transport_round(state, cfg, dens, q)
         assert diag["perturbed"] == []  # so the round moved `before` itself
         steps = diag["step_lengths"]
         ref = [math.sqrt(dx * dx + dy * dy) for dx, dy in (before - state.positions).tolist()]
@@ -821,12 +816,12 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
     are."""
     rng = np.random.default_rng(seed)
     dom, q = Domain(), QuadratureGrid(Domain(), 64)
-    target = so.DensityField.gaussian_mixture([[0.6, 0.4]], [0.05 * np.eye(2)], None, dom)
+    dens = so.DensityField.gaussian_mixture([[0.6, 0.4]], [0.05 * np.eye(2)], None, dom).values_on(q)
     cfg = TransportConfig(eps=0.02, tau=0.5, inner_iters=n, radius=0.2 if use_radius else None,
                           fixed_dual=1.0 if fixed else None)
     state = SwarmState(rng.uniform(size=(60, 2)), seed=seed)
     for _ in range(2):
-        state, _ = so.transport_round(state, cfg, target, q)
+        state, _ = so.transport_round(state, cfg, dens, q)
     m = int(np.argmin(((state.positions - corner) ** 2).sum(axis=1)))
     moved = state.positions.copy()
     # aim away from the corner, so the clamp cannot shrink the move
@@ -842,8 +837,8 @@ def test_a_round_is_local(seed, n, use_radius, fixed, corner):
         far &= hops(so.neighbor_graph(p), m) > n + 2
     assume(far.any())
     other = SwarmState(moved, state.k, state.cost, state.seed, state.inner)
-    a, _ = so.transport_round(state, cfg, target, q)
-    b, _ = so.transport_round(other, cfg, target, q)
+    a, _ = so.transport_round(state, cfg, dens, q)
+    b, _ = so.transport_round(other, cfg, dens, q)
     np.testing.assert_array_equal(a.positions[far], b.positions[far])
     np.testing.assert_array_equal(a.inner.phi[far], b.inner.phi[far])
     assert not np.array_equal(a.inner.phi, b.inner.phi)  # the move reached someone
@@ -867,7 +862,7 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
     cfg = load_config(CONCENTRATED)
     dom = Domain()
     q = QuadratureGrid(dom, cfg.quad_resolution)
-    target = cli.build_target(cfg, 0).normalize(q)
+    dens = cli.build_target(cfg, 0).values_on(q)
     fit, largest = transport.local_gradient, []
 
     def spy(positions, phi, graph):
@@ -879,7 +874,7 @@ def test_a_gradient_norm_overflow_raises_in_its_own_round(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(so.DivergenceError, match="^primal-dual iteration diverged; reduce tau$"):
             so.run_experiment(so.initial_positions(30, dom, 0), cli.transport_config(cfg),
-                              target, q, lambda *_: None)
+                              dens, q, lambda *_: None)
     # the round that raised still had finite potentials: its gradient
     # norm overflowed before its inner iteration diverged
     assert 1e200 < largest[-1] < np.inf
@@ -891,7 +886,7 @@ def test_potentials_whose_gradients_overflow_raise_divergence(seed, n, exponent,
     # finite potentials so large that a slope, or its norm, overflows:
     # zero inner steps hand the carried potentials to the fit unchanged
     rng = np.random.default_rng(seed)
-    dom, q, target = uniform_setup(32)
+    dom, q, dens = uniform_setup(32)
     positions = rng.uniform(size=(n, 2))
     graph = so.neighbor_graph(so.build_partition(positions, q))
     phi = rng.uniform(-1.0, 1.0, size=n) * 10.0**exponent
@@ -900,7 +895,7 @@ def test_potentials_whose_gradients_overflow_raise_divergence(seed, n, exponent,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(so.DivergenceError):
-            so.transport_round(SwarmState(positions, seed=seed, inner=inner), cfg, target, q)
+            so.transport_round(SwarmState(positions, seed=seed, inner=inner), cfg, dens, q)
 
 
 def test_a_diverging_agents_run_leaves_no_csv(tmp_path, capsys):
