@@ -4,8 +4,10 @@ Subcommands: `agents` (transport rounds), `pde` (grid solver),
 `oracle-check` (primal-dual vs. min-cost-flow agreement), and `fig N`
 (N in 2..6, emits the data behind the standard figures). All output is
 CSV, written row by row from the sink of each run's loop; re-running a
-config with the same seed is byte-identical. Every command computes
-sequentially: --threads is validated (at least 1) and otherwise unused.
+config with the same seed is byte-identical. --threads (at least 1)
+splits the rows of a large grid's inner flow steps across that many
+threads, in `pde` and figs 4-6, and never changes a byte; `agents`,
+figs 2-3 and `oracle-check` compute sequentially.
 """
 
 import argparse
@@ -180,17 +182,18 @@ def _pde_state(cfg, warm_start=None):
     return state, rho_star
 
 
-def _grid_loop_args(cfg):
+def _grid_loop_args(cfg, threads):
     """Keywords of the grid loop `run_coupled` that every grid command
-    takes from the config."""
+    takes from the config and --threads."""
     return dict(
         horizon=cfg.grid_horizon,
         lam_fixed=cfg.grid_lam_fixed,
         record_every=cfg.record_every,
+        threads=threads,
     )
 
 
-def run_pde(cfg, out_dir):
+def run_pde(cfg, out_dir, threads=1):
     """Write each record of the run to metrics.csv as the loop takes it.
 
     A positivity stop leaves the rows recorded before it and fails the
@@ -207,7 +210,8 @@ def run_pde(cfg, out_dir):
                 last[0] = report
 
         final = run_coupled(
-            state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner, **_grid_loop_args(cfg)
+            state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
+            **_grid_loop_args(cfg, threads),
         )
     print(
         f"pde[{cfg.grid_mode}]: t={final.t:.3f}, V={last[0].V:.3e}, "
@@ -262,7 +266,7 @@ def oracle_check(cfg, n_instances=10):
     return 0
 
 
-def run_fig(cfg, number, out_dir):
+def run_fig(cfg, number, out_dir, threads=1):
     if number in (2, 3):
         q, dens, positions = _agent_setup(cfg)
 
@@ -296,7 +300,7 @@ def run_fig(cfg, number, out_dir):
 
             run_coupled(
                 state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
-                **_grid_loop_args(cfg),
+                **_grid_loop_args(cfg, threads),
             )
         star = rho_star.tolist()
         snap_rows = (
@@ -324,7 +328,9 @@ def run_fig(cfg, number, out_dir):
                     if report is not None:
                         f.write(csv_line(_density_error_row(report)))
 
-                run_coupled(state, rho_star, mode, record, inner_n=n, **_grid_loop_args(cfg))
+                run_coupled(
+                    state, rho_star, mode, record, inner_n=n, **_grid_loop_args(cfg, threads)
+                )
         except PositivityError as exc:
             print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
             name += " (partial)"
@@ -341,7 +347,8 @@ def _add_common(parser):
         "--threads",
         type=int,
         default=1,
-        help="accepted for compatibility (at least 1); computation is sequential",
+        help="threads for a large grid's inner flow steps (at least 1); output is the same "
+        "for every count",
     )
 
 
@@ -375,10 +382,10 @@ def main(argv=None):
         if args.command == "pde":
             if cfg.mode not in (None, "pde"):
                 raise ConfigError(f"config mode '{cfg.mode}' does not match command 'pde'")
-            return run_pde(cfg, out_dir)
+            return run_pde(cfg, out_dir, args.threads)
         if args.command == "oracle-check":
             return oracle_check(cfg)
-        return run_fig(cfg, args.number, out_dir)
+        return run_fig(cfg, args.number, out_dir, args.threads)
     except (ConfigError, ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,9 @@ The potential flow is the agents' primal-dual kernel `iterate` on the
 grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
 transport and stationarity use its operator `laplacian`. The grid's edge
 list comes from `grid_edges` and knows its shape, so the kernel runs on
-it as a 2-D stencil, bit-identical to its gather-and-bincount path on an
-agent graph.
+it as a 2-D stencil on row slabs, bit-identical to its gather-and-bincount
+path on an agent graph; on a large grid the slabs run in `threads`
+threads, to the same bits.
 
 A state holds its arrays and nothing else. The grid loop computes each
 outer step's L phi once, for the transport step and the record. A
@@ -138,37 +139,42 @@ class LyapunovReport:
     mass_error: float
 
 
-def _flow_step(s, rho_star, n, dual):
+def _flow_step(s, rho_star, n, dual, threads):
     out = copy.copy(s)
     with np.errstate(all="ignore"):
         out.phi, out.lam = iterate(
-            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual
+            s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual, threads
         )
     return out
 
 
-def pd_flow_step(s, rho_star, n=1):
+def pd_flow_step(s, rho_star, n=1, threads=1):
     """n explicit Euler steps, each of length s.dt, of the primal-dual flow (rho untouched).
 
     phi ascends the divergence of lam grad phi plus the imbalance;
     lam follows the constraint violation with the rate projected so
     multipliers never leave the nonnegative cone. rho - rho_star is
     constant over the steps, so one call gives the bits of n calls.
+    `threads` is `iterate`'s: any count gives the same bits.
     """
-    return _flow_step(s, rho_star, n, dual=True)
+    return _flow_step(s, rho_star, n, True, threads)
 
 
-def relaxed_primal_step(s, rho_star, n=1):
+def relaxed_primal_step(s, rho_star, n=1, threads=1):
     """n primal flow steps with the multipliers held at s.lam."""
-    return _flow_step(s, rho_star, n, dual=False)
+    return _flow_step(s, rho_star, n, False, threads)
 
 
 def transport_step(s, lap=None):
     """Advect the density by the edge fluxes lam (phi_j - phi_i).
 
     Antisymmetric per-edge fluxes keep the total mass exactly conserved.
-    A step that would make any node nonpositive (or NaN) is an error
-    naming the node (a PositivityError): reduce dt rather than clamping.
+    A step that would make any node nonpositive (or NaN) is an error, not
+    a clamp: a PositivityError naming the node, its density after the
+    step and its outflow dt (L phi)_i. A smaller dt does not move such
+    stops, since the coupled flow itself reaches rho = 0; more inner
+    steps per transport step (a larger `grid.n`) avoided the ones
+    measured (ROADMAP item 12), so the message names that lever alone.
     `lap` is the state's L phi, laplacian(s.phi, s.lam, s.edges), when
     the caller holds it; without it the step computes it, to the same bits.
     """
@@ -180,7 +186,9 @@ def transport_step(s, lap=None):
         node = int(np.argmin(out.rho))
         x, y = s.node_xy(node)
         raise PositivityError(
-            f"transport step made the density nonpositive or NaN at node ({x},{y}); reduce dt"
+            f"transport step made the density nonpositive or NaN at node ({x},{y}): density "
+            f"{out.rho[node]:.3e} after the step, outflow dt*(L phi)_i = {s.dt * lap[node]:.3e}; "
+            "a larger grid.n (more inner steps per transport step) can avoid it"
         )
     out.t = s.t + s.dt
     return out
@@ -325,7 +333,9 @@ def step_count(horizon, dt):
 MODES = ("on_the_fly_pd", "on_the_fly_fixed", "inner_steady_state")  # of run_coupled, grid.mode
 
 
-def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1):
+def run_coupled(
+    s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, record_every=1, threads=1
+):
     """The one grid loop: step from t = 0 to the horizon and return the final state.
 
     `sink(state, report)` is called with the initialized state, then
@@ -343,7 +353,9 @@ def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, 
       inner_steady_state- the inner flow held at its stationary point
 
     The on-the-fly modes take an outer step's inner_n steps in one
-    `pd_flow_step` or `relaxed_primal_step` call.
+    `pd_flow_step` or `relaxed_primal_step` call, which splits a large
+    grid's rows across `threads` threads (see `iterate`); the bits do
+    not depend on the count.
 
     inner_steady_state takes no inner steps. It starts from the
     closed-form stationary pair of `steady_potentials`, and after each
@@ -404,7 +416,7 @@ def run_coupled(s, rho_star, mode, sink, inner_n=1, horizon=1.0, lam_fixed=1.0, 
         prev = s  # released once transported: see the docstring
         with np.errstate(all="ignore"):
             if not steady:
-                s = inner_step(s, rho_star, inner_n)
+                s = inner_step(s, rho_star, inner_n, threads)
                 lap = laplacian(s.phi, s.lam, s.edges)
             try:
                 s = transport_step(s, lap)

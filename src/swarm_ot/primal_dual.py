@@ -15,8 +15,16 @@ The kernel's two edge operations, the edge difference and the net
 outflow, gather and scatter by index on an (E, 2) edge list. On an edge
 list built by `grid_edges` they take 2-D slices of the node grid
 instead, in the same summation order, so both paths give the same bits.
-The path follows from the edge list itself; nothing selects it.
+The path follows from the edge list itself. The grid path is written
+once, as helpers over a range of node rows: `edge_diff` and
+`_net_outflow` run them on every row, and `iterate` on row slabs, which
+a large grid's caller may split across threads (the CLI's --threads)
+without changing a bit.
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -81,43 +89,75 @@ def grid_edges(nx, ny):
     return edges
 
 
+def _edge_rows(a, shape):
+    """The (ny, nx-1) horizontal and (ny-1, nx) vertical 2-D views of an
+    edge-sized array in `grid_edges`' layout."""
+    ny, nx = shape
+    nh = ny * (nx - 1)
+    return a[:nh].reshape(ny, nx - 1), a[nh:].reshape(ny - 1, nx)
+
+
+def _diff_rows(p, r0, r1, dh, dv):
+    """phi_i - phi_j on the edges of node rows r0:r1 of the 2-D potential p.
+
+    The rows' horizontal edges go to dh, and to dv the vertical edges
+    from those rows to the next, which the grid's last row does not have.
+    """
+    rv = min(r1, len(p) - 1)
+    np.subtract(p[r0:r1, :-1], p[r0:r1, 1:], out=dh)
+    np.subtract(p[r0:rv], p[r0 + 1 : rv + 1], out=dv)
+
+
+def _outflow_rows(fh, fv, top, out):
+    """Net outflow of a slab of node rows into out, in place of its fluxes.
+
+    fh holds the fluxes of the slab's horizontal edges, fv those of its
+    vertical edges to the next row, and top those of the vertical edges
+    into its first row (None at the grid's first row); all three are
+    overwritten. A node sums as bincount does: from zero, its horizontal
+    edge, then its vertical one, at the tail, less that sum at the head.
+    fh + 0.0 is 0.0 + fh, so a -0.0 flux sums to +0.0 as in bincount; a
+    node without a horizontal edge starts at 0.0 itself.
+    """
+    fh += 0.0
+    out[:, :-1] = fh
+    out[:, -1] = 0.0
+    out[: len(fv)] += fv  # the sums at the tails
+    into = fv[: len(out) - 1]  # becomes the sums at the heads of rows 1..
+    np.add(fh[1:], into[:, 1:], out=into[:, 1:])
+    np.add(0.0, into[:, 0], out=into[:, 0])
+    out[1:] -= into
+    if top is None:
+        out[0, 1:] -= fh[0]  # x - 0.0 is x, so column 0 is done
+    else:
+        np.add(fh[0], top[1:], out=top[1:])
+        np.add(0.0, top[:1], out=top[:1])
+        out[0] -= top
+
+
 def edge_diff(phi, edges):
     """phi_i - phi_j for every edge (i, j)."""
     shape = getattr(edges, "grid_shape", None)
     if shape is None:
         return phi[edges[:, 0]] - phi[edges[:, 1]]
-    ny, nx = shape
-    grid = phi.reshape(shape)
     out = np.empty(len(edges), dtype=phi.dtype)
-    nh = ny * (nx - 1)
-    np.subtract(grid[:, :-1], grid[:, 1:], out=out[:nh].reshape(ny, nx - 1))
-    np.subtract(grid[:-1], grid[1:], out=out[nh:].reshape(ny - 1, nx))
+    _diff_rows(phi.reshape(shape), 0, shape[0], *_edge_rows(out, shape))
     return out
 
 
 def _net_outflow(flux, edges, n):
-    """Per-node sum of edge fluxes, counted + at edge[0] and - at edge[1]."""
+    """Per-node sum of edge fluxes, counted + at edge[0] and - at edge[1].
+
+    On an edge list from `grid_edges` the sum overwrites flux, so pass
+    one that is not needed after.
+    """
     shape = getattr(edges, "grid_shape", None)
     if shape is None:
         out = np.bincount(edges[:, 0], weights=flux, minlength=n)
         out -= np.bincount(edges[:, 1], weights=flux, minlength=n)
         return out.astype(float, copy=False)  # bincount of no edges is int
-    # bincount's order: from zero, a node's horizontal edge, then its
-    # vertical one, at the tail and at the head. fh + 0.0 is 0.0 + fh, so
-    # a -0.0 flux sums to +0.0 as in bincount; the column without a
-    # horizontal edge starts at 0.0 itself.
-    ny, nx = shape
-    nh = ny * (nx - 1)
-    fh, fv = flux[:nh].reshape(ny, nx - 1), flux[nh:].reshape(ny - 1, nx)
     out = np.empty(shape)
-    np.add(fh, 0.0, out=out[:, :-1])
-    out[:, -1] = 0.0
-    out[:-1] += fv
-    head = np.empty(shape)
-    np.add(fh, 0.0, out=head[:, 1:])
-    head[:, 0] = 0.0
-    head[1:] += fv
-    out -= head
+    _outflow_rows(*_edge_rows(flux, shape), None, out)
     return out.ravel()
 
 
@@ -131,7 +171,25 @@ def laplacian(phi, lam, edges, dphi=None):
     return _net_outflow(lam * dphi, edges, len(phi))
 
 
-def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
+# Nodes from which `iterate` splits a grid's rows across threads. Kernel
+# time per inner step in 15-step calls, one slab against two threads
+# (2-core x86-64 VM): 50^2 45-51 against 226-255 us, 128^2 174-195
+# against 376-415 us, 192^2 462-538 against 451-524 us, 224^2 651-874
+# against 513-595 us, 256^2 886-1061 against 581-725 us. Each numpy call
+# of a thread hands the interpreter lock over and each step waits at a
+# barrier, about 200 us a step in all, so threads pay from 224^2 on.
+THREAD_MIN_NODES = 224 * 224
+
+
+def _usable_cores():
+    """The CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True, threads=1):
     """n_steps synchronous primal-dual steps; dual=False holds lam fixed.
 
     The one kernel behind the agents' inner loop, the flow oracle and the
@@ -143,12 +201,19 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
     caller enters np.errstate(all="ignore") once around its calls.
 
     Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
-    and phi' = phi + tau (b - L phi) in place, in the buffers of the flux
-    and of L phi, with every operation and operand order of those
-    expressions, so the bits are theirs. With only two edge-sized and two
-    node-sized allocations per step, a large grid's run does not return
-    heap pages to the system and fault them in again.
+    and phi' = phi + tau (b - L phi) with every operation and operand
+    order of those expressions, so the bits are theirs: on an agent graph
+    in place, in the buffers of the flux and of L phi. On an edge list
+    from `grid_edges` the steps run as `grid_iterate`, on row slabs in
+    min(threads, usable cores) threads from THREAD_MIN_NODES nodes on and
+    in the caller's thread below, to the same bits for any count.
     """
+    shape = getattr(edges, "grid_shape", None)
+    if shape is not None:
+        slabs = 1
+        if threads > 1 and shape[0] * shape[1] >= THREAD_MIN_NODES:
+            slabs = min(threads, _usable_cores())
+        return grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs)
     for _ in range(n_steps):
         dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
         flux = lam * dphi
@@ -164,6 +229,146 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True):
         np.multiply(tau, step, out=step)
         phi = np.add(phi, step, out=step)
     return phi, lam
+
+
+def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
+    """`iterate` on the (ny, nx) grid's edges, its rows split into slabs.
+
+    Slab k is node rows ny*k//m to ny*(k+1)//m of m = min(slabs, ny)
+    slabs; slab 0 runs in the caller's thread and each other slab in a
+    thread of its own (`_run_slabs`). A step writes phi' and lam' into
+    one of two buffer pairs while it reads the other, so each thread
+    writes only its slab's rows of the shared buffers and waits at one
+    barrier per step. The flux of the vertical edges into a slab's first
+    row, which the slab above owns, the slab computes again into a row
+    of its own. Every slab count gives the bits of one slab, which are
+    those of the expressions.
+
+    The call allocates the result pair, one more pair when n_steps > 1,
+    an edge-sized flux buffer and the slabs' rows above, and nothing per
+    step.
+    """
+    if n_steps == 0:
+        return phi, lam
+    ny, nx = shape
+    m = max(1, min(slabs, ny))
+    flux, above = np.empty(len(lam)), np.empty((m - 1, nx))
+    b = np.asarray(b)
+    slab = [
+        _Slab(shape, ny * k // m, ny * (k + 1) // m, flux, b, half_c2, above[k - 1] if k else None)
+        for k in range(m)
+    ]
+    # states[0] is the input; the last step writes states[1], the result
+    pairs = [(np.empty(ny * nx), np.empty(len(lam)) if dual else lam) for _ in range(min(n_steps, 2))]
+    states = [(phi, lam), *pairs]
+
+    def slab_step(k, step):
+        src = states[1 + (n_steps - step) % 2 if step else 0]
+        slab[k].step(*src, *states[1 + (n_steps - 1 - step) % 2], dual, tau)
+
+    _run_slabs(m, n_steps, slab_step)
+    return pairs[0]
+
+
+class _Slab:
+    """Node rows r0:r1 of a grid and one step of them.
+
+    The slab's edges are its rows' horizontal edges and the vertical
+    edges from them to the next row: two runs of the edge list, one when
+    the slab is the whole grid. A step reads and writes only these.
+    """
+
+    def __init__(self, shape, r0, r1, flux, b, half_c2, top):
+        ny, nx = shape
+        nh = ny * (nx - 1)
+        rv = min(r1, ny - 1)
+        self.rows, self.shape, self.top = (r0, r1), shape, top
+        self.nodes, self.node_rows = slice(r0 * nx, r1 * nx), (r1 - r0, nx)
+        self.h, self.h_rows = slice(r0 * (nx - 1), r1 * (nx - 1)), (r1 - r0, nx - 1)
+        self.v, self.v_rows = slice(nh + r0 * nx, nh + rv * nx), (rv - r0, nx)
+        self.into = slice(nh + (r0 - 1) * nx, nh + r0 * nx)  # vertical edges into row r0
+        h, v = self.h, self.v
+        self.runs = [h, v] if h.stop != v.start else [slice(h.start, v.stop)]
+        self.flux = self._rows(flux), [flux[run] for run in self.runs]
+        self.half_c2 = [half_c2[run] if np.ndim(half_c2) else half_c2 for run in self.runs]
+        self.b = b[self.nodes].reshape(self.node_rows)
+
+    def _rows(self, a):
+        """The slab's horizontal and vertical edges in an edge-sized array, as rows."""
+        return a[self.h].reshape(self.h_rows), a[self.v].reshape(self.v_rows)
+
+    def step(self, phi, lam, phi_out, lam_out, dual, tau):
+        """One step of the slab's rows from (phi, lam) into (phi_out, lam_out)."""
+        r0, r1 = self.rows
+        p = phi.reshape(self.shape)
+        lam_runs = [lam[run] for run in self.runs]
+        f_rows, f_runs = self.flux
+        if dual:
+            d_rows, d_runs = self._rows(lam_out), [lam_out[run] for run in self.runs]
+        else:
+            d_rows, d_runs = f_rows, f_runs
+        _diff_rows(p, r0, r1, *d_rows)
+        for l, d, f in zip(lam_runs, d_runs, f_runs):
+            np.multiply(l, d, out=f)
+        top = self.top
+        if top is not None:
+            np.subtract(p[r0 - 1], p[r0], out=top)
+            np.multiply(lam[self.into], top, out=top)
+        out = phi_out[self.nodes].reshape(self.node_rows)
+        _outflow_rows(*f_rows, top, out)
+        if dual:
+            for d, l, c, t in zip(d_runs, lam_runs, self.half_c2, f_runs):
+                np.multiply(0.5, d, out=t)
+                t *= d
+                t -= c
+                np.multiply(tau, t, out=t)
+                np.add(l, t, out=t)
+                np.maximum(0.0, t, out=d)
+        np.subtract(self.b, out, out=out)
+        np.multiply(tau, out, out=out)
+        np.add(p[r0:r1], out, out=out)
+
+
+def _run_slabs(m, n_steps, slab_step):
+    """slab_step(k, step) for each of n_steps steps and each slab k < m.
+
+    Slab 0 runs in the caller's thread, the others in threads of their
+    own that meet at a barrier after every step. The first failure in
+    any slab aborts the barrier, so no thread waits for it, and is raised
+    here once every thread has ended.
+    """
+    if m == 1:
+        for step in range(n_steps):
+            slab_step(0, step)
+        return
+    barrier, errors = threading.Barrier(m), []
+
+    def run(k):
+        try:
+            for step in range(n_steps):
+                slab_step(k, step)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # another slab failed, and its error is raised
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    started = []
+    try:
+        for k in range(1, m):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            worker.start()
+            started.append(worker)
+        run(0)
+    except BaseException:
+        barrier.abort()
+        raise
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _run(s, b, g, tau, n, dual):

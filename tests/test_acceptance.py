@@ -5,6 +5,7 @@ Each test prints a single `criterion N: PASS/FAIL` line (visible under
 asserted where a criterion carries one.
 """
 
+import math
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 import swarm_ot as so
 from conftest import collect, keep_records, run_python
 from swarm_ot import cli
+from swarm_ot.primal_dual import THREAD_MIN_NODES
 from swarm_ot.rng import STREAM_TARGET, derive
 
 DOM = so.Domain()
@@ -195,30 +197,37 @@ def test_criterion_8_kkt_closure_on_1x2_grid():
 
 
 def test_criterion_9_thread_count_never_changes_output(tmp_path):
-    agents_cfg = tmp_path / "agents.cfg"
-    agents_cfg.write_text(
-        "mode = agents\nseed = 5\ntransport.N = 10\ntransport.K = 3\n"
-        "transport.n = 5\nquadrature.resolution = 64\ntarget.kind = gaussian\n"
+    # the 8x8 steady run takes no inner step; the on-the-fly runs are on
+    # the smallest grid whose inner steps `iterate` splits across threads
+    n = math.isqrt(THREAD_MIN_NODES - 1) + 1
+    split = (
+        f"mode = pde\nseed = 5\ngrid.nx = {n}\ngrid.ny = {n}\ngrid.T = 0.003\n"
+        "grid.mode = on_the_fly_pd\ngrid.warm_start = true\ngrid.n = 4\n"
     )
-    pde_cfg = tmp_path / "pde.cfg"
-    pde_cfg.write_text(
-        "mode = pde\nseed = 5\ngrid.nx = 8\ngrid.ny = 8\ngrid.dt = 1e-2\n"
-        "grid.T = 0.1\ntarget.kind = uniform\n"
-    )
-    outputs = {}
-    for threads in ("1", "4"):
-        for name, cfg in (("agents", agents_cfg), ("pde", pde_cfg)):
+    cases = {
+        "agents": (["agents"], (
+            "mode = agents\nseed = 5\ntransport.N = 10\ntransport.K = 3\n"
+            "transport.n = 5\nquadrature.resolution = 64\ntarget.kind = gaussian\n"
+        ), ("1", "4"), 2),
+        "pde": (["pde"], (
+            "mode = pde\nseed = 5\ngrid.nx = 8\ngrid.ny = 8\ngrid.dt = 1e-2\n"
+            "grid.T = 0.1\ntarget.kind = uniform\n"
+        ), ("1", "4"), 1),
+        "pde_split": (["pde"], split, ("1", "2", "3"), 1),
+        "fig5_split": (["fig", "5"], split.replace("grid.T = 0.003", "grid.T = 0.002"),
+                       ("1", "2", "3"), 4),
+    }
+    ok, detail = True, []
+    for name, (command, config, thread_counts, files) in cases.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        outputs = []
+        for threads in thread_counts:
             out = tmp_path / f"{name}_t{threads}"
-            res = run_python(["-m", "swarm_ot", name, "--config", str(cfg),
+            res = run_python(["-m", "swarm_ot", *command, "--config", str(cfg),
                               "--threads", threads, "--out", str(out)])
             assert res.returncode == 0, res.stderr
-            outputs[(name, threads)] = {
-                p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))
-            }
-    ok = (
-        outputs[("agents", "1")] == outputs[("agents", "4")]
-        and outputs[("pde", "1")] == outputs[("pde", "4")]
-        and len(outputs[("agents", "1")]) == 2
-        and len(outputs[("pde", "1")]) == 1
-    )
-    _report(9, ok, "agents and pde CSVs byte-identical for --threads 1 vs 4")
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        ok = ok and all(o == outputs[0] for o in outputs) and len(outputs[0]) == files
+        detail.append(f"{name} --threads {'/'.join(thread_counts)}")
+    _report(9, ok, "CSVs byte-identical: " + ", ".join(detail))

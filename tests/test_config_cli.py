@@ -6,6 +6,7 @@ byte-level determinism.
 """
 
 import hashlib
+import math
 import os
 import re
 import tracemalloc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import collect, run_python
-from swarm_ot import ConfigError, PositivityError, cli, config, grid, load_config
+from swarm_ot import ConfigError, PositivityError, cli, config, grid, load_config, primal_dual
 
 AGENTS_CFG = """\
 # agent quantization run
@@ -412,19 +413,30 @@ def test_zero_rounds_gives_header_plus_initial_row(tmp_path):
     assert lines[1].startswith("0,")
 
 
+# the smallest square grid whose inner steps `iterate` splits across threads
+SPLIT = math.isqrt(primal_dual.THREAD_MIN_NODES - 1) + 1
+
+
 def test_threads_flag_never_changes_bytes(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(AGENTS_CFG)
-    for out, threads in (("t1", "1"), ("t4", "4")):
-        res = run_cli(
-            "agents", "--config", str(cfg), "--threads", threads,
-            "--out", str(tmp_path / out),
-        )
-        assert res.returncode == 0, res.stderr
-    a = (tmp_path / "t1" / "metrics.csv").read_bytes()
-    b = (tmp_path / "t4" / "metrics.csv").read_bytes()
-    assert a == b
-    res = run_cli("agents", "--config", str(cfg), "--threads", "0", "--out", str(tmp_path))
+    split = f"seed = 3\ngrid.nx = {SPLIT}\ngrid.ny = {SPLIT}\ngrid.T = 0.003\ngrid.n = 3\n"
+    cases = [
+        (["agents"], AGENTS_CFG, ("1", "4")),
+        (["pde"], split + "grid.mode = on_the_fly_pd\n", ("1", "2", "3")),
+        (["pde"], split + "grid.mode = on_the_fly_fixed\n", ("1", "2", "3")),
+        (["fig", "5"], split.replace("grid.T = 0.003", "grid.T = 0.002"), ("1", "2", "3")),
+    ]
+    for k, (command, config, thread_counts) in enumerate(cases):
+        cfg = tmp_path / f"run{k}.cfg"
+        cfg.write_text(config)
+        outputs = []
+        for threads in thread_counts:
+            out = tmp_path / f"case{k}_t{threads}"
+            res = run_cli(*command, "--config", str(cfg), "--threads", threads, "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert outputs[0] and all(o == outputs[0] for o in outputs[1:]), command
+    res = run_cli("agents", "--config", str(tmp_path / "run0.cfg"), "--threads", "0",
+                  "--out", str(tmp_path))
     assert res.returncode == 1
 
 
@@ -536,9 +548,16 @@ def test_positivity_stops_that_dt_does_not_move(tmp_path):
     rises = np.diff(times)
     assert np.all(rises > 0) and np.all(np.diff(rises) < 0), times
     assert 0.63 < times[0] and times[-1] < 0.64
-    assert {message for _, message in stops} == {
-        "transport step made the density nonpositive or NaN at node (31,19); reduce dt"
-    }
+    # every stop names the node, its density after the step and its
+    # outflow, and the one lever that moved such stops: grid.n, not dt
+    message = re.compile(
+        r"transport step made the density nonpositive or NaN at node \(31,19\): density "
+        r"(\S+) after the step, outflow dt\*\(L phi\)_i = (\S+); a larger grid\.n "
+        r"\(more inner steps per transport step\) can avoid it"
+    )
+    for _, text in stops:
+        density, outflow = map(float, message.fullmatch(text).groups())
+        assert density <= 0.0 < outflow
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ potential gap saturates at 1 and the multiplier settles at 0.2), so
 every operator can be checked against explicit numbers.
 """
 
+import math
 import tracemalloc
 import weakref
 
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import swarm_ot as so
 from conftest import collect
-from swarm_ot import DensityField, GridState, NeighborGraph, PotentialState, grid
+from swarm_ot import DensityField, GridState, NeighborGraph, PotentialState, grid, primal_dual
 from swarm_ot.flow import incidence
 from swarm_ot.primal_dual import _net_outflow, iterate, laplacian
 
@@ -399,7 +400,7 @@ def test_grid_net_outflow_is_bincounts_bits_and_signs(case):
     # a lam = 0 edge with phi_i < phi_j carries a -0.0 flux
     edges, flux = case
     n = edges.grid_shape[0] * edges.grid_shape[1]
-    stencil = _net_outflow(flux, edges, n)
+    stencil = _net_outflow(flux.copy(), edges, n)  # the grid path overwrites its flux
     index = _net_outflow(flux, np.asarray(edges), n)
     assert same_bytes(stencil, index)
     assert np.array_equal(np.signbit(stencil), np.signbit(index))
@@ -667,6 +668,26 @@ def test_a_diverging_run_stops_at_its_first_transport_step(monkeypatch):
     assert finite == [(False, False)]
     assert info.value.t == 0.0
     assert len(reports) == 1
+
+
+def test_a_diverging_threaded_run_stops_as_the_serial_one_does(monkeypatch):
+    # multipliers of 1e100 blow the inner flow up within one call on the
+    # smallest grid split across threads: phi overflows to inf, then NaN.
+    # The worker threads step under the loop's errstate, so under the
+    # suite's warnings-as-errors they stop nothing, and the first
+    # transport step stops both runs alike
+    monkeypatch.setattr(primal_dual, "_usable_cores", lambda: 2)
+    n = math.isqrt(primal_dual.THREAD_MIN_NODES - 1) + 1
+    s = GridState(n, n, so.random_density(n, n, seed=4), dt=1e-3)
+    rho_star = np.full(n * n, 1.0 / (n * n))
+    stops = []
+    for threads in (1, 2):
+        with pytest.raises(so.PositivityError) as stop:
+            so.run_coupled(s, rho_star, "on_the_fly_fixed", discard, inner_n=6, horizon=0.01,
+                           lam_fixed=1e100, threads=threads)
+        stops.append((str(stop.value), stop.value.t))
+    assert stops[0] == stops[1]
+    assert "nan after the step" in stops[0][0] and stops[0][1] == 0.0
 
 
 def test_run_coupled_frees_each_state_before_the_next_record(monkeypatch):

@@ -160,7 +160,9 @@ CASES = {
 STDOUT = {
     "fig5_partial": (
         "fig 5: n=1 stopped after t=0.4730: transport step made the density "
-        "nonpositive or NaN at node (4,9); reduce dt\n"
+        "nonpositive or NaN at node (4,9): density -7.795e-06 after the step, outflow "
+        "dt*(L phi)_i = 8.586e-06; a larger grid.n (more inner steps per transport step) "
+        "can avoid it\n"
         "fig 5: wrote fig5_n1.csv (partial) fig5_n2.csv fig5_n5.csv fig5_n10.csv\n"
     ),
 }

@@ -6,7 +6,11 @@ lam * (phi_0 - phi_1) = b with |phi_0 - phi_1| = c whenever b != 0, so
 the potential gap saturates the constraint and lam = |b| / c.
 """
 
+import contextvars
 import hashlib
+import math
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +21,16 @@ from hypothesis.extra.numpy import arrays
 import swarm_ot as so
 from swarm_ot import NeighborGraph, PotentialState, cli
 from swarm_ot.flow import incidence
-from swarm_ot.primal_dual import _net_outflow, edge_diff, grid_edges, iterate, laplacian
+from swarm_ot import primal_dual
+from swarm_ot.primal_dual import (
+    THREAD_MIN_NODES,
+    _net_outflow,
+    edge_diff,
+    grid_edges,
+    grid_iterate,
+    iterate,
+    laplacian,
+)
 
 
 def two_node_graph(cost=1.0):
@@ -140,6 +153,106 @@ def test_the_kernel_on_a_disjoint_union_is_the_kernel_on_each_graph(graphs, tau,
             phi, lam = iterate(*graph, tau, n_steps, dual)
             assert phi.tobytes() == phi_u[node_at[k]:node_at[k + 1]].tobytes()
             assert lam.tobytes() == lam_u[edge_at[k]:edge_at[k + 1]].tobytes()
+
+
+@st.composite
+def slab_cases(draw):
+    """A grid of up to 40x40 nodes with phi, lam and b on it.
+
+    phi is all zeros in some cases, and lam is zero on about a third of
+    the edges, where a falling potential makes a -0.0 flux.
+    """
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n, e = nx * ny, ny * (nx - 1) + (ny - 1) * nx
+    phi = np.zeros(n) if draw(st.booleans()) else rng.normal(size=n)
+    lam = rng.uniform(0.0, 2.0, e) * (rng.uniform(size=e) > 0.3)
+    return (ny, nx), phi, lam, rng.normal(size=n), draw(st.floats(0.0, 2.0)), draw(st.floats(1e-4, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(slab_cases(), st.integers(1, 4), st.integers(0, 5), st.booleans())
+def test_every_slab_count_gives_the_bits_of_one_slab(case, slabs, n_steps, dual):
+    # below the size gate, called directly: more slabs than rows
+    # included, and the sign of a zero counts
+    shape, phi, lam, b, half_c2, tau = case
+    with np.errstate(all="ignore"):
+        one = grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, 1)
+        split = grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs)
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in one]
+
+
+def above_the_gate():
+    """phi, lam and b on the smallest square grid that `iterate` splits."""
+    n = math.isqrt(THREAD_MIN_NODES - 1) + 1
+    edges = grid_edges(n, n)
+    gen = so.SplitMix64(5)
+    return gen.uniforms(n * n), gen.uniforms(len(edges)), gen.uniforms(n * n), edges
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_two_threads_take_no_more_memory_than_one_slab(monkeypatch, dual):
+    # the slabs share one set of buffers. Each running numpy call holds
+    # buffers of up to its buffer size, so the calls run with the
+    # smallest; what two threads add then is the threads themselves and
+    # the second slab's row above, a few KiB against the call's MiBs
+    monkeypatch.setattr(primal_dual, "_usable_cores", lambda: 2)
+    phi, lam, b, edges = above_the_gate()
+    context = contextvars.copy_context()
+    context.run(np.setbufsize, 16)
+
+    def peak(threads):
+        def call():
+            return iterate(phi, lam, b, edges, 0.5, 0.1, 3, dual, threads)
+
+        context.run(call)  # the first call's lazy set-up is not the kernel's
+        tracemalloc.start()
+        try:
+            result = context.run(call)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    one, serial = peak(1)
+    two, split = peak(2)
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
+    # two results, one more pair and the flux buffer: three pairs of
+    # arrays, or two and the flux when lam is held
+    pair = phi.nbytes + (lam.nbytes if dual else 0)
+    assert one <= 2 * pair + lam.nbytes + 16 * 1024
+    assert two <= one + 16 * 1024
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_failing_slab_is_raised_in_the_caller_and_no_thread_outlives_it(monkeypatch, failing):
+    real = primal_dual._diff_rows
+
+    def fail(p, r0, r1, dh, dv):
+        if (r0 > 0) == (failing == "worker"):
+            raise RuntimeError(f"slab at row {r0} failed")
+        return real(p, r0, r1, dh, dv)
+
+    monkeypatch.setattr(primal_dual, "_diff_rows", fail)
+    gen = so.SplitMix64(2)
+    phi, lam, b = gen.uniforms(63), gen.uniforms(118), gen.uniforms(63)
+    before, raised = threading.active_count(), []
+
+    def run():
+        for slabs in (2, 3, 4):
+            try:
+                grid_iterate(phi, lam, b, (9, 7), 0.5, 0.1, 5, True, slabs)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert threading.active_count() == before
+    if failing == "caller":
+        assert raised == ["slab at row 0 failed"] * 3
+    else:
+        assert len(raised) == 3 and all(not r.startswith("slab at row 0 ") for r in raised)
 
 
 def test_second_step_uses_one_snapshot_for_both_updates():
