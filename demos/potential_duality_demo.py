@@ -15,7 +15,6 @@ import numpy as np
 from swarm_ot import (
     DensityField,
     Domain,
-    FlowProblem,
     QuadratureGrid,
     SplitMix64,
     build_partition,
@@ -49,7 +48,7 @@ for n in (3, 5, 8, 12, 20):
     b = mass_imbalance(cell_masses(partition, dens))
     state, info = converge_pd(zero_state(graph), b, graph, tol=1e-10)
     dual = dual_objective(state.phi, b)
-    flow, _ = min_cost_flow(FlowProblem(graph, b))
+    flow, _ = min_cost_flow(graph.edges, graph.costs, b)
 
     print(f"{n:>4} {dual:>16.10f} {flow:>16.10f} {abs(dual - flow):>10.2e} "
           f"{feasibility_violation(state.phi, graph):>10.2e} "

@@ -28,7 +28,7 @@ from .primal_dual import (
     pd_residual,
     converge_pd,
 )
-from .flow import FlowProblem, min_cost_flow, discrete_ot_cost
+from .flow import min_cost_flow, discrete_ot_cost
 from .transport import (
     SwarmState,
     TransportConfig,

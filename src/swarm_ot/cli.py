@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .flow import FlowProblem, min_cost_flow
+from .flow import min_cost_flow
 from .geometry import Domain
 from .grid import (
     GridState,
@@ -247,7 +247,7 @@ def oracle_check(cfg, n_instances=10):
     for r in range(n_instances):
         graph, b, tol = oracle_instance(cfg.seed, r)
         state, info = converge_pd(zero_state(graph), b, graph, tol=tol, max_iter=ORACLE_MAX_ITER)
-        value, _ = min_cost_flow(FlowProblem(graph, b))
+        value, _ = min_cost_flow(graph.edges, graph.costs, b)
         gap = abs(dual_objective(state.phi, b) - value)
         feas = feasibility_violation(state.phi, graph)
         ok = info["converged"] and gap <= ORACLE_GAP_TOL and feas <= ORACLE_FEAS_TOL

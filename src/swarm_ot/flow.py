@@ -1,27 +1,14 @@
-"""Exact min-cost-flow reference for the graph-restricted transport value.
+"""Exact references for transport costs.
 
-This is the validation oracle: the restricted dual and the uncapacitated
-min-cost flow on the same graph are a primal-dual LP pair, so their
-values must agree. The flow LP is solved exactly by HiGHS through
-`scipy.optimize.linprog`, imported, like all of scipy in this package,
-only when a function that needs it runs. The transport algorithms never
-import this module.
+`min_cost_flow` is the validation oracle: the restricted dual and the
+uncapacitated min-cost flow on the same edges, of an agent graph or of
+the grid, are a primal-dual LP pair, so their values must agree. HiGHS
+solves the flow LP exactly through `scipy.optimize.linprog`, imported,
+like all of scipy in this package, only when a function that needs it
+runs. The transport algorithms never import this module.
 """
 
 import numpy as np
-
-
-class FlowProblem:
-    """Balanced supplies on the nodes of a neighbor graph."""
-
-    def __init__(self, graph, supplies):
-        supplies = np.asarray(supplies, dtype=float)
-        if len(supplies) != graph.n:
-            raise ValueError("one supply per graph node required")
-        if abs(float(supplies.sum())) > 1e-9:
-            raise ValueError(f"supplies must balance, sum is {supplies.sum():.3e}")
-        self.graph = graph
-        self.supplies = supplies
 
 
 def incidence(edges, n):
@@ -38,13 +25,16 @@ def incidence(edges, n):
     return sp.csr_matrix((np.repeat([1.0, -1.0], m), (rows, edges.T.ravel())), shape=(m, n))
 
 
-def min_cost_flow(p):
-    """Minimum cost of shipping the supplies across the graph.
+def min_cost_flow(edges, costs, supplies):
+    """Minimum cost of shipping the supplies across an edge list.
 
-    One uncapacitated LP solved exactly by HiGHS: a nonnegative flow on
-    each direction of every edge at the edge's cost, with net outflow
-    equal to the supply at every node. Returns (value, flows) with the
-    positive flows keyed by directed edge and value their total cost.
+    Beckmann's minimal-flow problem as one uncapacitated LP solved
+    exactly by HiGHS: a nonnegative flow on each direction of every
+    edge at the edge's cost, with net outflow equal to the supply at
+    every node 0..n-1, n = len(supplies), of an agent graph or of
+    `grid_edges`. Returns (value, flow): the total cost and the (E,)
+    signed flow m_e = forward - backward along each listed edge. A
+    ValueError names an input the LP cannot take.
 
     The LP is positively homogeneous in the supplies, so it is solved
     for supplies scaled to max |b| = 1 and the flows scaled back:
@@ -56,20 +46,30 @@ def min_cost_flow(p):
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    g = p.graph
-    scale = float(np.abs(p.supplies).max(initial=0.0))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    costs = np.asarray(costs, dtype=float).reshape(-1)
+    supplies = np.asarray(supplies, dtype=float).reshape(-1)
+    n = len(supplies)
+    if not np.all(np.isfinite(supplies)):
+        raise ValueError("supplies must be finite")
+    if abs(float(supplies.sum())) > 1e-9:
+        raise ValueError(f"supplies must balance, sum is {supplies.sum():.3e}")
+    if costs.shape != (len(edges),) or not np.all(np.isfinite(costs) & (costs >= 0)):
+        raise ValueError(f"costs must be one finite value >= 0 for each of {len(edges)} edges")
+    if not np.all((edges >= 0) & (edges < n)):
+        raise ValueError(f"edge index outside the nodes 0..{n - 1}")
+    scale = float(np.abs(supplies).max(initial=0.0))
     if scale == 0.0:
-        return 0.0, {}
-    if len(g.edges) == 0:  # linprog needs at least one variable
+        return 0.0, np.zeros(len(edges))
+    if len(edges) == 0:  # linprog needs at least one variable
         raise ValueError("infeasible: imbalance across disconnected components")
-    arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
-    costs = np.concatenate([g.costs, g.costs])
     # node-arc incidence: an arc along an edge leaves its first node, the
     # reversed arc leaves its second
-    B = incidence(g.edges, g.n)
+    B = incidence(edges, n)
     a_eq = sp.hstack([B.T, -B.T])
-    b_eq = p.supplies / scale
+    b_eq = supplies / scale
     b_eq -= b_eq.mean()
+    costs = np.concatenate([costs, costs])
     res = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status == 2:
         raise ValueError("infeasible: imbalance across disconnected components")
@@ -77,8 +77,7 @@ def min_cost_flow(p):
         raise RuntimeError(f"min-cost-flow LP failed: {res.message}")
     x = res.x * scale
     used = x > 0
-    flows = {(int(u), int(v)): float(f) for (u, v), f in zip(arcs[used], x[used])}
-    return float(costs[used] @ x[used]), flows
+    return float(costs[used] @ x[used]), x[: len(edges)] - x[len(edges) :]
 
 
 def discrete_ot_cost(src, dst):

@@ -40,7 +40,7 @@ def test_criterion_1_dual_matches_flow_oracle():
         assert so.is_connected(graph)
         state, info = so.converge_pd(so.zero_state(graph), b, graph, tol=tol)
         assert info["converged"]
-        value, _ = so.min_cost_flow(so.FlowProblem(graph, b))
+        value, _ = so.min_cost_flow(graph.edges, graph.costs, b)
         worst_gap = max(worst_gap, abs(so.dual_objective(state.phi, b) - value))
         worst_feas = max(worst_feas, so.feasibility_violation(state.phi, graph))
     elapsed = time.time() - started
