@@ -2,17 +2,20 @@
 
 Subcommands: `agents` (transport rounds), `pde` (grid solver),
 `oracle-check` (primal-dual vs. min-cost-flow agreement), and `fig N`
-(N in 2..6, emits the data behind the standard figures). All output is
-CSV, written row by row from the sink of each run's loop; re-running a
-config with the same seed is byte-identical. --threads (at least 1)
-splits the rows of a large grid's inner flow steps across that many
-threads, in `pde` and figs 4-6, and never changes a byte; `agents`,
-figs 2-3 and `oracle-check` compute sequentially.
+(N in 2..6, emits the data behind the standard figures). Each figure
+curve is its command, `agents` or `pde`, run on an override of the
+config: one agent run path and one grid run path serve them all. All
+output is CSV, written row by row from the sink of each run's loop;
+re-running a config with the same seed is byte-identical. --threads
+(at least 1) splits the rows of a large grid's inner flow steps across
+that many threads, in `pde` and figs 4-6, and never changes a byte;
+`agents`, figs 2-3 and `oracle-check` compute sequentially.
 """
 
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 
@@ -105,15 +108,9 @@ def build_target(cfg, seed):
     return DensityField.gaussian_mixture(means, covs, weights, domain)
 
 
-def transport_config(cfg, inner_iters=None):
-    return TransportConfig(
-        eps=cfg.eps,
-        tau=cfg.tau,
-        inner_iters=cfg.inner_iters if inner_iters is None else inner_iters,
-        rounds=cfg.rounds,
-        fixed_dual=cfg.fixed_dual,
-        radius=cfg.radius,
-    )
+def transport_config(cfg):
+    return TransportConfig(eps=cfg.eps, tau=cfg.tau, inner_iters=cfg.inner_iters,
+                           rounds=cfg.rounds, fixed_dual=cfg.fixed_dual, radius=cfg.radius)
 
 
 def _agent_row(r):
@@ -129,17 +126,23 @@ def _density_error_row(r):
     return r.t, float(np.sqrt(2.0 * r.V)), *_pde_row(r)[1:]
 
 
-def _agent_setup(cfg):
-    """Quadrature, the target's values on it and the initial positions
-    of an agent command."""
+def _agent_loop(cfg):
+    """The one agent run path: builds cfg's quadrature, target values and
+    initial positions once and returns `run(c, sink)`, which runs them with
+    the transport of c, cfg or a copy at another `transport.n`, and returns
+    the final state."""
     q = QuadratureGrid(Domain(), cfg.quad_resolution)
     dens = build_target(cfg, cfg.seed).values_on(q)
-    return q, dens, initial_positions(cfg.n_agents, q.domain, cfg.seed)
+    positions = initial_positions(cfg.n_agents, q.domain, cfg.seed)
+
+    def run(c, sink=lambda *_: None):
+        return run_experiment(positions, transport_config(c), dens, q, sink, c.seed)
+
+    return run
 
 
 def run_agents(cfg, out_dir):
     """Write each round's metrics row and position rows as the loop hands them over."""
-    q, dens, positions = _agent_setup(cfg)
     last = [None]  # the latest record, for the summary line
 
     with (
@@ -153,7 +156,7 @@ def run_agents(cfg, out_dir):
             agents.writelines(csv_line((r.k, a, x, y, mass)) for a, ((x, y), mass) in enumerate(rows))
             last[0] = r
 
-        run_experiment(positions, transport_config(cfg), dens, q, record, cfg.seed)
+        _agent_loop(cfg)(cfg, record)
     print(
         f"agents: {cfg.rounds} rounds, final mass variance {last[0].mass_variance:.3e}, "
         f"net cost {last[0].net_cost:.6f}"
@@ -161,8 +164,8 @@ def run_agents(cfg, out_dir):
     return 0
 
 
-def _pde_state(cfg, warm_start=None):
-    """Initial grid state and target masses; warm_start defaults to cfg's."""
+def _pde_state(cfg):
+    """Initial grid state and target masses of cfg."""
     rho_star = density_on_grid(build_target(cfg, cfg.seed), cfg.grid_nx, cfg.grid_ny)
     if cfg.grid_rho0 == "target":
         zero = np.flatnonzero(~(rho_star > 0))
@@ -177,20 +180,29 @@ def _pde_state(cfg, warm_start=None):
     else:
         rho0 = random_density(cfg.grid_nx, cfg.grid_ny, cfg.seed)
     state = GridState(cfg.grid_nx, cfg.grid_ny, rho0, cost=cfg.grid_cost, dt=cfg.grid_dt)
-    if cfg.grid_warm_start if warm_start is None else warm_start:
+    if cfg.grid_warm_start:
         state.phi, state.lam = saturated_potentials(state, rho_star)
     return state, rho_star
 
 
-def _grid_loop_args(cfg, threads):
-    """Keywords of the grid loop `run_coupled` that every grid command
-    takes from the config and --threads."""
-    return dict(
-        horizon=cfg.grid_horizon,
-        lam_fixed=cfg.grid_lam_fixed,
-        record_every=cfg.record_every,
-        threads=threads,
+def _grid_run(cfg, f, row, threads, watch=lambda state: None):
+    """The one grid run path: the grid loop `run_coupled` of cfg from
+    `_pde_state(cfg)`. Writes row(report) of each record to f as the loop
+    takes it and hands every state to `watch`; returns the final state
+    and the target masses."""
+    state, rho_star = _pde_state(cfg)
+
+    def record(s, report):
+        if report is not None:
+            f.write(csv_line(row(report)))
+        watch(s)
+
+    final = run_coupled(
+        state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
+        horizon=cfg.grid_horizon, lam_fixed=cfg.grid_lam_fixed,
+        record_every=cfg.record_every, threads=threads,
     )
+    return final, rho_star
 
 
 def run_pde(cfg, out_dir, threads=1):
@@ -199,20 +211,14 @@ def run_pde(cfg, out_dir, threads=1):
     A positivity stop leaves the rows recorded before it and fails the
     command (`main` reports the error).
     """
-    state, rho_star = _pde_state(cfg)
     last = [None]  # the latest record, for the summary line
 
+    def row(report):
+        last[0] = report
+        return _pde_row(report)
+
     with open_csv(out_dir / "metrics.csv", PDE_HEADER) as f:
-
-        def record(state, report):
-            if report is not None:
-                f.write(csv_line(_pde_row(report)))
-                last[0] = report
-
-        final = run_coupled(
-            state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
-            **_grid_loop_args(cfg, threads),
-        )
+        final, rho_star = _grid_run(cfg, f, row, threads)
     print(
         f"pde[{cfg.grid_mode}]: t={final.t:.3f}, V={last[0].V:.3e}, "
         f"density error {density_error(final, rho_star):.3e}"
@@ -267,70 +273,53 @@ def oracle_check(cfg, n_instances=10):
 
 
 def run_fig(cfg, number, out_dir, threads=1):
+    """Write the data of figure `number`: each curve is the `agents` or the
+    `pde` run of a `dataclasses.replace` of cfg."""
     if number in (2, 3):
-        q, dens, positions = _agent_setup(cfg)
-
-        def run(n, sink=lambda *_: None):
-            """Run the config's agents at n inner iterations per round; return the final state."""
-            return run_experiment(positions, transport_config(cfg, n), dens, q, sink, cfg.seed)
-
+        run = _agent_loop(cfg)
         if number == 3:
-            write_csv(out_dir / "fig3.csv", ["n", "net_cost"], [[n, run(n).cost] for n in range(1, 11)])
+            costs = [[n, run(replace(cfg, inner_iters=n)).cost] for n in range(1, 11)]
+            write_csv(out_dir / "fig3.csv", ["n", "net_cost"], costs)
             print("fig 3: wrote fig3.csv")
             return 0
         for n in (1, 5, 10):
             with open_csv(out_dir / f"fig2_n{n}.csv", AGENT_HEADER) as f:
-                run(n, lambda state, cells, r: f.write(csv_line(_agent_row(r))))
+                run(replace(cfg, inner_iters=n), lambda state, cells, r: f.write(csv_line(_agent_row(r))))
         print("fig 2: wrote fig2_n1.csv fig2_n5.csv fig2_n10.csv")
         return 0
-    # figures 4-6 record through the grid loop of `pde`: fig 4 is one
-    # `pde` run plus density snapshots, figs 5 and 6 one run per curve
+    # fig 4 is the `pde` run of cfg plus density snapshots
     if number == 4:
-        state, rho_star = _pde_state(cfg)
-        steps = step_count(cfg.grid_horizon, state.dt)
+        steps = step_count(cfg.grid_horizon, cfg.grid_dt)
         snap_steps = {round(k * steps / 4) for k in range(5)}
         snaps, calls = [], count()
+
+        def watch(s):
+            if next(calls) in snap_steps:
+                snaps.append((s.t, s.rho))  # states never write their arrays
+
         with open_csv(out_dir / "fig4_metrics.csv", PDE_HEADER) as f:
-
-            def record(s, report):
-                if report is not None:
-                    f.write(csv_line(_pde_row(report)))
-                if next(calls) in snap_steps:
-                    snaps.append((s.t, s.rho))  # states never write their arrays
-
-            run_coupled(
-                state, rho_star, cfg.grid_mode, record, inner_n=cfg.grid_inner,
-                **_grid_loop_args(cfg, threads),
-            )
+            final, rho_star = _grid_run(cfg, f, _pde_row, threads, watch)
         star = rho_star.tolist()
         snap_rows = (
-            (t, *state.node_xy(i), r, r_star)
+            (t, *final.node_xy(i), r, r_star)
             for t, rho in snaps
             for i, (r, r_star) in enumerate(zip(rho.tolist(), star))
         )
         write_csv(out_dir / "fig4_density.csv", ["t", "ix", "iy", "rho", "rho_star"], snap_rows)
         print("fig 4: wrote fig4_density.csv fig4_metrics.csv")
         return 0
-    # figures 5 and 6: density error vs time for several inner step counts.
-    # fig 5 warm-starts the potentials at the saturated stationary pair;
-    # from the cold default the multiplier threshold keeps the density
-    # frozen on any usable horizon. A positivity stop keeps the rows
-    # recorded up to the stop, and the next curve runs.
+    # figs 5 and 6: density error over time at several grid.n. Fig 5 warm-starts
+    # at the saturated stationary pair: from the cold default the multiplier
+    # threshold keeps the density frozen on any usable horizon. A positivity
+    # stop keeps the rows recorded up to it, and the next curve runs.
     mode = "on_the_fly_pd" if number == 5 else "on_the_fly_fixed"
-    state, rho_star = _pde_state(cfg, warm_start=(number == 5))
     written = []
     for n in (1, 2, 5, 10):
+        curve = replace(cfg, grid_mode=mode, grid_inner=n, grid_warm_start=(number == 5))
         name = f"fig{number}_n{n}.csv"
         try:
             with open_csv(out_dir / name, ["t", "density_error"] + PDE_HEADER[1:]) as f:
-
-                def record(s, report):
-                    if report is not None:
-                        f.write(csv_line(_density_error_row(report)))
-
-                run_coupled(
-                    state, rho_star, mode, record, inner_n=n, **_grid_loop_args(cfg, threads)
-                )
+                _grid_run(curve, f, _density_error_row, threads)
         except PositivityError as exc:
             print(f"fig {number}: n={n} stopped after t={exc.t:.4f}: {exc}")
             name += " (partial)"
@@ -343,13 +332,8 @@ def _add_common(parser):
     parser.add_argument("--config", type=Path, help="path to a key-value config file")
     parser.add_argument("--seed", type=int, help="overrides the config seed")
     parser.add_argument("--out", type=Path, help="output directory (default: config output.dir)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="threads for a large grid's inner flow steps (at least 1); output is the same "
-        "for every count",
-    )
+    parser.add_argument("--threads", type=int, default=1, help="threads for a large grid's inner "
+                        "flow steps (at least 1); output is the same for every count")
 
 
 def main(argv=None):
@@ -375,13 +359,11 @@ def main(argv=None):
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+        if args.command in ("agents", "pde") and cfg.mode not in (None, args.command):
+            raise ConfigError(f"config mode '{cfg.mode}' does not match command '{args.command}'")
         if args.command == "agents":
-            if cfg.mode not in (None, "agents"):
-                raise ConfigError(f"config mode '{cfg.mode}' does not match command 'agents'")
             return run_agents(cfg, out_dir)
         if args.command == "pde":
-            if cfg.mode not in (None, "pde"):
-                raise ConfigError(f"config mode '{cfg.mode}' does not match command 'pde'")
             return run_pde(cfg, out_dir, args.threads)
         if args.command == "oracle-check":
             return oracle_check(cfg)

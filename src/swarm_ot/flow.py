@@ -10,6 +10,8 @@ runs. The transport algorithms never import this module.
 
 import numpy as np
 
+from .geometry import edge_list, lengths
+
 
 def incidence(edges, n):
     """Sparse (E, n) edge-node incidence B in the primal-dual kernel's
@@ -46,18 +48,16 @@ def min_cost_flow(edges, costs, supplies):
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    costs = np.asarray(costs, dtype=float).reshape(-1)
     supplies = np.asarray(supplies, dtype=float).reshape(-1)
     n = len(supplies)
+    edges = edge_list(edges, n)
+    costs = np.asarray(costs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(supplies)):
         raise ValueError("supplies must be finite")
     if abs(float(supplies.sum())) > 1e-9:
         raise ValueError(f"supplies must balance, sum is {supplies.sum():.3e}")
     if costs.shape != (len(edges),) or not np.all(np.isfinite(costs) & (costs >= 0)):
         raise ValueError(f"costs must be one finite value >= 0 for each of {len(edges)} edges")
-    if not np.all((edges >= 0) & (edges < n)):
-        raise ValueError(f"edge index outside the nodes 0..{n - 1}")
     scale = float(np.abs(supplies).max(initial=0.0))
     if scale == 0.0:
         return 0.0, np.zeros(len(edges))
@@ -92,7 +92,6 @@ def discrete_ot_cost(src, dst):
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
     if src.shape != dst.shape:
         raise ValueError(f"point sets differ in shape: {src.shape} vs {dst.shape}")
-    diff = src[:, None, :] - dst[None, :, :]
-    costs = np.sqrt((diff**2).sum(axis=2))
+    costs = lengths(src[:, None, :] - dst[None, :, :])
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / len(src))

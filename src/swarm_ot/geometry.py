@@ -1,8 +1,10 @@
-"""Domain geometry.
+"""Domain geometry and the graphs over it.
 
 The transport ground cost is the Euclidean length c(x, y) = ||x - y||,
 so its geodesics are straight segments and the closed eps-ball around x
-is the Euclidean ball of radius eps.
+is the Euclidean ball of radius eps; `lengths` is its one spelling. An
+agent graph, the grid and the flow oracle each join nodes by an edge
+list, which `edge_list` reads.
 """
 
 import numpy as np
@@ -31,3 +33,26 @@ class Domain:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
+
+def lengths(v):
+    """Euclidean length of each 2-vector along the last axis of v, as
+    sqrt(x*x + y*y).
+
+    Elementwise IEEE arithmetic rounds the same on any CPU, where a BLAS
+    dot product's rounding depends on the kernel it runs.
+    """
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
+def edge_list(edges, n):
+    """`edges`, an (E, 2) array of integer node indices 0..n-1 or the empty
+    list, as int64; a ValueError names the shape or the index otherwise."""
+    a = np.asarray(edges)
+    a = a.reshape(0, 2) if a.shape == (0,) else a
+    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iuf":
+        raise ValueError(f"edges must be an (E, 2) array of node indices, got {a.dtype} {a.shape}")
+    bad = (a != np.trunc(a)) | (a < 0) | (a >= n)
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise ValueError(f"edge index {a[k, j].item()!r} of edge {k} is not a node 0..{n - 1}")
+    return a.astype(np.int64, copy=False)

@@ -28,6 +28,8 @@ import threading
 
 import numpy as np
 
+from .geometry import edge_list
+
 
 class DivergenceError(FloatingPointError):
     """An iteration left the finite numbers; `of(dual)` names which one."""
@@ -43,7 +45,7 @@ class PotentialState:
     def __init__(self, phi, lam, edges):
         self.phi = np.asarray(phi, dtype=float).copy()
         self.lam = np.asarray(lam, dtype=float).copy()
-        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = edge_list(edges, len(self.phi))
         if len(self.lam) != len(self.edges):
             raise ValueError("one multiplier per edge required")
         if not np.all(self.lam >= 0):

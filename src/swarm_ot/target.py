@@ -162,17 +162,15 @@ class DensityField:
         return cls.raster(np.ones((1, 1)), domain)
 
     def _raw_many(self, points):
-        """Unnormalized density at an (M, 2) array of points."""
+        """Unnormalized density at an (M, 2) array of points, in one pass:
+        `_raw_on` hands it a block of grid rows at a time."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "gaussian_mixture":
             means, invs, norms, weights = self.payload
             total = np.zeros(len(points))
-            # BLOCK points at a time, so the temporaries stay small
-            for start in range(0, len(points), BLOCK):
-                block, out = points[start : start + BLOCK], total[start : start + BLOCK]
-                for m, inv, nrm, w in zip(means, invs, norms, weights):
-                    d = block - m
-                    out += w * nrm * fixed_exp(-0.5 * np.einsum("ij,jk,ik->i", d, inv, d))
+            for m, inv, nrm, w in zip(means, invs, norms, weights):
+                d = points - m
+                total += w * nrm * fixed_exp(-0.5 * np.einsum("ij,jk,ik->i", d, inv, d))
             return total
         values = self.payload
         h, w = values.shape

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import lengths
 from .primal_dual import (
     DivergenceError,
     PotentialState,
@@ -77,7 +78,8 @@ class SwarmState:
 
     `inner` is the last round's `PotentialState`: agent i's own potential
     inner.phi[i], and the multiplier of each agent pair in inner.edges. Its
-    edges join agents 0..N-1, so the key i * N + j names one pair alone.
+    edges join agents 0..N-1, as `PotentialState` checks against its one
+    potential per agent, so the key i * N + j names one pair alone.
     """
 
     positions: np.ndarray
@@ -91,8 +93,6 @@ class SwarmState:
         n = len(self.positions)
         if self.inner is not None and self.inner.phi.shape != (n,):
             raise ValueError("inner must hold one potential per agent")
-        if self.inner is not None and np.any((self.inner.edges < 0) | (self.inner.edges >= n)):
-            raise ValueError("inner edges must join agents 0..N-1")
 
 
 @dataclass
@@ -179,15 +179,6 @@ def local_gradient(positions, phi, graph):
     return grads
 
 
-def _row_norms(v):
-    """Euclidean norm of each row of an (N, 2) array, as sqrt(x*x + y*y).
-
-    Elementwise IEEE arithmetic rounds the same on any CPU, where a BLAS
-    dot product's rounding depends on the kernel it runs.
-    """
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
-
-
 def proximal_step(x, g, eps, domain):
     """Minimize ||z - x|| + g . (z - x) over the closed eps-ball at x.
 
@@ -198,7 +189,7 @@ def proximal_step(x, g, eps, domain):
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    norm = _row_norms(np.atleast_2d(g)).reshape(g.shape[:-1] + (1,))
+    norm = lengths(g)[..., None]
     stay = norm <= 1.0
     step = eps * g / np.where(stay, 1.0, norm)
     return np.where(stay, x, domain.clamp(x - step))
@@ -283,12 +274,12 @@ def transport_round(state, cfg, dens, q, cells=None):
 
     grads = local_gradient(positions, inner.phi, graph)
     with np.errstate(over="ignore"):
-        finite = np.all(np.isfinite(_row_norms(grads)))
+        finite = np.all(np.isfinite(lengths(grads)))
     if not finite:
         # potentials so large that a gradient's norm overflows have diverged
         raise DivergenceError.of(not fixed)
     new_positions = proximal_step(positions, grads, cfg.eps, q.domain)
-    step_lengths = _row_norms(positions - new_positions)
+    step_lengths = lengths(positions - new_positions)
 
     cost = state.cost + float(step_lengths.sum() / n)
     new_state = SwarmState(new_positions, state.k + 1, cost, state.seed, inner)

@@ -26,6 +26,8 @@ imports scipy.
 
 import numpy as np
 
+from .geometry import edge_list, lengths
+
 # cells per side of the tiles on which `build_partition` culls sites
 TILE = 16
 # sites whose tile bounds `build_partition` holds at one time
@@ -54,7 +56,7 @@ class NeighborGraph:
 
     def __init__(self, n, edges, costs, active=None):
         self.n = int(n)
-        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = edge_list(edges, self.n)
         self.costs = np.asarray(costs, dtype=float).reshape(-1)
         if len(self.edges) != len(self.costs):
             raise ValueError("edges and costs must have equal length")
@@ -219,7 +221,7 @@ def neighbor_graph(p, radius=None):
     keys = keys[first]
     edges = np.column_stack([keys // p.n, keys % p.n])
     diffs = p.sites[edges[:, 0]] - p.sites[edges[:, 1]]
-    costs = np.sqrt((diffs**2).sum(axis=1))
+    costs = lengths(diffs)
     if np.any(costs <= 0):
         raise ValueError("coincident sites share a cell boundary; perturb duplicates first")
     if radius is not None:

@@ -622,22 +622,40 @@ def test_fig_subcommand_smoke(tmp_path):
 
 
 def test_fig2_keeps_the_fixed_dual_of_its_config(tmp_path):
-    # fig 2's n = 5 curve is the `agents` run at transport.n = 5, with or
+    # each fig 2 curve is the `agents` run at its transport.n, with or
     # without a fixed dual, and the fixed dual changes it
-    plain = "transport.N = 8\ntransport.K = 3\ntransport.n = 5\nquadrature.resolution = 32\n"
+    plain = "transport.N = 8\ntransport.K = 3\nquadrature.resolution = 32\n"
     configs = {
         "plain": "mode = agents\n" + plain,
         "fixed": "transport.fixed_dual = 1.0\n" + plain,
     }
     curves = {}
     for name, text in configs.items():
-        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg, fig = tmp_path / f"{name}.cfg", tmp_path / name / "fig"
         cfg.write_text(text)
-        for command in (["agents"], ["fig", "2"]):
-            assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
-        curves[name] = (out / "fig2_n5.csv").read_bytes()
-        assert curves[name] == (out / "metrics.csv").read_bytes()
-    assert curves["fixed"] != curves["plain"]
+        assert cli.main(["fig", "2", "--config", str(cfg), "--out", str(fig)]) == 0
+        for n in (1, 5, 10):
+            cfg, out = tmp_path / f"{name}_n{n}.cfg", tmp_path / name / f"n{n}"
+            cfg.write_text(text + f"transport.n = {n}\n")
+            assert cli.main(["agents", "--config", str(cfg), "--out", str(out)]) == 0
+            curves[name, n] = (fig / f"fig2_n{n}.csv").read_bytes()
+            assert curves[name, n] == (out / "metrics.csv").read_bytes()
+    assert all(curves["fixed", n] != curves["plain", n] for n in (1, 5, 10))
+
+
+def test_fig3_rows_are_the_final_net_costs_of_agents_runs(tmp_path):
+    # fig 3's row n holds, as text, the last net_cost of `agents` at transport.n = n
+    text = "transport.N = 8\ntransport.K = 3\ntransport.tau = 0.25\nquadrature.resolution = 32\n"
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text(text)
+    assert cli.main(["fig", "3", "--config", str(cfg), "--out", str(tmp_path / "fig")]) == 0
+    rows = (tmp_path / "fig" / "fig3.csv").read_text().splitlines()
+    for n in (1, 5, 10):
+        cfg, out = tmp_path / f"n{n}.cfg", tmp_path / f"n{n}"
+        cfg.write_text(text + f"transport.n = {n}\n")
+        assert cli.main(["agents", "--config", str(cfg), "--out", str(out)]) == 0
+        net_cost = (out / "metrics.csv").read_text().splitlines()[-1].split(",")[2]
+        assert rows[n] == f"{n},{net_cost}"
 
 
 def test_uniform_pde_target_reaches_tiny_error(tmp_path):
