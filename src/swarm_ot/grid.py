@@ -17,8 +17,9 @@ threads, to the same bits.
 A state holds its arrays and nothing else. The grid loop computes each
 outer step's L phi once, for the transport step and the record. A
 record reads the edge terms of the state's potential (`EdgeTerms.of`:
-phi_i - phi_j, its square, the slack | |phi_i - phi_j| - cost | and the
-largest excess), and L phi can read their edge differences. In
+phi_i - phi_j, its square, the slack | |phi_i - phi_j| - cost |, the
+largest excess and the largest slack), and L phi can read their edge
+differences. In
 inner_steady_state phi is fixed for the whole run, so the loop builds
 its edge terms once per run, not once per record. The record's sums
 are `einsum` reductions, which unlike BLAS dot products give the same
@@ -35,7 +36,7 @@ is a closed-form spectral solve by FFT in numpy alone. It is the whole
 inner solve of inner_steady_state, which never iterates.
 """
 
-import copy
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,6 +97,12 @@ class GridState:
         self.dt = float(dt)
         self.t = float(t)
 
+    def copy(self):
+        """A shallow copy: the same arrays under the same names, to rebind."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        return out
+
     def node_xy(self, i):
         return int(i) % self.nx, int(i) // self.nx
 
@@ -107,6 +114,7 @@ class EdgeTerms(NamedTuple):
     sq: np.ndarray  # dphi * dphi, the bits of |dphi| * |dphi|, for E
     slack: np.ndarray  # | |dphi| - cost |, for the slackness residual
     feasibility: float  # the largest excess |dphi| - cost, at least 0
+    slack_max: float  # the largest slack, at least 0, for a uniform multiplier
 
     @classmethod
     def of(cls, s):
@@ -115,7 +123,8 @@ class EdgeTerms(NamedTuple):
         slack = np.abs(dphi)
         slack -= s.cost
         feasibility = float(slack.max(initial=0.0))
-        return cls(dphi, dphi * dphi, np.abs(slack, out=slack), feasibility)
+        np.abs(slack, out=slack)
+        return cls(dphi, dphi * dphi, slack, feasibility, float(slack.max(initial=0.0)))
 
 
 @dataclass
@@ -140,7 +149,7 @@ class LyapunovReport:
 
 
 def _flow_step(s, rho_star, n, dual, threads):
-    out = copy.copy(s)
+    out = s.copy()
     with np.errstate(all="ignore"):
         out.phi, out.lam = iterate(
             s.phi, s.lam, s.rho - rho_star, s.edges, 0.5 * s.cost**2, s.dt, n, dual, threads
@@ -177,12 +186,15 @@ def transport_step(s, lap=None):
     measured (ROADMAP item 12), so the message names that lever alone.
     `lap` is the state's L phi, laplacian(s.phi, s.lam, s.edges), when
     the caller holds it; without it the step computes it, to the same bits.
+    The new state is `GridState.copy` with rho rebound. The check reads
+    (rho > 0).all(), not rho.min() > 0, which moved `pde_pd256`'s peak
+    RSS by heap layout alone (ROADMAP, levers rejected).
     """
     if lap is None:
         lap = laplacian(s.phi, s.lam, s.edges)
-    out = copy.copy(s)
+    out = s.copy()
     out.rho = s.rho - s.dt * lap
-    if not np.all(out.rho > 0):
+    if not (out.rho > 0).all():
         node = int(np.argmin(out.rho))
         x, y = s.node_xy(node)
         raise PositivityError(
@@ -202,7 +214,7 @@ def kkt_residual(s, rho_star):
     return lyapunov(s, rho_star).kkt
 
 
-def lyapunov(s, rho_star, terms=None, lap=None):
+def lyapunov(s, rho_star, terms=None, lap=None, uniform=False):
     """V, E, KKT residuals, and the mass conservation error of a state.
 
     The `EdgeTerms` of the state's potential give E, feasibility and
@@ -212,6 +224,16 @@ def lyapunov(s, rho_star, terms=None, lap=None):
     from the edge differences of its terms, to the same bits.
     dual_feasibility reports the smallest multiplier: unlike the other
     KKT fields it is a position, not a violation magnitude.
+
+    `uniform` says that every edge carries one finite multiplier a =
+    s.lam[0] >= 0, as in `run_coupled`'s inner_steady_state and
+    on_the_fly_fixed modes. The record then reads it as that number:
+    slackness is a * max(slack) and dual_feasibility a. The bits are
+    those of the array expressions, since rounded multiplication by
+    a >= 0 is monotone, so max(a * slack) is a * max(slack). (With a = 0,
+    a slack of inf makes a NaN whose sign bit may differ from a NaN
+    slack's; no run reaches it, as a = 0 only in inner_steady_state,
+    whose potential is finite.)
     """
     err = s.rho - rho_star
     V = 0.5 * float(np.einsum("i,i->", err, err))
@@ -221,11 +243,19 @@ def lyapunov(s, rho_star, terms=None, lap=None):
     E = 0.5 * float(np.einsum("i,i->", s.lam, terms.sq)) + V
     if lap is None:
         lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
+    if not len(s.lam):
+        slackness = dual_feasibility = 0.0
+    elif uniform:
+        dual_feasibility = float(s.lam[0])
+        slackness = dual_feasibility * terms.slack_max
+    else:
+        slackness = float((s.lam * terms.slack).max(initial=0.0))
+        dual_feasibility = float(s.lam.min())
     kkt = KKTResidual(
         float(np.abs(s.rho - lap - rho_star).max()),
         terms.feasibility,
-        float((s.lam * terms.slack).max(initial=0.0)),
-        float(s.lam.min()) if len(s.lam) else 0.0,
+        slackness,
+        dual_feasibility,
     )
     return LyapunovReport(s.t, V, E, kkt, abs(float(s.rho.sum()) - 1.0))
 
@@ -365,10 +395,17 @@ def run_coupled(
     would make the multipliers negative, so this mode rejects it (a
     ValueError).
 
+    In inner_steady_state and on_the_fly_fixed every edge carries one
+    multiplier, (1 - dt)^k and lam_fixed (the primal steps hand lam back
+    unchanged), so their records read it as one number (`lyapunov`'s
+    `uniform`), to the bits of the array. lam_fixed must be finite.
+
     A diverging run shows up as a non-finite density, which the
-    positivity check of `transport_step` stops, so each outer step and
-    its record run with numpy's floating-point warnings off. The sink
-    runs outside that setting, under its caller's.
+    positivity check of `transport_step` stops, so the outer steps and
+    their records run with numpy's floating-point warnings off. The loop
+    enters that setting once per run, not once per step, and calls the
+    sink in a copy of the caller's context taken before, so the sink
+    runs under its caller's settings.
 
     The previous state lives until its transport step is taken, just
     before the record, whose temporaries then reuse its memory; a sink
@@ -399,22 +436,24 @@ def run_coupled(
         raise ValueError("record_every must be at least 1")
     steps = step_count(horizon, s.dt)
     rho_star = np.asarray(rho_star, dtype=float)
-    s = copy.copy(s)
+    s = s.copy()
     if mode == "on_the_fly_fixed":
-        if not lam_fixed > 0:
-            raise ValueError("fixed dual weight must be positive")
+        if not 0 < lam_fixed < math.inf:
+            raise ValueError("fixed dual weight must be positive and finite")
         s.lam = np.full(len(s.edges), float(lam_fixed))
     terms = lap = None  # on the fly, phi is new at every outer step
     if steady:
         s.phi, s.lam = steady_potentials(s, rho_star)
         terms = EdgeTerms.of(s)  # phi is fixed for the whole run
         lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
+    uniform = mode != "on_the_fly_pd"  # one multiplier on every edge
     inner_step = pd_flow_step if mode == "on_the_fly_pd" else relaxed_primal_step
 
-    sink(s, lyapunov(s, rho_star, terms, lap))
-    for step in range(1, steps + 1):
-        prev = s  # released once transported: see the docstring
-        with np.errstate(all="ignore"):
+    sink(s, lyapunov(s, rho_star, terms, lap, uniform))
+    caller = contextvars.copy_context()
+    with np.errstate(all="ignore"):
+        for step in range(1, steps + 1):
+            prev = s  # released once transported: see the docstring
             if not steady:
                 s = inner_step(s, rho_star, inner_n, threads)
                 lap = laplacian(s.phi, s.lam, s.edges)
@@ -428,6 +467,6 @@ def run_coupled(
                 s.lam = s.lam * (1.0 - s.dt)
                 lap = laplacian(s.phi, s.lam, s.edges, terms.dphi)
             recorded = step % record_every == 0 or step == steps
-            report = lyapunov(s, rho_star, terms, lap) if recorded else None
-        sink(s, report)
+            report = lyapunov(s, rho_star, terms, lap, uniform) if recorded else None
+            caller.run(sink, s, report)
     return s

@@ -99,15 +99,19 @@ def _edge_rows(a, shape):
     return a[:nh].reshape(ny, nx - 1), a[nh:].reshape(ny - 1, nx)
 
 
-def _diff_rows(p, r0, r1, dh, dv):
-    """phi_i - phi_j on the edges of node rows r0:r1 of the 2-D potential p.
-
-    The rows' horizontal edges go to dh, and to dv the vertical edges
-    from those rows to the next, which the grid's last row does not have.
-    """
+def _diff_views(p, r0, r1):
+    """The operands of phi_i - phi_j on the edges of node rows r0:r1 of
+    the 2-D potential p, as (i, j) views: the rows' horizontal edges, then
+    the vertical edges from those rows to the next, which the grid's last
+    row does not have."""
     rv = min(r1, len(p) - 1)
-    np.subtract(p[r0:r1, :-1], p[r0:r1, 1:], out=dh)
-    np.subtract(p[r0:rv], p[r0 + 1 : rv + 1], out=dv)
+    return p[r0:r1, :-1], p[r0:r1, 1:], p[r0:rv], p[r0 + 1 : rv + 1]
+
+
+def _diff_rows(h_i, h_j, v_i, v_j, dh, dv):
+    """phi_i - phi_j of `_diff_views` into the edge rows dh and dv."""
+    np.subtract(h_i, h_j, out=dh)
+    np.subtract(v_i, v_j, out=dv)
 
 
 def _outflow_rows(fh, fv, top, out):
@@ -115,25 +119,26 @@ def _outflow_rows(fh, fv, top, out):
 
     fh holds the fluxes of the slab's horizontal edges, fv those of its
     vertical edges to the next row, and top those of the vertical edges
-    into its first row (None at the grid's first row); all three are
+    into its first row (None at the grid's first row); fv and top are
     overwritten. A node sums as bincount does: from zero, its horizontal
     edge, then its vertical one, at the tail, less that sum at the head.
-    fh + 0.0 is 0.0 + fh, so a -0.0 flux sums to +0.0 as in bincount; a
-    node without a horizontal edge starts at 0.0 itself.
+    fh + 0.0 is 0.0 + fh, so a -0.0 flux sums to +0.0 at a tail as in
+    bincount; a node without a horizontal edge starts at 0.0 itself. So
+    no tail sum T is -0.0: 0.0 + x is never -0.0, and in round-to-nearest
+    x + y is -0.0 only when both terms are. The head sums need no such
+    start at 0.0: a head sum H and 0.0 + H differ only in the sign of a
+    zero, and T - H has the same bits for either sign when T is not -0.0.
     """
-    fh += 0.0
-    out[:, :-1] = fh
+    np.add(fh, 0.0, out=out[:, :-1])
     out[:, -1] = 0.0
     out[: len(fv)] += fv  # the sums at the tails
     into = fv[: len(out) - 1]  # becomes the sums at the heads of rows 1..
     np.add(fh[1:], into[:, 1:], out=into[:, 1:])
-    np.add(0.0, into[:, 0], out=into[:, 0])
     out[1:] -= into
     if top is None:
         out[0, 1:] -= fh[0]  # x - 0.0 is x, so column 0 is done
     else:
         np.add(fh[0], top[1:], out=top[1:])
-        np.add(0.0, top[:1], out=top[:1])
         out[0] -= top
 
 
@@ -143,7 +148,7 @@ def edge_diff(phi, edges):
     if shape is None:
         return phi[edges[:, 0]] - phi[edges[:, 1]]
     out = np.empty(len(edges), dtype=phi.dtype)
-    _diff_rows(phi.reshape(shape), 0, shape[0], *_edge_rows(out, shape))
+    _diff_rows(*_diff_views(phi.reshape(shape), 0, shape[0]), *_edge_rows(out, shape))
     return out
 
 
@@ -247,8 +252,9 @@ def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
     those of the expressions.
 
     The call allocates the result pair, one more pair when n_steps > 1,
-    an edge-sized flux buffer and the slabs' rows above, and nothing per
-    step.
+    an edge-sized flux buffer and the slabs' rows above, and builds each
+    slab's views of the input pair and of the other two once (`_Slab`'s
+    `reads` and `writes`); it allocates nothing per step.
     """
     if n_steps == 0:
         return phi, lam
@@ -263,10 +269,12 @@ def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
     # states[0] is the input; the last step writes states[1], the result
     pairs = [(np.empty(ny * nx), np.empty(len(lam)) if dual else lam) for _ in range(min(n_steps, 2))]
     states = [(phi, lam), *pairs]
+    reads = [[sl.reads(*state) for state in (states if n_steps > 1 else states[:1])] for sl in slab]
+    writes = [[sl.writes(*pair, dual) for pair in pairs] for sl in slab]
 
     def slab_step(k, step):
-        src = states[1 + (n_steps - step) % 2 if step else 0]
-        slab[k].step(*src, *states[1 + (n_steps - 1 - step) % 2], dual, tau)
+        src = 1 + (n_steps - step) % 2 if step else 0
+        slab[k].step(reads[k][src], writes[k][(n_steps - 1 - step) % 2], dual, tau)
 
     _run_slabs(m, n_steps, slab_step)
     return pairs[0]
@@ -277,7 +285,9 @@ class _Slab:
 
     The slab's edges are its rows' horizontal edges and the vertical
     edges from them to the next row: two runs of the edge list, one when
-    the slab is the whole grid. A step reads and writes only these.
+    the slab is the whole grid. A step reads and writes only these,
+    through views of a buffer pair that `reads` and `writes` build once
+    per pair.
     """
 
     def __init__(self, shape, r0, r1, flux, b, half_c2, top):
@@ -285,38 +295,52 @@ class _Slab:
         nh = ny * (nx - 1)
         rv = min(r1, ny - 1)
         self.rows, self.shape, self.top = (r0, r1), shape, top
-        self.nodes, self.node_rows = slice(r0 * nx, r1 * nx), (r1 - r0, nx)
         self.h, self.h_rows = slice(r0 * (nx - 1), r1 * (nx - 1)), (r1 - r0, nx - 1)
         self.v, self.v_rows = slice(nh + r0 * nx, nh + rv * nx), (rv - r0, nx)
         self.into = slice(nh + (r0 - 1) * nx, nh + r0 * nx)  # vertical edges into row r0
         h, v = self.h, self.v
         self.runs = [h, v] if h.stop != v.start else [slice(h.start, v.stop)]
-        self.flux = self._rows(flux), [flux[run] for run in self.runs]
+        self.flux = self._edges(flux)
         self.half_c2 = [half_c2[run] if np.ndim(half_c2) else half_c2 for run in self.runs]
-        self.b = b[self.nodes].reshape(self.node_rows)
+        self.b = b.reshape(shape)[r0:r1]
 
-    def _rows(self, a):
-        """The slab's horizontal and vertical edges in an edge-sized array, as rows."""
-        return a[self.h].reshape(self.h_rows), a[self.v].reshape(self.v_rows)
+    def _edges(self, a):
+        """The slab's edges in an edge-sized array: as horizontal and
+        vertical rows, and as runs."""
+        rows = a[self.h].reshape(self.h_rows), a[self.v].reshape(self.v_rows)
+        return rows, [a[run] for run in self.runs]
 
-    def step(self, phi, lam, phi_out, lam_out, dual, tau):
-        """One step of the slab's rows from (phi, lam) into (phi_out, lam_out)."""
+    def reads(self, phi, lam):
+        """What a step reads of a (phi, lam) pair: the operands of the
+        edge differences, lam on the slab's runs, the row above with the
+        first row and lam between them (None at the grid's first row),
+        and the slab's rows of phi."""
         r0, r1 = self.rows
         p = phi.reshape(self.shape)
-        lam_runs = [lam[run] for run in self.runs]
+        above = None if self.top is None else (p[r0 - 1], p[r0], lam[self.into])
+        return _diff_views(p, r0, r1), [lam[run] for run in self.runs], above, p[r0:r1]
+
+    def writes(self, phi, lam, dual):
+        """What a step writes of a (phi, lam) pair: the slab's rows of phi,
+        and the edges that take the edge differences, lam's when the step
+        writes lam and the flux buffer's when it holds lam."""
+        r0, r1 = self.rows
+        return phi.reshape(self.shape)[r0:r1], self._edges(lam) if dual else self.flux
+
+    def step(self, src, dst, dual, tau):
+        """One step of the slab's rows from the `reads` of one pair into
+        the `writes` of another."""
+        diff, lam_runs, above, p_rows = src
+        out, (d_rows, d_runs) = dst
         f_rows, f_runs = self.flux
-        if dual:
-            d_rows, d_runs = self._rows(lam_out), [lam_out[run] for run in self.runs]
-        else:
-            d_rows, d_runs = f_rows, f_runs
-        _diff_rows(p, r0, r1, *d_rows)
+        _diff_rows(*diff, *d_rows)
         for l, d, f in zip(lam_runs, d_runs, f_runs):
             np.multiply(l, d, out=f)
         top = self.top
         if top is not None:
-            np.subtract(p[r0 - 1], p[r0], out=top)
-            np.multiply(lam[self.into], top, out=top)
-        out = phi_out[self.nodes].reshape(self.node_rows)
+            p_above, p_first, lam_into = above
+            np.subtract(p_above, p_first, out=top)
+            np.multiply(lam_into, top, out=top)
         _outflow_rows(*f_rows, top, out)
         if dual:
             for d, l, c, t in zip(d_runs, lam_runs, self.half_c2, f_runs):
@@ -328,7 +352,7 @@ class _Slab:
                 np.maximum(0.0, t, out=d)
         np.subtract(self.b, out, out=out)
         np.multiply(tau, out, out=out)
-        np.add(p[r0:r1], out, out=out)
+        np.add(p_rows, out, out=out)
 
 
 def _run_slabs(m, n_steps, slab_step):

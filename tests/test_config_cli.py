@@ -658,6 +658,20 @@ def test_fig3_rows_are_the_final_net_costs_of_agents_runs(tmp_path):
         assert rows[n] == f"{n},{net_cost}"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=primal_dual.DivergenceError,
+    reason="ROADMAP item 2: at the default tau = 1.0 the inner primal-dual iteration "
+    "diverges on the default wide target too",
+)
+def test_a_small_agents_run_on_the_default_target_finishes():
+    # seed 0, six agents, the default seeded Gaussian (covariance 2 I,
+    # nearly uniform): n = 1, 2, 3 and 5 finish, n = 10 diverges
+    cfg = load_config("transport.N = 6\ntransport.K = 2\nquadrature.resolution = 32\ntransport.n = 10\n")
+    assert cfg.seed == 0 and cfg.target_kind == "gaussian"
+    cli._agent_loop(cfg)(cfg)
+
+
 def test_uniform_pde_target_reaches_tiny_error(tmp_path):
     # rho0 far from uniform decays toward it; V must drop monotonically
     cfg = tmp_path / "run.cfg"

@@ -254,7 +254,9 @@ def record_by_two_passes(s, rho_star):
 
 
 def bits(values):
-    return [float(v).hex() for v in values]
+    """Each value's 64 bits, a NaN's sign and payload included (float.hex
+    reads every NaN as 'nan')."""
+    return np.array(list(values), dtype=float).tobytes().hex(" ", 8).split()
 
 
 def record_bits(report):
@@ -344,6 +346,51 @@ def test_every_record_equals_the_record_of_a_fresh_state(nx, ny, seed, mode, eve
         assert len(records) == 1 + steps // every + (steps % every != 0)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+    st.sampled_from(["inner_steady_state", "on_the_fly_fixed"]),
+    st.sampled_from([1e-3, 0.5, 1.0]),
+    st.sampled_from([0.3, 1.0, 1e100]),
+)
+@example(1, 1, 0, "inner_steady_state", 1.0, 1.0)  # no edges
+@example(6, 1, 0, "inner_steady_state", 1.0, 1.0)  # no vertical edges, and a = 0
+@example(1, 6, 0, "on_the_fly_fixed", 1e-3, 1e100)  # no horizontal edges, diverging
+@example(5, 4, 2, "on_the_fly_fixed", 1e-3, 1e100)
+def test_a_uniform_multiplier_is_read_as_one_number(nx, ny, seed, mode, dt, lam_fixed):
+    # both modes carry one multiplier a on every edge, (1 - dt)^k or
+    # lam_fixed, and their records read it as one number: the bits of the
+    # array expressions, at a = 0 (dt = 1) too. A lam_fixed of 1e100 blows
+    # the inner flow up: the run stops at its first transport step, and
+    # the states of its inner steps have infinite and NaN slack
+    s = GridState(nx, ny, so.random_density(nx, ny, seed), dt=dt)
+    rho_star = so.random_density(nx, ny, seed + 1)
+    a = []
+
+    def check(state, report):
+        assert record_bits(report) == record_bits(so.lyapunov(state, rho_star))
+        a.extend(state.lam[:1])
+
+    try:
+        so.run_coupled(s, rho_star, mode, check, inner_n=2, horizon=3 * dt, lam_fixed=lam_fixed)
+    except so.PositivityError:
+        pass
+    if mode == "inner_steady_state":
+        assert dt < 1.0 or set(a[1:]) <= {0.0}  # a = 0 from the first step on
+        return
+    inner = s.copy()
+    inner.lam = np.full(len(s.edges), lam_fixed)
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            inner = so.relaxed_primal_step(inner, rho_star, 4)
+            scalar, array = (so.lyapunov(inner, rho_star, uniform=u) for u in (True, False))
+            assert record_bits(scalar) == record_bits(array)
+        finite = np.isfinite(grid.EdgeTerms.of(inner).slack).all()
+    assert lam_fixed < 1e100 or not len(s.edges) or not finite
+
+
 @pytest.mark.parametrize("mode", grid.MODES)
 def test_edge_terms_are_computed_once_per_potential(monkeypatch, mode):
     calls, real = [], grid.edge_diff
@@ -393,9 +440,25 @@ def signed_zero_fluxes(draw):
     return edges, draw(arrays(np.float64, len(edges), elements=values))
 
 
+def cancelling_tail(nx, ny, out, cancel, into):
+    """Fluxes on an nx-by-ny grid, 0.0 but for the edges named by index:
+    the tail sum over `out` cancels to +0.0 and every edge of `into`
+    carries -0.0, so the head sum is -0.0."""
+    flux = np.zeros(2 * nx * ny - nx - ny)
+    flux[out] = [cancel, -cancel]
+    flux[into] = -0.0
+    return so.grid_edges(nx, ny), flux
+
+
 @settings(deadline=None, max_examples=200)
 @given(signed_zero_fluxes())
 @example((so.grid_edges(3, 2), np.full(7, -0.0)))
+# node 4 of a 3x3 grid: out along edges 3 and 10, in along 2 and 7
+@example(cancelling_tail(3, 3, [3, 10], 1.5, [2, 7]))
+# node 3, in column 0: out along 2 and 9, in along the vertical 6 alone
+@example(cancelling_tail(3, 3, [2, 9], 2.5, [6]))
+# node 1, in row 0: out along 1 and 7, in along the horizontal 0 alone
+@example(cancelling_tail(3, 3, [1, 7], 0.75, [0]))
 def test_grid_net_outflow_is_bincounts_bits_and_signs(case):
     # a lam = 0 edge with phi_i < phi_j carries a -0.0 flux
     edges, flux = case
@@ -404,6 +467,34 @@ def test_grid_net_outflow_is_bincounts_bits_and_signs(case):
     index = _net_outflow(flux, np.asarray(edges), n)
     assert same_bytes(stencil, index)
     assert np.array_equal(np.signbit(stencil), np.signbit(index))
+
+
+@st.composite
+def signed_zero_grids(draw):
+    """Grid edges of at least two rows, phi and b with +-0.0 and lam zero
+    on about half the edges, where a falling potential makes a -0.0 flux."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    edges = so.grid_edges(nx, ny)
+
+    def vector(size, *values):
+        return draw(arrays(np.float64, size, elements=st.sampled_from(values)))
+
+    n = nx * ny
+    return edges, vector(n, -0.0, 0.0, 0.5, -1.0), vector(len(edges), 0.0, 0.7), vector(n, -0.0, 0.0, 0.3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(signed_zero_grids(), st.integers(2, 3), st.integers(1, 3), st.booleans())
+@example((so.grid_edges(3, 2), np.full(6, -0.0), np.zeros(7), np.full(6, -0.0)), 2, 1, False)
+def test_lower_slabs_sum_their_top_rows_to_the_index_paths_bits(case, slabs, n_steps, dual):
+    # a slab below the first sums the vertical edges into it as a top row
+    # of its own; where phi and b are -0.0 at a node, the sign of its net
+    # outflow shows in phi after the step
+    edges, phi, lam, b = case
+    with np.errstate(all="ignore"):
+        split = primal_dual.grid_iterate(phi, lam, b, edges.grid_shape, 0.5, 0.1, n_steps, dual, slabs)
+        index = iterate(phi, lam, b, np.asarray(edges), 0.5, 0.1, n_steps, dual)
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in index]
 
 
 def test_kkt_residual_at_the_hand_saddle():
@@ -651,8 +742,9 @@ def test_run_coupled_reports_and_mode_validation():
         so.run_coupled(s, rho_star, "nonsense", discard)
     with pytest.raises(ValueError):
         so.run_coupled(s, rho_star, "on_the_fly_pd", discard, inner_n=0)
-    with pytest.raises(ValueError):
-        so.run_coupled(s, rho_star, "on_the_fly_fixed", discard, lam_fixed=0.0)
+    for lam_fixed in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            so.run_coupled(s, rho_star, "on_the_fly_fixed", discard, lam_fixed=lam_fixed)
 
 
 @pytest.mark.parametrize("record_every", [0, -1, -3])

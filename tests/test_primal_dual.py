@@ -225,14 +225,15 @@ def test_two_threads_take_no_more_memory_than_one_slab(monkeypatch, dual):
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_a_failing_slab_is_raised_in_the_caller_and_no_thread_outlives_it(monkeypatch, failing):
-    real = primal_dual._diff_rows
+    real = primal_dual._outflow_rows
 
-    def fail(p, r0, r1, dh, dv):
-        if (r0 > 0) == (failing == "worker"):
-            raise RuntimeError(f"slab at row {r0} failed")
-        return real(p, r0, r1, dh, dv)
+    def fail(fh, fv, top, out):
+        first = top is None  # the one slab without a row above
+        if first != (failing == "worker"):
+            raise RuntimeError("the first slab failed" if first else "a later slab failed")
+        return real(fh, fv, top, out)
 
-    monkeypatch.setattr(primal_dual, "_diff_rows", fail)
+    monkeypatch.setattr(primal_dual, "_outflow_rows", fail)
     gen = so.SplitMix64(2)
     phi, lam, b = gen.uniforms(63), gen.uniforms(118), gen.uniforms(63)
     before, raised = threading.active_count(), []
@@ -250,9 +251,9 @@ def test_a_failing_slab_is_raised_in_the_caller_and_no_thread_outlives_it(monkey
     assert not runner.is_alive()
     assert threading.active_count() == before
     if failing == "caller":
-        assert raised == ["slab at row 0 failed"] * 3
+        assert raised == ["the first slab failed"] * 3
     else:
-        assert len(raised) == 3 and all(not r.startswith("slab at row 0 ") for r in raised)
+        assert raised == ["a later slab failed"] * 3
 
 
 def test_second_step_uses_one_snapshot_for_both_updates():
