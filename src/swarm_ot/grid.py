@@ -9,10 +9,11 @@ positivity check (an error, never a clamp).
 The potential flow is the agents' primal-dual kernel `iterate` on the
 grid's edges with imbalance b = rho - rho_star and edge cost c = `cost`;
 transport and stationarity use its operator `laplacian`. The grid's edge
-list comes from `grid_edges` and knows its shape, so the kernel runs on
-it as a 2-D stencil on row slabs, bit-identical to its gather-and-bincount
-path on an agent graph; on a large grid the slabs run in `threads`
-threads, to the same bits.
+list comes from `grid_edges` and knows its shape, so the kernel's one
+loop runs on it as a 2-D stencil, bit-identical to its gather-and-bincount
+path on an agent graph. Only a large grid run in `threads` > 1 threads
+leaves that loop: its rows are split into slabs, one per thread, to the
+same bits.
 
 A state holds its arrays and nothing else. The grid loop computes each
 outer step's L phi once, for the transport step and the record. A

@@ -17,9 +17,10 @@ list built by `grid_edges` they take 2-D slices of the node grid
 instead, in the same summation order, so both paths give the same bits.
 The path follows from the edge list itself. The grid path is written
 once, as helpers over a range of node rows: `edge_diff` and
-`_net_outflow` run them on every row, and `iterate` on row slabs, which
-a large grid's caller may split across threads (the CLI's --threads)
-without changing a bit.
+`_net_outflow` run them on every row, so `iterate`'s one loop steps a
+grid as it steps an agent graph, and `grid_iterate` runs them on row
+slabs only where `iterate` splits a large grid across threads (the
+CLI's --threads), without changing a bit.
 """
 
 import contextvars
@@ -179,12 +180,13 @@ def laplacian(phi, lam, edges, dphi=None):
 
 
 # Nodes from which `iterate` splits a grid's rows across threads. Kernel
-# time per inner step in 15-step calls, one slab against two threads
-# (2-core x86-64 VM): 50^2 45-51 against 226-255 us, 128^2 174-195
-# against 376-415 us, 192^2 462-538 against 451-524 us, 224^2 651-874
-# against 513-595 us, 256^2 886-1061 against 581-725 us. Each numpy call
-# of a thread hands the interpreter lock over and each step waits at a
-# barrier, about 200 us a step in all, so threads pay from 224^2 on.
+# time per inner step in 15-step calls, the one-thread loop against two
+# threads (quartiles, 2-core x86-64 VM): 50^2 50-59 against 241-269 us,
+# 128^2 176-287 against 395-520 us, 192^2 465-494 against 495-570 us,
+# 224^2 793-896 against 657-774 us, 256^2 948-1133 against 710-770 us.
+# Each numpy call of a thread hands the interpreter lock over and each
+# step waits at a barrier, about 200 us a step in all, so threads pay
+# from 224^2 on.
 THREAD_MIN_NODES = 224 * 224
 
 
@@ -209,21 +211,20 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True, threads=1):
 
     Each step computes lam' = max(0, lam + tau (0.5 dphi dphi - half_c2))
     and phi' = phi + tau (b - L phi) with every operation and operand
-    order of those expressions, so the bits are theirs: on an agent graph
-    in place, in the buffers of the flux and of L phi. On an edge list
-    from `grid_edges` the steps run as `grid_iterate`, on row slabs in
-    min(threads, usable cores) threads from THREAD_MIN_NODES nodes on and
-    in the caller's thread below, to the same bits for any count.
+    order of those expressions, so the bits are theirs, in the buffers of
+    the edge differences, the flux and L phi. Every run in one thread
+    takes this loop, on a grid too. A grid of THREAD_MIN_NODES nodes or
+    more runs as `grid_iterate` on min(threads, usable cores, rows) row
+    slabs in as many threads when that is two or more, to the same bits.
     """
     shape = getattr(edges, "grid_shape", None)
-    if shape is not None:
-        slabs = 1
-        if threads > 1 and shape[0] * shape[1] >= THREAD_MIN_NODES:
-            slabs = min(threads, _usable_cores())
-        return grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs)
+    if shape is not None and threads > 1 and shape[0] * shape[1] >= THREAD_MIN_NODES:
+        slabs = min(threads, _usable_cores(), shape[0])
+        if slabs > 1:
+            return grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs)
     for _ in range(n_steps):
         dphi = edge_diff(phi, edges)  # feeds both updates, so not via laplacian()
-        flux = lam * dphi
+        flux = lam * dphi if dual else np.multiply(lam, dphi, out=dphi)
         step = _net_outflow(flux, edges, len(phi))
         if dual:
             np.multiply(0.5, dphi, out=flux)
@@ -235,12 +236,15 @@ def iterate(phi, lam, b, edges, half_c2, tau, n_steps, dual=True, threads=1):
         np.subtract(b, step, out=step)
         np.multiply(tau, step, out=step)
         phi = np.add(phi, step, out=step)
+        del dphi, flux  # freed before the next step allocates its own
     return phi, lam
 
 
 def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
     """`iterate` on the (ny, nx) grid's edges, its rows split into slabs.
 
+    `iterate` calls it only to split a large grid across threads; tests
+    also call it with one slab.
     Slab k is node rows ny*k//m to ny*(k+1)//m of m = min(slabs, ny)
     slabs; slab 0 runs in the caller's thread and each other slab in a
     thread of its own (`_run_slabs`). A step writes phi' and lam' into
@@ -249,7 +253,7 @@ def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
     barrier per step. The flux of the vertical edges into a slab's first
     row, which the slab above owns, the slab computes again into a row
     of its own. Every slab count gives the bits of one slab, which are
-    those of the expressions.
+    those of the expressions and of `iterate`'s loop.
 
     The call allocates the result pair, one more pair when n_steps > 1,
     an edge-sized flux buffer and the slabs' rows above, and builds each
@@ -269,7 +273,7 @@ def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
     # states[0] is the input; the last step writes states[1], the result
     pairs = [(np.empty(ny * nx), np.empty(len(lam)) if dual else lam) for _ in range(min(n_steps, 2))]
     states = [(phi, lam), *pairs]
-    reads = [[sl.reads(*state) for state in (states if n_steps > 1 else states[:1])] for sl in slab]
+    reads = [[sl.reads(*state) for state in states] for sl in slab]
     writes = [[sl.writes(*pair, dual) for pair in pairs] for sl in slab]
 
     def slab_step(k, step):
@@ -281,13 +285,12 @@ def grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs):
 
 
 class _Slab:
-    """Node rows r0:r1 of a grid and one step of them.
+    """Node rows r0:r1 of a grid split across threads, and one step of them.
 
     The slab's edges are its rows' horizontal edges and the vertical
-    edges from them to the next row: two runs of the edge list, one when
-    the slab is the whole grid. A step reads and writes only these,
-    through views of a buffer pair that `reads` and `writes` build once
-    per pair.
+    edges from them to the next row, each a 2-D block of rows of the edge
+    list. A step reads and writes only these, through views of a buffer
+    pair that `reads` and `writes` build once per pair.
     """
 
     def __init__(self, shape, r0, r1, flux, b, half_c2, top):
@@ -298,27 +301,24 @@ class _Slab:
         self.h, self.h_rows = slice(r0 * (nx - 1), r1 * (nx - 1)), (r1 - r0, nx - 1)
         self.v, self.v_rows = slice(nh + r0 * nx, nh + rv * nx), (rv - r0, nx)
         self.into = slice(nh + (r0 - 1) * nx, nh + r0 * nx)  # vertical edges into row r0
-        h, v = self.h, self.v
-        self.runs = [h, v] if h.stop != v.start else [slice(h.start, v.stop)]
         self.flux = self._edges(flux)
-        self.half_c2 = [half_c2[run] if np.ndim(half_c2) else half_c2 for run in self.runs]
+        self.half_c2 = self._edges(half_c2) if np.ndim(half_c2) else (half_c2, half_c2)
         self.b = b.reshape(shape)[r0:r1]
 
     def _edges(self, a):
-        """The slab's edges in an edge-sized array: as horizontal and
-        vertical rows, and as runs."""
-        rows = a[self.h].reshape(self.h_rows), a[self.v].reshape(self.v_rows)
-        return rows, [a[run] for run in self.runs]
+        """The slab's horizontal and vertical edges in an edge-sized
+        array, as 2-D rows."""
+        return a[self.h].reshape(self.h_rows), a[self.v].reshape(self.v_rows)
 
     def reads(self, phi, lam):
         """What a step reads of a (phi, lam) pair: the operands of the
-        edge differences, lam on the slab's runs, the row above with the
+        edge differences, lam on the slab's edges, the row above with the
         first row and lam between them (None at the grid's first row),
         and the slab's rows of phi."""
         r0, r1 = self.rows
         p = phi.reshape(self.shape)
         above = None if self.top is None else (p[r0 - 1], p[r0], lam[self.into])
-        return _diff_views(p, r0, r1), [lam[run] for run in self.runs], above, p[r0:r1]
+        return _diff_views(p, r0, r1), self._edges(lam), above, p[r0:r1]
 
     def writes(self, phi, lam, dual):
         """What a step writes of a (phi, lam) pair: the slab's rows of phi,
@@ -330,11 +330,11 @@ class _Slab:
     def step(self, src, dst, dual, tau):
         """One step of the slab's rows from the `reads` of one pair into
         the `writes` of another."""
-        diff, lam_runs, above, p_rows = src
-        out, (d_rows, d_runs) = dst
-        f_rows, f_runs = self.flux
+        diff, lam_rows, above, p_rows = src
+        out, d_rows = dst
+        f_rows = self.flux
         _diff_rows(*diff, *d_rows)
-        for l, d, f in zip(lam_runs, d_runs, f_runs):
+        for l, d, f in zip(lam_rows, d_rows, f_rows):
             np.multiply(l, d, out=f)
         top = self.top
         if top is not None:
@@ -343,7 +343,7 @@ class _Slab:
             np.multiply(lam_into, top, out=top)
         _outflow_rows(*f_rows, top, out)
         if dual:
-            for d, l, c, t in zip(d_runs, lam_runs, self.half_c2, f_runs):
+            for d, l, c, t in zip(d_rows, lam_rows, self.half_c2, f_rows):
                 np.multiply(0.5, d, out=t)
                 t *= d
                 t -= c
@@ -363,10 +363,6 @@ def _run_slabs(m, n_steps, slab_step):
     any slab aborts the barrier, so no thread waits for it, and is raised
     here once every thread has ended.
     """
-    if m == 1:
-        for step in range(n_steps):
-            slab_step(0, step)
-        return
     barrier, errors = threading.Barrier(m), []
 
     def run(k):

@@ -174,12 +174,15 @@ def slab_cases(draw):
 @given(slab_cases(), st.integers(1, 4), st.integers(0, 5), st.booleans())
 def test_every_slab_count_gives_the_bits_of_one_slab(case, slabs, n_steps, dual):
     # below the size gate, called directly: more slabs than rows
-    # included, and the sign of a zero counts
+    # included, and the sign of a zero counts. The loop that steps every
+    # one-thread run is the reference
     shape, phi, lam, b, half_c2, tau = case
     with np.errstate(all="ignore"):
         one = grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, 1)
         split = grid_iterate(phi, lam, b, shape, half_c2, tau, n_steps, dual, slabs)
+        loop = iterate(phi, lam, b, grid_edges(shape[1], shape[0]), half_c2, tau, n_steps, dual, 1)
     assert [a.tobytes() for a in split] == [a.tobytes() for a in one]
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in loop]
 
 
 def above_the_gate():
@@ -195,32 +198,59 @@ def test_two_threads_take_no_more_memory_than_one_slab(monkeypatch, dual):
     # the slabs share one set of buffers. Each running numpy call holds
     # buffers of up to its buffer size, so the calls run with the
     # smallest; what two threads add then is the threads themselves and
-    # the second slab's row above, a few KiB against the call's MiBs
+    # the second slab's row above, a few KiB against the call's MiBs.
+    # One thread runs the loop, which holds as little as one slab
     monkeypatch.setattr(primal_dual, "_usable_cores", lambda: 2)
     phi, lam, b, edges = above_the_gate()
     context = contextvars.copy_context()
     context.run(np.setbufsize, 16)
 
-    def peak(threads):
-        def call():
-            return iterate(phi, lam, b, edges, 0.5, 0.1, 3, dual, threads)
-
+    def peak(call):
         context.run(call)  # the first call's lazy set-up is not the kernel's
         tracemalloc.start()
         try:
             result = context.run(call)
-            return tracemalloc.get_traced_memory()[1], result
+            return tracemalloc.get_traced_memory()[1], [a.tobytes() for a in result]
         finally:
             tracemalloc.stop()
 
-    one, serial = peak(1)
-    two, split = peak(2)
-    assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
+    loop, serial = peak(lambda: iterate(phi, lam, b, edges, 0.5, 0.1, 3, dual, 1))
+    one, single = peak(lambda: grid_iterate(phi, lam, b, edges.grid_shape, 0.5, 0.1, 3, dual, 1))
+    two, split = peak(lambda: iterate(phi, lam, b, edges, 0.5, 0.1, 3, dual, 2))
+    assert split == single == serial
     # two results, one more pair and the flux buffer: three pairs of
-    # arrays, or two and the flux when lam is held
+    # arrays, or two and the flux when lam is held. The loop holds a
+    # step's phi and lam, the next ones and the edge differences
     pair = phi.nbytes + (lam.nbytes if dual else 0)
+    assert loop <= 2 * pair + lam.nbytes + 16 * 1024
     assert one <= 2 * pair + lam.nbytes + 16 * 1024
     assert two <= one + 16 * 1024
+
+
+def test_only_a_split_across_threads_leaves_the_loop(monkeypatch):
+    # every run in one thread steps in iterate's loop; grid_iterate runs
+    # only where a large grid of two rows or more splits across cores
+    real, slabs = primal_dual.grid_iterate, []
+
+    def record(*args):
+        slabs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(primal_dual, "grid_iterate", record)
+    n = math.isqrt(THREAD_MIN_NODES - 1) + 1
+
+    def paths(nx, ny, threads, cores):
+        monkeypatch.setattr(primal_dual, "_usable_cores", lambda: cores)
+        edges, nodes = grid_edges(nx, ny), nx * ny
+        slabs.clear()
+        iterate(np.zeros(nodes), np.ones(len(edges)), np.ones(nodes), edges, 0.5, 0.1, 1, True, threads)
+        return slabs[:]
+
+    assert paths(50, 50, 2, 2) == []  # below the gate
+    assert paths(n, n, 1, 2) == []
+    assert paths(n, n, 2, 1) == []  # one usable core
+    assert paths(THREAD_MIN_NODES, 1, 2, 2) == []  # one row
+    assert paths(n, n, 2, 2) == [2]
 
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
